@@ -8,10 +8,11 @@ the gap widening with the missing rate; ``batch`` (the engine's
 ``probability_many`` with bulk leaf warming) at or below plain ADPLL.
 
 Standalone mode times the batch engine sequentially, with a worker
-pool, and under the circuit backends (``compiled`` per-condition
-circuits, ``compiled_forest`` store-scoped sharing with the scalar
-sweep, ``compiled_kernel`` sharing plus the numpy array kernel), plus
-per-round re-weighting for all four engines, and emits
+pool, and under the forest backend (``compiled_kernel``: store-scoped
+circuit sharing plus the numpy array kernel; ``forest_fallback``: the
+same backend under a starved node budget), plus per-round re-weighting
+for ADPLL and the forest (``adpll_rounds`` / ``kernel_rounds``), and
+emits
 ``BENCH_fig03_probability.json`` in pytest-benchmark shape (render with
 ``python -m repro.benchreport``)::
 
@@ -114,11 +115,8 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
         ("sequential", dict(n_jobs=1), False),
         ("batch", dict(n_jobs=1), True),
         ("batch_pool", dict(n_jobs=n_jobs), True),
-        ("compiled", dict(n_jobs=1, backend="compiled"), True),
-        # forest sharing alone (interpreter-exact scalar sweep) ...
-        ("compiled_forest", dict(n_jobs=1, backend="forest", kernel="python"), True),
-        # ... and sharing + the numpy structure-of-arrays kernel
-        ("compiled_kernel", dict(n_jobs=1, backend="forest", kernel="numpy"), True),
+        # forest sharing + the numpy structure-of-arrays kernel
+        ("compiled_kernel", dict(n_jobs=1, backend="forest"), True),
     ]
     baseline_values = None
     for name, engine_kwargs, batched in variants:
@@ -161,15 +159,13 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
         }
         if name != "sequential":
             extra["parity_max_drift"] = drift
-        if engine_kwargs.get("backend") in ("compiled", "forest"):
+        if engine_kwargs.get("backend") == "forest":
             extra["circuits_compiled"] = stats["circuits_compiled"]
             extra["circuit_nodes"] = stats["circuit_nodes"]
             extra["compile_fallbacks"] = stats["compile_fallbacks"]
-        if engine_kwargs.get("backend") == "forest":
             extra["forest_nodes"] = stats["forest_nodes"]
             extra["nodes_shared"] = stats["nodes_shared"]
             extra["shared_fraction"] = round(stats["shared_fraction"], 4)
-            extra["forest_kernel"] = stats["forest_kernel"]
         rows.append(
             {
                 "name": "probability[%s,n=%d,%s]" % (kind, n, name),
@@ -199,15 +195,15 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
 
 
 def _fallback_row(kind, n, conditions, store, baseline_values, tracer):
-    """Compiled backend under a starved node budget: the fallback ladder.
+    """Forest backend under a starved node budget: the fallback ladder.
 
     Every non-trivial condition trips the compile budget, the compile
     breaker opens, and ADPLL answers instead -- values must stay exact.
     """
     engine = ProbabilityEngine(
-        store.snapshot(), backend="compiled", compile_node_budget=8
+        store.snapshot(), backend="forest", compile_node_budget=8
     )
-    with tracer.span("probability[compiled_fallback]", phase="probability") as span:
+    with tracer.span("probability[forest_fallback]", phase="probability") as span:
         values = engine.probability_many(conditions)
     drift = max(
         (abs(a - b) for a, b in zip(baseline_values, values)), default=0.0
@@ -216,7 +212,7 @@ def _fallback_row(kind, n, conditions, store, baseline_values, tracer):
     stats = engine.stats()
     assert stats["compile_fallbacks"] > 0, "budget of 8 nodes never tripped"
     extra = {
-        "variant": "compiled_fallback",
+        "variant": "forest_fallback",
         "conditions": len(conditions),
         "forced_budget_trip": True,
         "compile_node_budget": 8,
@@ -235,7 +231,7 @@ def _fallback_row(kind, n, conditions, store, baseline_values, tracer):
         )
     )
     return {
-        "name": "probability[%s,n=%d,compiled_fallback]" % (kind, n),
+        "name": "probability[%s,n=%d,forest_fallback]" % (kind, n),
         "fullname": "bench_fig03_probability.py::standalone",
         "stats": {"mean": span.seconds},
         "extra_info": extra,
@@ -245,11 +241,8 @@ def _fallback_row(kind, n, conditions, store, baseline_values, tracer):
 #: Per-round engines: independent stores, identical answer sequences.
 ROUND_ENGINES = (
     ("adpll", {}),
-    ("compiled", dict(backend="compiled")),
-    # forest sharing with the interpreter-exact scalar sweep ...
-    ("forest", dict(backend="forest", kernel="python")),
-    # ... and with the numpy array kernel (the PR-9 headline variant)
-    ("kernel", dict(backend="forest", kernel="numpy")),
+    # the forest with its numpy array kernel
+    ("kernel", dict(backend="forest")),
 )
 
 
@@ -259,8 +252,8 @@ def run_rounds(kind, n, missing_rate, alpha, tracer, registry, rounds=5):
     Independent constraint sets receive the same deterministic answer
     sequence (``Var > 0`` facts applied straight to the constraints, so
     conditions never simplify -- a pure weight-change workload).  Each
-    round every engine recomputes every condition; the circuit backends
-    must re-propagate leaf weights without a single recompilation.
+    round every engine recomputes every condition; the forest must
+    re-propagate leaf weights without a single recompilation.
     """
     setups = {}
     reference_conditions = None
@@ -337,15 +330,11 @@ def run_rounds(kind, n, missing_rate, alpha, tracer, registry, rounds=5):
             )
         else:
             extra["recompiles"] = 0
-        if name in ("forest", "kernel"):
+        if name == "kernel":
             extra.update(
                 shared_fraction=round(stats["shared_fraction"], 4),
                 forest_nodes=stats["forest_nodes"],
                 nodes_shared=stats["nodes_shared"],
-                forest_kernel=stats["forest_kernel"],
-                speedup_vs_compiled=round(
-                    seconds["compiled"] / elapsed if elapsed else 0.0, 2
-                ),
             )
         rows.append(
             {

@@ -16,7 +16,7 @@ fields is checked for the pruning invariant ``pairs_tested +
 pairs_pruned == pair_universe`` (and a pruned variant must actually
 prune: ``pairs_tested < pair_universe``), so a broken pruning pre-pass
 fails the guard even when its timing looks fine.  Probability rows are
-held to the compiled-backend contracts the same way: parity drift within
+held to the forest-backend contracts the same way: parity drift within
 1e-9, zero recompiles on weight-only answer rounds, and a non-zero
 fallback count whenever a row claims a forced compile-budget trip.
 
@@ -67,18 +67,18 @@ def pair_accounting_problems(path):
 
 
 def probability_problems(path):
-    """Violations of the compiled-backend invariants in one fresh JSON.
+    """Violations of the forest-backend invariants in one fresh JSON.
 
     The contracts, each carried by ``extra_info`` fields the probability
     benchmark emits: exact-parity rows must agree with the sequential
     baseline to 1e-9, weight-only answer rounds must never recompile a
-    circuit, a forced-budget row must actually exercise the fallback
-    ladder, forest rows must share subcircuits across objects
+    circuit, a forced-budget forest row must actually exercise the
+    fallback ladder, forest rows must share subcircuits across objects
     (``shared_fraction > 0`` whenever two or more conditions were
-    registered), the kernel's per-round sweep must beat the per-circuit
-    interpreter on workloads big enough to measure (``speedup_vs_compiled
-    > 1`` at 300+ conditions), and every row must record a real pool
-    decision (never the stale pre-batch sentinel).
+    registered), the kernel's per-round sweep must beat per-round ADPLL
+    on workloads big enough to measure (``speedup_vs_adpll > 1`` at 300+
+    conditions), and every row must record a real pool decision (never
+    the stale pre-batch sentinel).
     """
     data = json.loads(Path(path).read_text())
     problems = []
@@ -113,12 +113,12 @@ def probability_problems(path):
         if (
             extra.get("variant") == "kernel_rounds"
             and extra.get("conditions", 0) >= 300
-            and not extra.get("speedup_vs_compiled", 0.0) > 1.0
+            and not extra.get("speedup_vs_adpll", 0.0) > 1.0
         ):
             problems.append(
-                "%s: kernel rounds did not beat the per-circuit "
-                "interpreter (speedup_vs_compiled %r <= 1)"
-                % (name, extra.get("speedup_vs_compiled"))
+                "%s: kernel rounds did not beat per-round ADPLL "
+                "(speedup_vs_adpll %r <= 1)"
+                % (name, extra.get("speedup_vs_adpll"))
             )
         decision = extra.get("pool_decision")
         if decision is not None and "no batch computed yet" in decision:

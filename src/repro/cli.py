@@ -85,14 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = unbounded; default %d)" % BayesCrowdConfig.utility_cache_size,
     )
     perf.add_argument(
-        "--probability-backend", choices=["adpll", "compiled", "forest"],
+        "--probability-backend", choices=["adpll", "forest"],
         default="adpll",
         help="exact-probability backend: 'adpll' re-solves each condition "
-        "per round; 'compiled' compiles each condition once into a "
-        "d-DNNF circuit and re-propagates weights as answers arrive; "
-        "'forest' additionally shares subcircuits across objects and "
-        "re-weights all circuits in one array sweep per round "
-        "(compilation blowups degrade to ADPLL, then sampling)",
+        "per round; 'forest' compiles each condition once into a d-DNNF "
+        "circuit, shares subcircuits across objects and re-weights all "
+        "circuits in one array sweep per round (compilation blowups "
+        "degrade to ADPLL, then sampling)",
     )
     perf.add_argument(
         "--compile-node-budget", type=int, default=None, metavar="N",
@@ -437,12 +436,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 stats.get("rankings", 0),
             )
         )
-        if stats.get("probability_backend") in ("compiled", "forest"):
+        if stats.get("probability_backend") == "forest":
             print(
-                "%s: %d circuits (%d nodes), %d propagations, "
+                "forest: %d circuits (%d nodes), %d propagations, "
                 "%d recompiles, %d reuses, %d fallbacks"
                 % (
-                    stats.get("probability_backend"),
                     stats.get("circuits_compiled", 0),
                     stats.get("circuit_nodes", 0),
                     stats.get("propagations", 0),
@@ -451,17 +449,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                     stats.get("compile_fallbacks", 0),
                 )
             )
-        if stats.get("probability_backend") == "forest":
             print(
                 "forest: %d live nodes, %d shared (%.1f%% of reachable), "
-                "%d full + %d suffix sweeps, kernel %s"
+                "%d full + %d suffix sweeps"
                 % (
                     stats.get("forest_nodes", 0),
                     stats.get("nodes_shared", 0),
                     100.0 * stats.get("shared_fraction", 0.0),
                     stats.get("forest_full_sweeps", 0),
                     stats.get("forest_suffix_sweeps", 0),
-                    stats.get("forest_kernel", "off"),
                 )
             )
         candidates = stats.get("utility_candidates_total", 0)

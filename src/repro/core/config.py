@@ -12,11 +12,11 @@ from ..ctable.constraints import INFERENCE_MODES
 from ..ctable.construction import BACKENDS
 from ..ctable.pruning import PRUNE_MODES
 from ..ctable.dominators import DOMINATOR_METHODS
-from ..probability.compile import (
+from ..probability.engine import DEFAULT_CACHE_SIZE, METHODS, PROBABILITY_BACKENDS
+from ..probability.forest import (
     DEFAULT_CIRCUIT_CACHE_SIZE,
     DEFAULT_COMPILE_NODE_BUDGET,
 )
-from ..probability.engine import DEFAULT_CACHE_SIZE, METHODS, PROBABILITY_BACKENDS
 from .utility import UTILITY_MODES
 from .utility_engine import DEFAULT_UTILITY_CACHE_SIZE
 
@@ -51,17 +51,16 @@ class BayesCrowdConfig:
     #: probability computation method: "adpll", "naive" or "approx"
     probability_method: str = "adpll"
     #: exact-probability backend (method "adpll" only): "adpll" re-solves
-    #: each condition every round, "compiled" compiles each condition once
-    #: into a d-DNNF circuit and re-propagates weights as answers arrive,
-    #: "forest" shares subcircuits across all objects in one store-scoped
-    #: DAG and re-weights every registered circuit in a single array sweep
+    #: each condition every round, "forest" compiles each condition once
+    #: into a d-DNNF circuit, shares subcircuits across all objects in one
+    #: store-scoped DAG and re-weights every registered circuit in a single
+    #: array sweep as answers arrive
     probability_backend: str = "adpll"
     #: node cap for compiling one condition's circuit before the engine
     #: degrades to ADPLL-then-sampling (0 = unlimited)
     compile_node_budget: int = DEFAULT_COMPILE_NODE_BUDGET
-    #: bound on compiled circuits kept live per store -- the compiled
-    #: backend's per-store LRU and the forest backend's root-pin LRU
-    #: (0 = unbounded)
+    #: bound on compiled circuits kept live per store -- the forest
+    #: backend's root-pin LRU (0 = unbounded)
     circuit_cache_size: int = DEFAULT_CIRCUIT_CACHE_SIZE
     #: objects with Pr(phi) above this are reported as answers
     answer_threshold: float = 0.5
@@ -176,7 +175,7 @@ class BayesCrowdConfig:
                 % (self.probability_backend, PROBABILITY_BACKENDS)
             )
         if (
-            self.probability_backend in ("compiled", "forest")
+            self.probability_backend == "forest"
             and self.probability_method != "adpll"
         ):
             raise ValueError(
@@ -184,13 +183,6 @@ class BayesCrowdConfig:
                 "path and requires probability_method='adpll', got %r"
                 % (self.probability_backend, self.probability_method)
             )
-        if self.probability_backend == "forest":
-            # REPRO_FOREST_JIT=1 without numba must fail here, at config
-            # time, with a clear message -- not as a worker crash (nor a
-            # silent numpy fallback the operator believes is jitted).
-            from ..probability.kernel import validate_jit_gate
-
-            validate_jit_gate()
         if not 0.0 <= self.answer_threshold <= 1.0:
             raise ValueError("answer_threshold must lie in [0, 1]")
         if not 0.0 <= self.entropy_epsilon <= 1.0:

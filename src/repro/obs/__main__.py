@@ -43,7 +43,7 @@ CTABLE_COUNTERS = (
     "ctable_pair_universe",
 )
 
-#: Circuit-accounting counters of the compiled/forest probability backends.
+#: Circuit-accounting counters of the forest probability backend.
 PROBABILITY_COUNTERS = (
     "engine_circuits_compiled",
     "engine_circuit_nodes",
@@ -56,7 +56,7 @@ PROBABILITY_COUNTERS = (
 
 
 def verify_probability(snapshot: dict, require: bool = False) -> List[str]:
-    """Problems with the compiled-backend circuit accounting (empty = ok).
+    """Problems with the forest backend's circuit accounting (empty = ok).
 
     The engine exports the counters on every run (zeros when the backend
     is "adpll"); invariants: all non-negative, every recompile is a
@@ -302,7 +302,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--probability", action="store_true",
-        help="require the compiled-backend circuit counters and check "
+        help="require the forest backend's circuit counters and check "
         "their accounting invariants (recompiles <= circuits_compiled, "
         "circuit_nodes >= circuits_compiled); without this flag the "
         "invariants are still checked whenever the counters are present",

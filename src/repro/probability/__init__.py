@@ -6,13 +6,6 @@ from .approxcount import (
     adaptive_approx_probability,
     approx_probability,
 )
-from .compile import (
-    DEFAULT_CIRCUIT_CACHE_SIZE,
-    DEFAULT_COMPILE_NODE_BUDGET,
-    CircuitStore,
-    CompiledCircuit,
-    compile_condition,
-)
 from .distributions import DistributionStore
 from .engine import (
     DEFAULT_CACHE_SIZE,
@@ -21,8 +14,12 @@ from .engine import (
     ProbabilityEngine,
     resolve_n_jobs,
 )
-from .forest import CircuitForest
-from .kernel import HAS_NUMBA, KERNEL_MODES, ForestProgram, resolve_kernel
+from .forest import (
+    DEFAULT_CIRCUIT_CACHE_SIZE,
+    DEFAULT_COMPILE_NODE_BUDGET,
+    CircuitForest,
+)
+from .kernel import ForestProgram
 from .guard import CircuitBreaker, GuardedProbability
 from .naive import EnumerationLimitExceeded, naive_probability
 
@@ -36,14 +33,8 @@ __all__ = [
     "adaptive_approx_probability",
     "DEFAULT_CIRCUIT_CACHE_SIZE",
     "DEFAULT_COMPILE_NODE_BUDGET",
-    "CircuitStore",
     "CircuitForest",
-    "CompiledCircuit",
     "ForestProgram",
-    "HAS_NUMBA",
-    "KERNEL_MODES",
-    "compile_condition",
-    "resolve_kernel",
     "DistributionStore",
     "DEFAULT_CACHE_SIZE",
     "METHODS",

@@ -38,13 +38,12 @@ from ..parallel import (
 )
 from .adpll import ADPLL
 from .approxcount import adaptive_approx_probability, approx_probability
-from .compile import (
+from .distributions import DistributionStore
+from .forest import (
     DEFAULT_CIRCUIT_CACHE_SIZE,
     DEFAULT_COMPILE_NODE_BUDGET,
-    CircuitStore,
+    CircuitForest,
 )
-from .distributions import DistributionStore
-from .forest import CircuitForest
 from .guard import CircuitBreaker, GuardedProbability
 from .kernel import ForestProgram
 from .naive import naive_probability
@@ -53,13 +52,12 @@ from .naive import naive_probability
 METHODS = ("adpll", "naive", "approx")
 
 #: Exact-probability backends for ``method="adpll"``: ``adpll`` re-solves
-#: each condition per call, ``compiled`` compiles each condition once
-#: into a d-DNNF circuit and re-propagates weights as answers land
-#: (see :mod:`repro.probability.compile`), ``forest`` shares subcircuits
-#: across all conditions in one store-scoped DAG and sweeps every
-#: registered circuit at once with the array kernel
-#: (:mod:`repro.probability.forest` / :mod:`repro.probability.kernel`).
-PROBABILITY_BACKENDS = ("adpll", "compiled", "forest")
+#: each condition per call (the paper's algorithm), ``forest`` compiles
+#: each condition once into a d-DNNF circuit inside one store-scoped,
+#: subcircuit-sharing DAG and re-weights every registered circuit in one
+#: array sweep as answers land (:mod:`repro.probability.forest` /
+#: :mod:`repro.probability.kernel`).
+PROBABILITY_BACKENDS = ("adpll", "forest")
 
 #: Default bound on the condition-probability cache.
 DEFAULT_CACHE_SIZE = 65_536
@@ -107,22 +105,10 @@ def _compute_chunk(payload) -> List[float]:
     :class:`SharedArrayHandle` to the published snapshot plus the
     conditions themselves -- the pmf data never rides in the pickle.
     """
-    handle, method, backend, compile_budget, conditions, approx_samples, seed = payload
+    handle, method, conditions, approx_samples, seed = payload
     store = _worker_store(handle)
     if method == "adpll":
         solver = ADPLL(store)
-        if backend == "compiled":
-            # Per-chunk circuit store against the frozen snapshot; budget
-            # trips degrade to ADPLL in-worker (counters stay process-local
-            # -- the parent's compile accounting covers sequential batches).
-            circuits = CircuitStore(store, node_budget=compile_budget)
-            out = []
-            for condition in conditions:
-                try:
-                    out.append(circuits.probability(condition))
-                except ResourceBudgetError:
-                    out.append(solver.probability(condition))
-            return out
         return [solver.probability(condition) for condition in conditions]
     if method == "naive":
         return [naive_probability(condition, store) for condition in conditions]
@@ -182,7 +168,6 @@ class ProbabilityEngine:
         backend: str = "adpll",
         compile_node_budget: int = DEFAULT_COMPILE_NODE_BUDGET,
         circuit_cache_size: int = DEFAULT_CIRCUIT_CACHE_SIZE,
-        kernel: str = "auto",
     ) -> None:
         if method not in METHODS:
             raise ValueError("unknown method %r; expected one of %r" % (method, METHODS))
@@ -191,7 +176,7 @@ class ProbabilityEngine:
                 "unknown backend %r; expected one of %r"
                 % (backend, PROBABILITY_BACKENDS)
             )
-        if backend in ("compiled", "forest") and method != "adpll":
+        if backend == "forest" and method != "adpll":
             raise ValueError(
                 "the %s backend replaces the exact ADPLL path; "
                 "it requires method='adpll' (got %r)" % (backend, method)
@@ -219,29 +204,18 @@ class ProbabilityEngine:
         #: condition -> (exact?, error bound) for guarded computations
         self._guard_info: Dict[Condition, Tuple[bool, float]] = {}
         self.n_guard_fallbacks = 0
-        #: compiled backend: circuit cache + its own breaker over the
-        #: compile path (compilation blowups degrade to ADPLL, which may
-        #: itself be guarded -- the full ladder is compiled -> ADPLL ->
+        #: forest backend: the shared circuit forest + its own breaker over
+        #: the compile path (compilation blowups degrade to ADPLL, which
+        #: may itself be guarded -- the full ladder is forest -> ADPLL ->
         #: sampler)
         self.backend = backend
-        self._compile_node_budget = int(compile_node_budget)
-        self._circuit_cache_size = int(circuit_cache_size)
-        self._circuits: Optional[CircuitStore] = None
         self._forest: Optional[CircuitForest] = None
         self.compile_breaker: Optional[CircuitBreaker] = None
         self.n_compile_fallbacks = 0
         self.forest_bundle_bytes = 0
-        if backend == "compiled":
-            self._circuits = CircuitStore(
-                store, node_budget=compile_node_budget, cache_size=circuit_cache_size
-            )
-            self.compile_breaker = CircuitBreaker(failure_threshold=breaker_threshold)
-        elif backend == "forest":
+        if backend == "forest":
             self._forest = CircuitForest(
-                store,
-                node_budget=compile_node_budget,
-                capacity=circuit_cache_size,
-                kernel=kernel,
+                store, node_budget=compile_node_budget, capacity=circuit_cache_size
             )
             self.compile_breaker = CircuitBreaker(failure_threshold=breaker_threshold)
         #: default worker count for :meth:`probability_many`
@@ -297,7 +271,7 @@ class ProbabilityEngine:
         """``Pr(condition)`` under the current distributions.
 
         ``obj`` optionally names the object the condition belongs to; the
-        compiled backend uses it to distinguish "same object, condition
+        forest backend uses it to distinguish "same object, condition
         simplified by an answer" recompiles from first-time compiles.
         """
         if condition.is_true:
@@ -340,7 +314,7 @@ class ProbabilityEngine:
         version = self.store.version
         results: Dict[Condition, float] = {}
         pending: List[Condition] = []
-        #: owning object per distinct condition (compiled-backend recompile
+        #: owning object per distinct condition (forest recompile
         #: attribution; first owner wins on shared conditions)
         condition_objects: Dict[Condition, int] = {}
         if objects is not None:
@@ -374,9 +348,7 @@ class ProbabilityEngine:
                     pending, condition_objects, n_jobs, chunk_size
                 )
             else:
-                computed = self._compute_batch(
-                    pending, condition_objects, n_jobs, chunk_size
-                )
+                computed = self._compute_batch(pending, n_jobs, chunk_size)
             self.n_computations += len(pending)
             for condition, value in zip(pending, computed):
                 results[condition] = value
@@ -393,7 +365,6 @@ class ProbabilityEngine:
     def _compute_batch(
         self,
         pending: List[Condition],
-        condition_objects: Dict[Condition, int],
         n_jobs: int,
         chunk_size: Optional[int],
     ) -> List[float]:
@@ -416,7 +387,7 @@ class ProbabilityEngine:
         for condition in pending:
             if self._cancellation is not None:
                 self._cancellation.check("probability")
-            computed.append(self._compute(condition, condition_objects.get(condition)))
+            computed.append(self._compute(condition))
         return computed
 
     def _compute_forest_batch(
@@ -436,29 +407,41 @@ class ProbabilityEngine:
         (ADPLL, guarded when configured), gated by the compile breaker.
         With a pool approved, the sweep fans out instead: workers attach
         the published program arrays and masked-sweep their chunk's
-        reachable subgraph -- no recompilation, no store rebuild.
+        reachable subgraph -- no recompilation, no store rebuild.  A
+        batch larger than the forest's capacity runs in capacity-sized
+        slices, so no root is evicted before its value is read.
         """
+        step = self._forest.capacity or len(pending)
+        values: Dict[Condition, float] = {}
+        for start in range(0, len(pending), step):
+            values.update(
+                self._sweep_forest_slice(
+                    pending[start : start + step], condition_objects, n_jobs, chunk_size
+                )
+            )
+        out: List[float] = []
+        for condition in pending:
+            value = values.get(condition)
+            out.append(self._compute_exact(condition) if value is None else value)
+        return out
+
+    def _sweep_forest_slice(
+        self,
+        pending: List[Condition],
+        condition_objects: Dict[Condition, int],
+        n_jobs: int,
+        chunk_size: Optional[int],
+    ) -> Dict[Condition, float]:
+        """Register one slice, then sweep it; budget-tripped conditions
+        are left out of the result for the caller's ADPLL fallback."""
         forest = self._forest
-        breaker = self.compile_breaker
         roots: Dict[Condition, int] = {}
-        fallback: List[Condition] = []
         for condition in pending:
             if self._cancellation is not None:
                 self._cancellation.check("probability")
-            if breaker.allow_exact():
-                try:
-                    roots[condition] = forest.register(
-                        condition, obj=condition_objects.get(condition)
-                    )
-                except ResourceBudgetError:
-                    breaker.record_failure()
-                    self.n_compile_fallbacks += 1
-                    fallback.append(condition)
-                else:
-                    breaker.record_success()
-            else:
-                self.n_compile_fallbacks += 1
-                fallback.append(condition)
+            root = self._register(condition, condition_objects.get(condition))
+            if root is not None:
+                roots[condition] = root
         if self.guard_active and n_jobs > 1:
             decision = PoolDecision(
                 1, "sequential: resource guard active, breaker state is process-local"
@@ -466,29 +449,12 @@ class ProbabilityEngine:
         else:
             decision = decide_workers(n_jobs, len(roots), MIN_CONDITIONS_PER_WORKER)
         self._pool_decision = decision
-        values: Dict[Condition, float] = {}
-        if roots:
-            if decision.parallel:
-                values = self._sweep_parallel_forest(
-                    roots, decision.n_workers, chunk_size
-                )
-            else:
-                forest.refresh()
-                for condition, root in roots.items():
-                    values[condition] = forest.value(condition)
-            if self.guard_active:
-                for condition in roots:
-                    self._guard_info[condition] = (True, 0.0)
-        out: List[float] = []
-        for condition in pending:
-            value = values.get(condition)
-            if value is None:
-                if self.breaker is None:
-                    value = self._adpll.probability(condition)
-                else:
-                    value = self._compute_guarded(condition)
-            out.append(value)
-        return out
+        if not roots:
+            return {}
+        if decision.parallel:
+            return self._sweep_parallel_forest(roots, decision.n_workers, chunk_size)
+        forest.refresh()
+        return {condition: forest.value(condition) for condition in roots}
 
     def _sweep_parallel_forest(
         self,
@@ -546,10 +512,15 @@ class ProbabilityEngine:
         one batch): registration compiles missing circuits into the
         shared forest without sweeping, so the following
         ``probability_many`` calls find everything compiled and pay one
-        sweep each.  No-op unless the forest backend is active.  Budget
-        trips are swallowed -- the evaluation path re-attempts them with
-        full breaker/fallback accounting.  Returns the number of
-        conditions registered.
+        sweep each.  No-op unless the forest backend is active.
+
+        Precompiling computes no probability, so it only runs while the
+        compile breaker is closed and never spends an open breaker's
+        half-open probe.  Each compile attempt's outcome is recorded (a
+        run of budget trips opens the breaker and stops the batch); the
+        tripped conditions count no fallback here -- the evaluation path
+        re-attempts them with full fallback accounting.  Returns the
+        number of conditions registered.
         """
         forest = self._forest
         if forest is None:
@@ -563,13 +534,15 @@ class ProbabilityEngine:
             seen.add(condition)
             if self._cancellation is not None:
                 self._cancellation.check("precompile")
-            if not breaker.allow_exact():
+            if breaker.state != "closed":
                 break
             obj = objects[index] if objects is not None else None
             try:
                 forest.register(condition, obj=obj)
             except ResourceBudgetError:
+                breaker.record_failure()
                 continue
+            breaker.record_success()
             count += 1
         return count
 
@@ -617,8 +590,6 @@ class ProbabilityEngine:
                 (
                     bundle.handle,
                     self.method,
-                    self.backend,
-                    self._compile_node_budget,
                     [pending[i] for i in chunk],
                     self._approx_samples,
                     int(seed),
@@ -642,43 +613,43 @@ class ProbabilityEngine:
 
     def _compute(self, condition: Condition, obj: Optional[int] = None) -> float:
         if self.method == "adpll":
-            if self._circuits is not None or self._forest is not None:
-                return self._compute_compiled(condition, obj)
-            if self.breaker is None:
-                return self._adpll.probability(condition)
-            return self._compute_guarded(condition)
+            if self._forest is not None and self._register(condition, obj) is not None:
+                self._forest.refresh()
+                return self._forest.value(condition)
+            return self._compute_exact(condition)
         if self.method == "naive":
             return naive_probability(condition, self.store)
         return approx_probability(
             condition, self.store, n_samples=self._approx_samples, rng=self._rng
         ).probability
 
-    def _compute_compiled(self, condition: Condition, obj: Optional[int]) -> float:
-        """Exact probability via the compiled circuit, with a fallback ladder.
+    def _register(self, condition: Condition, obj: Optional[int]) -> Optional[int]:
+        """The condition's forest root, or None when it must fall back.
 
-        While compilation fits the node budget, the value is the circuit
-        evaluation (exact; bit-compatible with ADPLL up to float
-        associativity).  A budget trip counts a ``compile_fallback`` and
-        degrades this condition to the ADPLL path -- guarded, when the
-        resource guard is configured, so the full ladder is compiled ->
-        ADPLL -> adaptive sampler.  The compile breaker turns repeated
-        trips into skip-straight-to-ADPLL.
+        While compilation fits the node budget, the condition's value is
+        its circuit evaluation (exact; bit-compatible with ADPLL up to
+        float associativity).  A budget trip counts a
+        ``compile_fallback`` and degrades this condition to the ADPLL
+        path -- guarded, when the resource guard is configured, so the
+        full ladder is forest -> ADPLL -> adaptive sampler.  The compile
+        breaker turns repeated trips into skip-straight-to-ADPLL.
         """
-        circuits = self._circuits if self._circuits is not None else self._forest
         breaker = self.compile_breaker
         if breaker.allow_exact():
             try:
-                value = circuits.probability(condition, obj=obj)
+                root = self._forest.register(condition, obj=obj)
             except ResourceBudgetError:
                 breaker.record_failure()
-                self.n_compile_fallbacks += 1
             else:
                 breaker.record_success()
                 if self.guard_active:
                     self._guard_info[condition] = (True, 0.0)
-                return value
-        else:
-            self.n_compile_fallbacks += 1
+                return root
+        self.n_compile_fallbacks += 1
+        return None
+
+    def _compute_exact(self, condition: Condition) -> float:
+        """ADPLL, under the resource guard when one is configured."""
         if self.breaker is None:
             return self._adpll.probability(condition)
         return self._compute_guarded(condition)
@@ -770,16 +741,14 @@ class ProbabilityEngine:
         if self.breaker is not None:
             for key, value in self.breaker.stats().items():
                 stats[key] = value
-        # Circuit accounting (compiled or forest backend); zeros with a
-        # stable schema -- including the forest keys -- when a backend is
-        # off, so the obs verifier always finds them.
+        # Circuit accounting; zeros with a stable schema when the forest
+        # is off, so the obs verifier always finds the keys.
         stats["probability_backend"] = self.backend
-        circuit_stats = dict(CircuitForest.empty_stats())
-        if self._circuits is not None:
-            circuit_stats.update(self._circuits.stats())
-        elif self._forest is not None:
-            circuit_stats.update(self._forest.stats())
-        stats.update(circuit_stats)
+        stats.update(
+            self._forest.stats()
+            if self._forest is not None
+            else CircuitForest.empty_stats()
+        )
         stats["forest_bundle_bytes"] = self.forest_bundle_bytes
         stats["compile_fallbacks"] = self.n_compile_fallbacks
         if self.compile_breaker is not None:

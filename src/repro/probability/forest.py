@@ -1,17 +1,56 @@
-"""Store-scoped circuit forest: every condition's d-DNNF in one shared DAG.
+"""Knowledge compilation into one store-scoped circuit forest.
 
-PR-8's :class:`CircuitStore` compiles each condition into its own
-:class:`CompiledCircuit` with a *per-circuit* unique table -- so the
-clause chains, pair leaves and decision subtrees that different objects'
-conditions share (heavily: skyline conditions of objects with the same
-missing attributes are near-identical) are compiled and stored once per
-object.  :class:`CircuitForest` hoists the unique table to the store
-scope: one columnar node pool holds the union of all registered
-circuits as a single DAG, identical subcircuits unify across objects,
-and identical *residual conditions* met during different compilations
-reuse each other's subtrees through a cross-registration memo.
+Exact model counting is the pipeline's one asymptotic cost: ADPLL
+re-solves every ``phi(o)`` from scratch each round even though crowd
+answers only reassign variable weights (pmf renormalization onto
+narrowed allowed sets) or determine expressions.  Knowledge compilation
+splits the work: compile each condition ONCE into a smoothed
+deterministic d-DNNF circuit whose *structure* is store-independent,
+then answer every later probability query by weight propagation --
+linear in circuit size.  The counting itself stays #P-hard (Arenas et
+al., "Counting Problems over Incomplete Databases"), which is why
+compilation runs under a node budget.
 
-Bookkeeping that replaces the per-circuit LRU:
+The compiler mirrors ADPLL's search (same branching heuristics via
+:func:`repro.probability.adpll.pick_branch_variable`, same
+connected-component decomposition via ``Condition.connected_components``)
+but records the trace as a DAG instead of folding it into one number:
+
+* **decision nodes** -- branching on variable ``v`` becomes a SUM over
+  the *full base domain* of ``v``: each child is the product of the
+  value literal ``v = a`` and ``compile(phi[v := a])``.  Children are
+  mutually exclusive on ``v``'s value (deterministic) and ``v`` never
+  reappears below (decomposable).  Branching over the full domain --
+  not the currently supported values -- is what makes re-weighting
+  sound: a value whose probability drops to zero, or comes back after a
+  contradiction overwrite re-expands the allowed set, is just a leaf
+  whose weight moves;
+* **independent conditions** -- when no variable repeats
+  (``Condition.is_variable_disjoint``), a clause ``e1 v e2 v ...``
+  compiles without branching into the deterministic sum
+  ``e1 + !e1*e2 + !e1*!e2*e3 + ...``;
+* **component decomposition** -- variable-disjoint clause groups become
+  a decomposable AND of independently compiled circuits;
+* **leaves** -- *set literals* ``v in S`` (a var-vs-const expression and
+  its negation are both value sets, via ``Expression.true_values``)
+  weighted by ``sum(pmf(v)[S])``, plus *theory leaves* for var-vs-var
+  atoms ``x > y`` weighted by ``Pr(x > y)`` under the store.  Theory
+  leaves keep two-variable atoms atomic instead of splitting one side
+  into a full decision -- they only ever appear where the enclosing
+  structure guarantees independence, so determinism is preserved;
+* **smoothing** -- every SUM's children are padded with full-domain
+  literals of their missing variables so all children range over the
+  same scope.  With normalized pmfs the pad weight is exactly 1.0, so
+  smoothing never changes a probability; it is kept for the standard
+  d-DNNF invariants and costs one *shared* node per variable thanks to
+  dedup.
+
+:class:`CircuitForest` holds every registered condition's circuit in
+one columnar node pool: a store-scoped unique table unifies identical
+subcircuits across objects (skyline conditions of objects with the same
+missing attributes are near-identical), and identical *residual
+conditions* met during different compilations reuse each other's
+subtrees through a cross-registration memo.  Bookkeeping:
 
 * **refcounts** -- each node counts its parent edges plus one pin per
   registered root; evicting a registration (the forest keeps its own
@@ -22,24 +61,28 @@ Bookkeeping that replaces the per-circuit LRU:
   children always have lower seqs than parents (even across slot
   reuse), so "live nodes sorted by seq" is always a valid topological
   order.  The kernel's suffix sweeps key on it.
-* **budget rollback** -- compilation runs under the same per-condition
-  node budget as PR-8; a trip tears down exactly the nodes this
-  registration created (in reverse creation order, so refcounts of
-  pre-existing nodes are restored precisely) and re-raises, leaving
-  every counter untouched.
+* **budget rollback** -- compilation runs under a per-condition node
+  budget; a trip raises :class:`repro.errors.ResourceBudgetError` after
+  tearing down exactly the nodes this registration created (in reverse
+  creation order, so refcounts of pre-existing nodes are restored
+  precisely), leaving every counter untouched.  The engine's compile
+  breaker turns trips into a degrade to ADPLL and, from there, the
+  guarded sampler.
 
 Values live in one forest-wide array refreshed by
-:meth:`CircuitForest.refresh`: a full kernel sweep on first use, then
-suffix sweeps covering only nodes created since the last sweep and the
-leaves (plus ancestors) of variables whose constraints moved --
-``evaluate_many`` / ``propagate_many`` over all circuits at once, via
-the kernel mode chosen at construction (``numpy``/``numba``/``python``;
-see :mod:`repro.probability.kernel`).
+:meth:`CircuitForest.refresh`: a full numpy kernel sweep on first use,
+then suffix sweeps covering only nodes created since the last sweep and
+the leaves (plus ancestors) of variables whose constraints moved (see
+:mod:`repro.probability.kernel`).
 
-New counters on top of the CircuitStore-compatible set:
-``forest_nodes`` (live DAG size), ``nodes_shared`` (reachable nodes a
-registration did *not* have to create) and ``shared_fraction``
-(= nodes_shared / total reachable over all registrations).
+Counters: ``circuits_compiled``/``circuit_nodes`` (registrations and the
+nodes they created), ``propagations`` (circuits re-weighted by a
+version-driven sweep), ``recompiles`` (a condition compiled again after
+eviction, or an object whose condition an answer simplified),
+``circuit_reuses``, ``forest_nodes`` (live DAG size), ``nodes_shared``
+(reachable nodes a registration did *not* have to create) and
+``shared_fraction`` (= nodes_shared / total reachable over all
+registrations).
 """
 
 from __future__ import annotations
@@ -53,20 +96,34 @@ from ..ctable.expression import Expression
 from ..datasets.dataset import Variable
 from ..errors import ResourceBudgetError
 from .adpll import BRANCH_HEURISTICS, pick_branch_variable
-from .compile import (
-    DEFAULT_CIRCUIT_CACHE_SIZE,
-    DEFAULT_COMPILE_NODE_BUDGET,
-    NODE_FALSE,
-    NODE_LEAF_PAIR,
-    NODE_LEAF_SET,
-    NODE_PROD,
-    NODE_SUM,
-    NODE_TRUE,
-)
 from .distributions import DistributionStore
-from .kernel import ForestProgram, resolve_kernel
+from .kernel import ForestProgram
 
-__all__ = ["CircuitForest"]
+__all__ = [
+    "CircuitForest",
+    "DEFAULT_CIRCUIT_CACHE_SIZE",
+    "DEFAULT_COMPILE_NODE_BUDGET",
+]
+
+#: Default cap on nodes created while compiling ONE condition.
+#: Generous -- typical skyline conditions compile to a few hundred nodes
+#: -- but finite, because pathological clause entanglement is worst-case
+#: exponential; exhaustion degrades to ADPLL via the engine's breaker.
+DEFAULT_COMPILE_NODE_BUDGET = 200_000
+
+#: Default bound on registered circuits (root pins) per forest (LRU).
+DEFAULT_CIRCUIT_CACHE_SIZE = 16_384
+
+# Node kinds, shared with the array kernel.  TRUE/FALSE are constants,
+# LEAF_SET is "variable in value set" (values None = the full-domain
+# smoothing literal), LEAF_PAIR is a var-vs-var theory atom (possibly
+# negated), SUM/PROD are the deterministic-or / decomposable-and gates.
+NODE_TRUE = 0
+NODE_FALSE = 1
+NODE_LEAF_SET = 2
+NODE_LEAF_PAIR = 3
+NODE_SUM = 4
+NODE_PROD = 5
 
 #: Kind marker for freed slots (never a valid node kind).
 _FREED = -1
@@ -79,10 +136,9 @@ _PINNED = 1 << 60
 class CircuitForest:
     """All registered circuits as one refcounted, seq-ordered DAG.
 
-    API-compatible with :class:`CircuitStore` where the engine needs it
-    (``probability(condition, obj=...)``, ``stats()``, ``__len__``) and
-    batch-first beyond it: :meth:`register` many conditions, then one
-    :meth:`refresh` sweep serves every value.
+    Scalar use is ``probability(condition, obj=...)``; batch use is
+    :meth:`register` many conditions, then one :meth:`refresh` sweep
+    serves every :meth:`value`.
     """
 
     def __init__(
@@ -92,19 +148,19 @@ class CircuitForest:
         node_budget: int = DEFAULT_COMPILE_NODE_BUDGET,
         capacity: int = DEFAULT_CIRCUIT_CACHE_SIZE,
         smooth: bool = True,
-        kernel: str = "numpy",
     ) -> None:
         if heuristic not in BRANCH_HEURISTICS:
             raise ValueError(
                 "unknown branch heuristic %r; expected one of %r"
                 % (heuristic, BRANCH_HEURISTICS)
             )
+        if node_budget < 0:
+            raise ValueError("node_budget must be non-negative (0 = unlimited)")
         self.store = store
         self.heuristic = heuristic
         self.node_budget = int(node_budget)
         self.smooth = smooth
         self.capacity = int(capacity)
-        self.kernel = resolve_kernel(kernel)
         # columnar node pool (index = slot; slots are recycled)
         self.kinds: List[int] = []
         self.payloads: List[object] = []
@@ -137,7 +193,7 @@ class CircuitForest:
         #: hashes of every condition ever compiled (recompile detection)
         self._seen: Set[int] = set()
         self._object_conditions: Dict[int, Condition] = {}
-        # CircuitStore-compatible counters
+        # circuit counters
         self.circuits_compiled = 0
         self.circuit_nodes = 0
         self.propagations = 0
@@ -301,7 +357,8 @@ class CircuitForest:
         return self.store.domain_size(variable)
 
     # ------------------------------------------------------------------
-    # builder gates (same algebra as compile._Builder, forest-scoped)
+    # builder gates: dedup through the unique table, flatten nested
+    # products, smooth sums (see module doc)
     # ------------------------------------------------------------------
     def _set_leaf(self, variable: Variable, values: Sequence[int], size: int) -> int:
         values = tuple(sorted(values))
@@ -360,8 +417,8 @@ class CircuitForest:
         return self._new(NODE_SUM, None, tuple(sorted(live)), scope)
 
     # ------------------------------------------------------------------
-    # compiler (same traversal as compile._Compiler, with a cross-
-    # registration condition memo layered over the per-registration one)
+    # compiler (ADPLL's traversal, with a cross-registration condition
+    # memo layered over the per-registration one)
     # ------------------------------------------------------------------
     def _compile_node(self, condition: Condition) -> int:
         if condition.is_true:
@@ -404,13 +461,18 @@ class CircuitForest:
         return self._set_leaf(variable, values, size)
 
     def _clause(self, clause: Clause) -> int:
+        """A variable-disjoint clause as the deterministic sum
+        ``e1 + !e1*e2 + !e1*!e2*e3 + ...`` (mutually exclusive terms)."""
         terms: List[int] = []
         negatives: List[int] = []
         for expression in clause:
             positive = self._literal(expression, False)
             if positive == self.FALSE:
+                # this expression can never hold; it contributes nothing
                 continue
             if positive == self.TRUE:
+                # certainly true once reached: "all earlier failed" absorbs
+                # the remaining expressions
                 terms.append(self._prod(list(negatives)))
                 return self._sum(terms)
             terms.append(self._prod(negatives + [positive]))
@@ -418,6 +480,7 @@ class CircuitForest:
         return self._sum(terms)
 
     def _decision(self, condition: Condition) -> int:
+        """Branch like ADPLL, over the FULL base domain (see module doc)."""
         variable = pick_branch_variable(
             condition, self.heuristic, domain_size=self.store.domain_size
         )
@@ -549,29 +612,7 @@ class CircuitForest:
 
     def _sweep(self, values: np.ndarray, cutoff: Optional[int]) -> None:
         program = self.ensure_program()
-        if self.kernel == "python":
-            self._python_leaf_pass(program, values, cutoff)
-            program.sweep_python(values, cutoff)
-        else:
-            pmf_flat = program.gather_pmfs(self.store)
-            program.evaluate(values, pmf_flat, min_seq=cutoff, mode=self.kernel)
-
-    def _python_leaf_pass(
-        self, program: ForestProgram, values: np.ndarray, cutoff: Optional[int]
-    ) -> None:
-        """Store-backed scalar leaf weights (interpreter-exact arithmetic)."""
-        store = self.store
-        values[program.const_ids] = 1.0
-        values[program.false_ids] = 0.0
-        for seq, slot, variable, index in program.host_set_leaves:
-            if cutoff is not None and seq < cutoff:
-                continue
-            values[slot] = float(store.pmf(variable)[index].sum())
-        for seq, slot, expression, negated in program.host_pair_leaves:
-            if cutoff is not None and seq < cutoff:
-                continue
-            p = store.prob_expression(expression)
-            values[slot] = 1.0 - p if negated else p
+        program.evaluate(values, program.gather_pmfs(self.store), min_seq=cutoff)
 
     def refresh(self) -> None:
         """Bring the forest-wide value array up to the store's version.
@@ -580,8 +621,7 @@ class CircuitForest:
         suffixes: from the oldest node created since the last sweep
         and/or the oldest leaf of any variable whose constraints moved
         (``propagate_many``).  A version-driven suffix sweep counts one
-        propagation per registered circuit, keeping the counter
-        comparable with the per-circuit interpreter's.
+        propagation per registered circuit.
         """
         store = self.store
         if not self._registered:
@@ -629,7 +669,7 @@ class CircuitForest:
         return float(self._values[root])
 
     def probability(self, condition: Condition, obj: Optional[int] = None) -> float:
-        """Scalar CircuitStore-compatible entry point: register + refresh."""
+        """Scalar entry point: register + refresh."""
         if condition.is_true:
             return 1.0
         if condition.is_false:
@@ -664,16 +704,14 @@ class CircuitForest:
             "forest_full_sweeps": self.full_sweeps,
             "forest_suffix_sweeps": self.suffix_sweeps,
             "forest_evictions": self.evictions,
-            "forest_kernel": self.kernel,
         }
 
     @staticmethod
     def empty_stats() -> Dict[str, object]:
         """Zeroed counters with the forest's full key schema.
 
-        A superset of :meth:`CircuitStore.empty_stats`: engine stats
-        merge these under every backend so the obs verifier always
-        finds the forest keys.
+        Engine stats merge these under every backend so the obs
+        verifier always finds the circuit keys.
         """
         return {
             "circuits_compiled": 0,
@@ -688,5 +726,4 @@ class CircuitForest:
             "forest_full_sweeps": 0,
             "forest_suffix_sweeps": 0,
             "forest_evictions": 0,
-            "forest_kernel": "off",
         }

@@ -1,12 +1,11 @@
 """Array kernel for the circuit forest: one sweep evaluates every circuit.
 
-The PR-8 interpreter walks each circuit's DAG node-by-node in Python --
-fine for one circuit, but the forest (:mod:`repro.probability.forest`)
-holds the union of *all* registered circuits as one shared DAG, and a
-round needs all of their values at once.  This module lowers the live
-forest into a :class:`ForestProgram`: a structure-of-arrays schedule
-grouped by node *level* (1 + max child level), so every SUM/PROD of a
-level is computed in one vectorized step:
+The forest (:mod:`repro.probability.forest`) holds the union of *all*
+registered circuits as one shared DAG, and a round needs all of their
+values at once.  This module lowers the live forest into a
+:class:`ForestProgram`: a structure-of-arrays schedule grouped by node
+*level* (1 + max child level), so every SUM/PROD of a level is computed
+in one vectorized numpy step:
 
 * **set leaves** gather pmf cells through a CSR index into one
   concatenated pmf vector and segment-sum them with ``np.add.reduceat``;
@@ -24,113 +23,15 @@ everything created or dirtied after sequence s" -- are a
 *masked* sweep computes only the subgraph reachable from a chunk of
 roots, which is what pool workers run after attaching the program's flat
 arrays from shared memory (:meth:`to_arrays` / :meth:`from_arrays`).
-
-An optional numba JIT of the forward pass hides behind
-``REPRO_FOREST_JIT=1`` (kernel mode ``auto``); numpy is the
-always-available fallback and the only mode exercised in CI, where
-numba is not installed.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compile import NODE_LEAF_PAIR, NODE_LEAF_SET, NODE_PROD, NODE_SUM, NODE_TRUE
-
-__all__ = [
-    "HAS_NUMBA",
-    "KERNEL_MODES",
-    "ForestProgram",
-    "resolve_kernel",
-    "validate_jit_gate",
-]
-
-#: Kernel mode knob: ``auto`` picks numba when installed *and* opted in
-#: via ``REPRO_FOREST_JIT=1``, else numpy; ``python`` is the scalar
-#: interpreter sweep (used to benchmark forest sharing in isolation).
-KERNEL_MODES = ("auto", "numpy", "numba", "python")
-
-#: True when the numba package is importable (never a hard dependency).
-HAS_NUMBA = importlib.util.find_spec("numba") is not None
-
-_JIT_ENV = "REPRO_FOREST_JIT"
-
-
-def validate_jit_gate() -> None:
-    """Fail fast when ``REPRO_FOREST_JIT`` opts in but numba is absent.
-
-    Called at *config* time (``BayesCrowdConfig`` validation for the
-    forest backend, and service settings validation) so a host that opted
-    into the JIT without having numba installed gets one clear
-    :class:`~repro.errors.ConfigError` up front instead of a confusing
-    per-worker crash (or a silent numpy fallback the operator believes is
-    jitted).  ``resolve_kernel('auto')`` itself keeps the numpy fallback:
-    a worker must never crash even if the environment mutates after
-    configuration.
-    """
-    if os.environ.get(_JIT_ENV, "0") in ("", "0"):
-        return
-    if not HAS_NUMBA:
-        from ..errors import ConfigError
-
-        raise ConfigError(
-            "%s=1 requests the numba JIT kernel but numba is not "
-            "installed; unset %s (the numpy kernel is the default and "
-            "needs no extra packages) or install numba"
-            % (_JIT_ENV, _JIT_ENV)
-        )
-
-
-def resolve_kernel(mode: str) -> str:
-    """Normalize a kernel mode knob to a concrete, runnable mode."""
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            "unknown kernel mode %r; expected one of %r" % (mode, KERNEL_MODES)
-        )
-    if mode == "auto":
-        if HAS_NUMBA and os.environ.get(_JIT_ENV, "0") not in ("", "0"):
-            return "numba"
-        return "numpy"
-    if mode == "numba" and not HAS_NUMBA:
-        raise ValueError(
-            "kernel mode 'numba' requested but numba is not installed; "
-            "use 'numpy' (or 'auto', which falls back automatically)"
-        )
-    return mode
-
-
-_NUMBA_SWEEP = None
-
-
-def _numba_sweep():
-    """Compile (once per process) the jitted per-node forward pass."""
-    global _NUMBA_SWEEP
-    if _NUMBA_SWEEP is None:  # pragma: no cover - numba not in CI image
-        import numba
-
-        @numba.njit(cache=False)
-        def sweep(kinds, slots, child_ptr, child, values, start):
-            for i in range(start, len(slots)):
-                kind = kinds[i]
-                if kind == NODE_PROD:
-                    v = 1.0
-                    for j in range(child_ptr[i], child_ptr[i + 1]):
-                        v *= values[child[j]]
-                        if v == 0.0:
-                            break
-                    values[slots[i]] = v
-                elif kind == NODE_SUM:
-                    v = 0.0
-                    for j in range(child_ptr[i], child_ptr[i + 1]):
-                        v += values[child[j]]
-                    values[slots[i]] = v
-
-        _NUMBA_SWEEP = sweep
-    return _NUMBA_SWEEP
+__all__ = ["ForestProgram"]
 
 
 def _span_gather(ptr: np.ndarray, sel: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -213,17 +114,6 @@ class ForestProgram:
         self.pair_neg = np.empty(0, dtype=np.uint8)
         #: internal levels (index 0 = level 1): [(sum_block, prod_block)]
         self.levels: List[Tuple[_Block, _Block]] = []
-        # host-only whole-order arrays for the scalar (python/numba)
-        # sweeps; not shipped to workers
-        self.order_slots = np.empty(0, dtype=np.int64)
-        self.order_kinds = np.empty(0, dtype=np.int8)
-        self.order_seqs = np.empty(0, dtype=np.int64)
-        self.order_child_ptr = np.zeros(1, dtype=np.int64)
-        self.order_child = np.empty(0, dtype=np.int64)
-        #: host-only leaf payload rows for the python (store-backed) leaf
-        #: pass: (seq, slot, variable, local value indices) / pair rows
-        self.host_set_leaves: List[Tuple[int, int, Tuple[int, int], np.ndarray]] = []
-        self.host_pair_leaves: List[Tuple[int, int, object, bool]] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -236,6 +126,9 @@ class ForestProgram:
         columnar ``kinds``/``payloads``/``children``/``seqs`` lists, a
         ``live_slots()`` iterator and ``domain_size(variable)``.
         """
+        # deferred: the forest module imports this one
+        from .forest import NODE_LEAF_PAIR, NODE_LEAF_SET, NODE_PROD, NODE_SUM, NODE_TRUE
+
         self = cls()
         kinds = forest.kinds
         payloads = forest.payloads
@@ -288,17 +181,11 @@ class ForestProgram:
                     values, dtype=np.int64
                 )
                 set_rows.append((seqs[slot], slot, cells))
-                self.host_set_leaves.append(
-                    (seqs[slot], slot, variable, np.asarray(values, dtype=np.intp))
-                )
             elif kind == NODE_LEAF_PAIR:
                 expression, negated = payloads[slot]
                 left = var_index[expression.left.variable]
                 right = var_index[expression.right.variable]
                 pair_rows.append((seqs[slot], slot, left, right, int(negated)))
-                self.host_pair_leaves.append(
-                    (seqs[slot], slot, expression, bool(negated))
-                )
             elif kind == NODE_TRUE:
                 const_rows.append(slot)
             else:  # NODE_FALSE
@@ -308,7 +195,6 @@ class ForestProgram:
         self.false_ids = np.array(sorted(false_rows), dtype=np.int64)
 
         set_rows.sort(key=lambda row: row[0])
-        self.host_set_leaves.sort(key=lambda row: row[0])
         self.set_ids = np.array([slot for __, slot, __c in set_rows], dtype=np.int64)
         self.set_seqs = np.array([seq for seq, __, __c in set_rows], dtype=np.int64)
         self.set_ptr = np.zeros(len(set_rows) + 1, dtype=np.int64)
@@ -320,7 +206,6 @@ class ForestProgram:
         )
 
         pair_rows.sort()
-        self.host_pair_leaves.sort(key=lambda row: row[0])
         self.pair_ids = np.array([r[1] for r in pair_rows], dtype=np.int64)
         self.pair_seqs = np.array([r[0] for r in pair_rows], dtype=np.int64)
         self.pair_left = np.array([r[2] for r in pair_rows], dtype=np.int64)
@@ -335,22 +220,6 @@ class ForestProgram:
             )
             for lev in range(1, self.n_levels + 1)
         ]
-
-        # whole-order arrays for the scalar sweeps
-        self.order_slots = np.array(order, dtype=np.int64)
-        self.order_kinds = np.array([kinds[slot] for slot in order], dtype=np.int8)
-        self.order_seqs = np.array([seqs[slot] for slot in order], dtype=np.int64)
-        self.order_child_ptr = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(
-            [len(children[slot]) for slot in order], out=self.order_child_ptr[1:]
-        )
-        self.order_child = (
-            np.concatenate(
-                [np.asarray(children[slot], dtype=np.int64) for slot in order]
-            )
-            if order
-            else np.empty(0, dtype=np.int64)
-        )
         return self
 
     # ------------------------------------------------------------------
@@ -475,42 +344,12 @@ class ForestProgram:
                 else:
                     values[out_ids] = np.add.reduceat(child_values, offsets)
 
-    def sweep_python(self, values: np.ndarray, min_seq: Optional[int] = None) -> None:
-        """Scalar interpreter sweep over the whole-order arrays.
-
-        Bit-identical arithmetic to :meth:`CompiledCircuit.evaluate`
-        (sequential multiply with zero short-circuit, sequential add);
-        leaves must already be written.
-        """
-        start = (
-            int(np.searchsorted(self.order_seqs, min_seq)) if min_seq is not None else 0
-        )
-        kinds = self.order_kinds
-        slots = self.order_slots
-        ptr = self.order_child_ptr
-        child = self.order_child
-        for i in range(start, len(slots)):
-            kind = kinds[i]
-            if kind == NODE_PROD:
-                v = 1.0
-                for j in range(ptr[i], ptr[i + 1]):
-                    v *= values[child[j]]
-                    if v == 0.0:
-                        break
-                values[slots[i]] = v
-            elif kind == NODE_SUM:
-                v = 0.0
-                for j in range(ptr[i], ptr[i + 1]):
-                    v += values[child[j]]
-                values[slots[i]] = v
-
     def evaluate(
         self,
         values: np.ndarray,
         pmf_flat: np.ndarray,
         min_seq: Optional[int] = None,
         mask: Optional[np.ndarray] = None,
-        mode: str = "numpy",
     ) -> np.ndarray:
         """Forward pass: leaves from ``pmf_flat``, then internal levels.
 
@@ -520,22 +359,7 @@ class ForestProgram:
         this is ``evaluate_many`` over every registered circuit at once.
         """
         self._leaf_pass(values, pmf_flat, min_seq, mask)
-        if mode == "numba" and mask is None:  # pragma: no cover - optional JIT
-            start = (
-                int(np.searchsorted(self.order_seqs, min_seq))
-                if min_seq is not None
-                else 0
-            )
-            _numba_sweep()(
-                self.order_kinds,
-                self.order_slots,
-                self.order_child_ptr,
-                self.order_child,
-                values,
-                start,
-            )
-        else:
-            self._sweep_numpy(values, min_seq, mask)
+        self._sweep_numpy(values, min_seq, mask)
         return values
 
     def reach_mask(self, roots: Sequence[int]) -> np.ndarray:
@@ -570,11 +394,7 @@ class ForestProgram:
     # shared-memory transport
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flatten to named arrays for :class:`SharedArrayBundle`.
-
-        Ships only what the numpy masked sweep needs; the host-only
-        order/payload mirrors (python + numba modes) stay behind.
-        """
+        """Flatten to named arrays for :class:`SharedArrayBundle`."""
         sum_level_ptr = np.zeros(self.n_levels + 1, dtype=np.int64)
         prod_level_ptr = np.zeros(self.n_levels + 1, dtype=np.int64)
         np.cumsum([len(s.ids) for s, __ in self.levels], out=sum_level_ptr[1:])
@@ -628,8 +448,7 @@ class ForestProgram:
         """Rebuild a sweep-capable program from :meth:`to_arrays` output.
 
         Copies out of the (possibly shared, soon-to-be-unmapped) buffers
-        so the per-process cache outlives the bundle.  The result runs
-        numpy sweeps only -- the host-side payload mirrors are absent.
+        so the per-process cache outlives the bundle.
         """
         def _own(name, dtype):
             return np.array(arrays[name], dtype=dtype)

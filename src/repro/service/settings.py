@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Union
 
 from ..errors import ConfigError
-from ..probability.kernel import validate_jit_gate
 from ..session.supervisor import OVERFLOW_POLICIES
 
 __all__ = ["ServiceSettings", "ENV_PREFIX"]
@@ -104,10 +103,6 @@ class ServiceSettings:
             raise ConfigError("journal_fsync must be a bool")
         if not isinstance(self.recover_on_start, bool):
             raise ConfigError("recover_on_start must be a bool")
-        # An operator who exported REPRO_FOREST_JIT=1 on a host without
-        # numba finds out now, at service-config time -- not when the
-        # first forest-backend session crashes a worker.
-        validate_jit_gate()
         self.root = Path(self.data_dir)
 
     # ------------------------------------------------------------------

@@ -16,6 +16,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--dataset", "magic"])
 
+    def test_rejects_removed_compiled_backend(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["--probability-backend", "compiled"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "'adpll'" in message and "'forest'" in message
+
     def test_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--strategy", "magic"])

@@ -40,6 +40,7 @@ class TestValidation:
             {"circuit_cache_size": -1},
             {"circuit_cache_size": True},
             {"probability_backend": "forest", "probability_method": "naive"},
+            {"probability_backend": "compiled"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -1,11 +1,10 @@
-"""Tests for the circuit-forest array kernel (PR-9 tentpole).
+"""Tests for the circuit-forest array kernel.
 
-Covers kernel-mode resolution (numba gating), hypothesis parity of the
-numpy structure-of-arrays sweep against the per-circuit interpreter over
-random conditions *and* answer sequences, suffix propagation, masked
-worker sweeps (``evaluate_roots``), the shared-memory array round-trip,
-and the engine-level forest backend (batched rounds, precompile,
-pool fan-out).
+Covers hypothesis parity of the numpy structure-of-arrays sweep against
+naive enumeration and ADPLL over random conditions *and* answer
+sequences, suffix propagation, masked worker sweeps
+(``evaluate_roots``), the shared-memory array round-trip, and the
+engine-level forest backend (batched rounds, precompile, pool fan-out).
 """
 
 import numpy as np
@@ -14,14 +13,11 @@ from hypothesis import given, settings
 
 from repro.ctable import Condition, Relation, VariableConstraints, var_greater_const
 from repro.probability import (
-    HAS_NUMBA,
-    KERNEL_MODES,
+    ADPLL,
     CircuitForest,
     ForestProgram,
     ProbabilityEngine,
-    compile_condition,
     naive_probability,
-    resolve_kernel,
 )
 from repro.probability.engine import _forest_chunk
 from repro.parallel import SharedArrayBundle, detach_all
@@ -33,123 +29,35 @@ from tests.test_compile import (
 )
 
 
-class TestKernelResolution:
-    def test_known_modes(self):
-        assert set(KERNEL_MODES) == {"auto", "numpy", "numba", "python"}
-        assert resolve_kernel("numpy") == "numpy"
-        assert resolve_kernel("python") == "python"
-
-    def test_auto_defaults_to_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FOREST_JIT", raising=False)
-        assert resolve_kernel("auto") == "numpy"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_kernel("magic")
-        with pytest.raises(ValueError):
-            CircuitForest(uniform_store(), kernel="magic")
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed")
-    def test_numba_request_without_numba_rejected(self):
-        with pytest.raises(ValueError) as err:
-            resolve_kernel("numba")
-        assert "not installed" in str(err.value)
-        with pytest.raises(ValueError):
-            ProbabilityEngine(
-                uniform_store(constraints=VariableConstraints([4])),
-                backend="forest",
-                kernel="numba",
-            )
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-    def test_auto_opts_into_numba(self, monkeypatch):  # pragma: no cover
-        monkeypatch.setenv("REPRO_FOREST_JIT", "1")
-        assert resolve_kernel("auto") == "numba"
-
-
-class TestJitGateDegradesCleanly:
-    """``REPRO_FOREST_JIT`` without numba: a clear error at config time,
-    never a worker crash (the worker-facing 'auto' path keeps numpy)."""
-
-    @pytest.fixture
-    def no_numba(self, monkeypatch):
-        from repro.probability import kernel as kernel_module
-
-        monkeypatch.setattr(kernel_module, "HAS_NUMBA", False)
-        monkeypatch.setenv("REPRO_FOREST_JIT", "1")
-
-    def test_gate_raises_config_error(self, no_numba):
-        from repro.errors import ConfigError
-        from repro.probability.kernel import validate_jit_gate
-
-        with pytest.raises(ConfigError) as err:
-            validate_jit_gate()
-        assert "numba is not installed" in str(err.value)
-        assert "REPRO_FOREST_JIT" in str(err.value)
-
-    def test_forest_backend_config_fails_fast(self, no_numba):
-        from repro.core import BayesCrowdConfig
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            BayesCrowdConfig(probability_backend="forest")
-        # Other backends never consult the JIT gate.
-        assert BayesCrowdConfig(probability_backend="adpll").seed == 0
-
-    def test_service_settings_fail_fast(self, no_numba, tmp_path):
-        from repro.errors import ConfigError
-        from repro.service import ServiceSettings
-
-        with pytest.raises(ConfigError):
-            ServiceSettings(port=0, data_dir=tmp_path)
-
-    def test_worker_auto_path_never_crashes(self, no_numba):
-        # Even with the bad env var set, the in-worker resolution keeps
-        # the numpy fallback -- the failure belongs to config time only.
-        assert resolve_kernel("auto") == "numpy"
-
-    def test_gate_is_silent_when_disarmed(self, monkeypatch):
-        from repro.probability import kernel as kernel_module
-        from repro.probability.kernel import validate_jit_gate
-
-        monkeypatch.setattr(kernel_module, "HAS_NUMBA", False)
-        for value in (None, "0", ""):
-            if value is None:
-                monkeypatch.delenv("REPRO_FOREST_JIT", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_FOREST_JIT", value)
-            validate_jit_gate()  # must not raise
-
-
-def make_forest(kernel="numpy", domain=4, **kwargs):
+def make_forest(domain=4, **kwargs):
     constraints = VariableConstraints([domain])
     store = uniform_store(domain=domain, constraints=constraints)
-    return CircuitForest(store, kernel=kernel, **kwargs), store, constraints
+    return CircuitForest(store, **kwargs), store, constraints
 
 
 class TestKernelParity:
-    """The array sweep must match the per-circuit interpreter exactly."""
+    """The array sweep must match the reference counters exactly."""
 
     @given(condition_store_answers())
     @settings(max_examples=120, deadline=None)
-    def test_numpy_kernel_matches_interpreter(self, drawn):
+    def test_numpy_kernel_matches_naive(self, drawn):
         condition, store, constraints, answers = drawn
         if condition.is_constant:
             return
-        forest = CircuitForest(store, kernel="numpy")
-        circuit = compile_condition(condition, store)
-        assert forest.probability(condition) == pytest.approx(
-            circuit.evaluate(store), abs=1e-9
+        exact = naive_probability(condition, store)
+        assert CircuitForest(store).probability(condition) == pytest.approx(
+            exact, abs=1e-9
         )
+        assert ADPLL(store).probability(condition) == pytest.approx(exact, abs=1e-9)
 
     @given(condition_store_answers())
     @settings(max_examples=80, deadline=None)
     def test_propagate_tracks_answer_sequences(self, drawn):
-        """Suffix re-sweeps after each answer match a fresh interpreter."""
+        """Suffix re-sweeps after each answer match naive enumeration."""
         condition, store, constraints, answers = drawn
         if condition.is_constant:
             return
-        forest = CircuitForest(store, kernel="numpy")
+        forest = CircuitForest(store)
         forest.probability(condition)
         for expression, relation in answers:
             try:
@@ -159,9 +67,8 @@ class TestKernelParity:
             exact = naive_probability(condition, store)
             assert forest.probability(condition) == pytest.approx(exact, abs=1e-9)
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
-    def test_kernels_agree_on_shared_forest(self, kernel):
-        forest, store, constraints = make_forest(kernel=kernel)
+    def test_shared_forest_matches_naive(self):
+        forest, store, constraints = make_forest()
         conditions = [branching_condition()] + [
             Condition.of([[var_greater_const(o, 0, c)]])
             for o in range(3)
@@ -242,7 +149,7 @@ class TestForestProgram:
         # new suffix without disturbing (or needing) the old prefix
         extra = Condition.of([[var_greater_const(2, 0, 2)]])
         forest.probability(extra)
-        fresh = CircuitForest(store, kernel="numpy")
+        fresh = CircuitForest(store)
         for condition in conditions + [extra]:
             assert forest.value(condition) == pytest.approx(
                 fresh.probability(condition), abs=1e-12
@@ -283,6 +190,17 @@ class TestEngineForestBackend:
         assert stats["compile_fallbacks"] == 0
         assert stats["nodes_shared"] > 0
         assert 0.0 < stats["shared_fraction"] < 1.0
+
+    def test_batch_larger_than_circuit_cache(self):
+        """Roots evicted mid-batch must not lose (or mix up) values."""
+        engine, store, constraints = self.make_engine(circuit_cache_size=2)
+        conditions = self.conditions()
+        values = engine.probability_many(conditions)
+        assert values == pytest.approx(
+            [naive_probability(c, store) for c in conditions], abs=1e-9
+        )
+        assert engine.stats()["circuit_cache_size"] <= 2
+        assert engine.stats()["compile_fallbacks"] == 0
 
     def test_precompile_then_batch_compiles_nothing_new(self):
         engine, store, constraints = self.make_engine(use_cache=False)

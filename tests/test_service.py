@@ -433,6 +433,17 @@ class TestServerBasics:
         assert status == 400
         assert "trace_path" in body["error"]
 
+    def test_removed_compiled_backend_is_400(self, server):
+        _make_dataset(server, "d1", n=40)
+        status, body, _, _ = server.request(
+            "POST",
+            "/v1/sessions",
+            {"dataset_id": "d1", "config": {"probability_backend": "compiled"}},
+        )
+        assert status == 400
+        assert "'compiled'" in body["error"]
+        assert "('adpll', 'forest')" in body["error"]
+
 
 # ----------------------------------------------------------------------
 # admission control & backpressure
@@ -667,6 +678,41 @@ class TestDrainAndRecovery:
             assert status == 200 and body["draining"] is True
         finally:
             handle.stop()
+
+    def test_stored_session_with_removed_backend_fails_alone(self, tmp_path):
+        """A persisted config the server can no longer build (here the
+        removed ``compiled`` backend) marks that one session FAILED at
+        restart; the server still starts and recovers its siblings."""
+        handle = ServerHandle(_settings(tmp_path))
+        data_dir = handle.settings.data_dir
+        try:
+            _make_dataset(handle, "d1", n=40)
+        finally:
+            handle.stop()
+        store = ServiceStore(data_dir)
+        for session_id, config in (
+            ("bad", {"budget": 4, "latency": 2, "probability_backend": "compiled"}),
+            ("good", {"budget": 4, "latency": 2, "seed": 3}),
+        ):
+            store.create_session(
+                session_id,
+                {"dataset_id": "d1", "platform": "simulated", "config": config},
+            )
+
+        restarted = ServerHandle(_settings(tmp_path))
+        try:
+            status, _, _, _ = restarted.request("GET", "/healthz")
+            assert status == 200
+            view = restarted.wait_state("good", ("DONE", "DEGRADED"))
+            assert view["state"] == "DONE"
+            meta = ServiceStore(data_dir).session_meta("bad")
+            assert meta["state"] == "FAILED"
+            assert meta["error"].startswith("unrecoverable:")
+            assert "'compiled'" in meta["error"]
+        finally:
+            restarted.stop()
+        remaining = {m["session_id"] for m in ServiceStore(data_dir).recoverable_sessions()}
+        assert remaining == set()
 
     def test_cancel_is_terminal_and_not_recovered(self, tmp_path):
         handle = ServerHandle(_settings(tmp_path))

@@ -1,9 +1,10 @@
 """Exact inference by variable elimination.
 
-Used in the preprocessing step to learn "the probability distributions of
-missing values leveraging Bayes rules" (Section 3): for each object, the
-posterior of every missing attribute given the object's observed
-attributes.
+One query at a time: the posterior of one attribute given an evidence
+dict.  It answers per-cell posterior requests and is the reference the
+batched preprocessing pass (``MissingValuePosteriors.precompute_all``,
+Section 3's "probability distributions of missing values leveraging
+Bayes rules") is tested against.
 """
 
 from __future__ import annotations
@@ -73,38 +74,20 @@ class VariableElimination:
     def query(self, target: int, evidence: Dict[int, int]) -> np.ndarray:
         """Posterior pmf ``P(target | evidence)``.
 
-        Falls back to the prior-shaped distribution when the evidence has
-        zero probability under the model (cannot happen with smoothed CPTs).
+        Falls back to the uniform pmf when the evidence has zero
+        probability under the model (cannot happen with smoothed CPTs).
         """
-        return self.query_multi([target], evidence)[0]
-
-    def query_multi(
-        self, targets: Sequence[int], evidence: Dict[int, int]
-    ) -> List[np.ndarray]:
-        """Posterior pmfs of several targets under one shared evidence set.
-
-        Restricting every factor against the evidence -- the part of a
-        query whose cost scales with the evidence size -- happens once for
-        the whole target list.  This is the bulk entry point behind
-        :meth:`MissingValuePosteriors.precompute_all`, where all missing
-        attributes of one observed-row signature share their evidence.
-        """
+        if target in evidence:
+            point = np.zeros(self._cards[target])
+            point[evidence[target]] = 1.0
+            return point
         restricted: List[Factor] = []
         for factor in self._factors:
-            current = factor
             for variable, value in evidence.items():
-                if variable in current.variables:
-                    current = current.restrict(variable, value)
-            restricted.append(current)
-        out: List[np.ndarray] = []
-        for target in targets:
-            if target in evidence:
-                point = np.zeros(self._cards[target])
-                point[evidence[target]] = 1.0
-                out.append(point)
-            else:
-                out.append(self._eliminate(restricted, target))
-        return out
+                if variable in factor.variables:
+                    factor = factor.restrict(variable, value)
+            restricted.append(factor)
+        return self._eliminate(restricted, target)
 
     def _eliminate(self, restricted: List[Factor], target: int) -> np.ndarray:
         """Sum out everything but ``target`` from evidence-restricted factors."""

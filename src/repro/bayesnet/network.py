@@ -103,16 +103,6 @@ class BayesianNetwork:
         """Exact posterior pmf of ``target`` given the evidence dict."""
         return self._elimination().query(target, evidence)
 
-    def posterior_multi(
-        self, targets: Sequence[int], evidence: Dict[int, int]
-    ) -> List[np.ndarray]:
-        """Exact posteriors of several nodes sharing one evidence dict.
-
-        Evidence restriction runs once for the whole target list; each
-        target's pmf is identical to a separate :meth:`posterior` call.
-        """
-        return self._elimination().query_multi(targets, evidence)
-
     def _elimination(self) -> VariableElimination:
         if self._ve is None:
             factors = [

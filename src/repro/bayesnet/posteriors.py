@@ -53,59 +53,99 @@ class MissingValuePosteriors:
         return cached.copy()
 
     def precompute_all(self) -> Tuple[List[Variable], np.ndarray]:
-        """Posterior pmfs of every missing cell, one inference per signature.
+        """Posterior pmfs of every missing cell, one contraction per pattern.
 
-        Objects sharing an *observed-evidence signature* (identical value
-        rows, missing cells included) have identical posteriors for every
-        missing attribute, and all missing attributes of one signature
-        share their evidence restriction.  Rows with missing cells are
-        therefore grouped by ``np.unique(..., axis=0)`` and each unique
-        signature is pushed once through
-        :meth:`BayesianNetwork.posterior_multi` -- replacing the historical
-        per-cell inference loop with one bulk pass per signature.
+        Rows with missing cells are deduplicated into *observed-evidence
+        signatures* (identical value rows, missing cells included), and the
+        signatures are grouped by their *missing pattern*, the set of
+        attributes they miss.  Signatures of one pattern sum out the same
+        hidden attributes and differ only in the observed values that pick
+        their CPT entries, so each (pattern, target attribute) pair is
+        answered for the whole group by one batched ``np.einsum`` whose
+        contraction path is variable elimination run on every row at once.
 
         Returns ``(variables, dense)``: the dataset's missing cells in
         :meth:`IncompleteDataset.variables` order and a
         ``(n_variables, max_domain)`` float array whose row ``i`` holds the
         pmf of ``variables[i]``, zero-padded past the attribute's domain
         (ready to feed :class:`DistributionStore` construction).  Each pmf
-        is identical to a per-cell :meth:`distribution` call.
+        matches a per-cell :meth:`distribution` call up to float rounding.
 
         ``self.stats`` records ``signature_groups`` (unique signatures),
         ``cells`` (missing cells served) and ``inference_calls``
-        (posterior eliminations actually run).
+        (contractions run: one per missing pattern and target attribute).
         """
         dataset = self._dataset
         variables = list(dataset.variables())
         max_domain = max(dataset.domain_sizes) if dataset.domain_sizes else 0
-        dense = np.zeros((len(variables), max_domain))
         if not variables:
             self.stats = {"signature_groups": 0, "cells": 0, "inference_calls": 0}
-            return variables, dense
+            return variables, np.zeros((0, max_domain))
 
-        rows = sorted({obj for obj, __ in variables})
-        signatures, inverse = np.unique(
+        rows = np.flatnonzero(dataset.mask.any(axis=1))
+        signatures, signature_of_row = np.unique(
             dataset.values[rows], axis=0, return_inverse=True
         )
-        inference_calls = 0
-        group_pmfs: List[Dict[int, np.ndarray]] = []
-        for signature in signatures:
-            cells = signature.tolist()
-            evidence = {j: int(v) for j, v in enumerate(cells) if v != MISSING}
-            targets = [j for j, v in enumerate(cells) if v == MISSING]
-            pmfs = self._network.posterior_multi(targets, evidence)
-            inference_calls += len(targets)
-            group_pmfs.append(dict(zip(targets, pmfs)))
-        group_of_row = {obj: int(inverse[i]) for i, obj in enumerate(rows)}
-        for i, (obj, attr) in enumerate(variables):
-            pmf = group_pmfs[group_of_row[obj]][attr]
-            dense[i, : pmf.size] = pmf
+        patterns, pattern_of_signature = np.unique(
+            signatures == MISSING, axis=0, return_inverse=True
+        )
+        signature_pmfs = np.zeros(signatures.shape + (max_domain,))
+        for p, missing in enumerate(patterns):
+            members = np.flatnonzero(pattern_of_signature.reshape(-1) == p)
+            labels = np.cumsum(missing)
+            operands = self._pattern_operands(labels, missing, signatures[members])
+            for target in np.flatnonzero(missing).tolist():
+                joint = np.einsum(
+                    *operands, [0, int(labels[target])], optimize="greedy"
+                )
+                total = joint.sum(axis=1, keepdims=True)
+                # Zero-probability evidence falls back to uniform, as in
+                # VariableElimination.
+                pmf = np.divide(
+                    joint,
+                    total,
+                    out=np.full_like(joint, 1.0 / joint.shape[1]),
+                    where=total > 0,
+                )
+                signature_pmfs[members, target, : pmf.shape[1]] = pmf
+        objs, attrs = np.nonzero(dataset.mask)
+        row_signature = signature_of_row.reshape(-1)[np.searchsorted(rows, objs)]
         self.stats = {
             "signature_groups": len(signatures),
             "cells": len(variables),
-            "inference_calls": inference_calls,
+            "inference_calls": int(patterns.sum()),
         }
-        return variables, dense
+        return variables, signature_pmfs[row_signature, attrs]
+
+    def _pattern_operands(
+        self, labels: np.ndarray, missing: np.ndarray, evidence: np.ndarray
+    ) -> list:
+        """``np.einsum`` operands of the joint for signatures sharing a pattern.
+
+        ``missing`` is the pattern's boolean mask and ``evidence`` the
+        group's signature rows.  Label 0 is the row axis; missing attribute
+        ``a`` gets label ``labels[a]`` (``cumsum(missing)``), so labels stay
+        below einsum's limit however many attributes are observed.  Each
+        CPT is transposed observed-axes-first and indexed with the rows'
+        observed values, leaving a ``(rows, *hidden cards)`` operand.  Fully
+        observed CPTs are multiplied into one leading ``(rows,)`` weight
+        rather than dropped, so evidence of probability zero yields an
+        all-zero joint.
+        """
+        weight = np.ones(len(evidence))
+        operands: list = []
+        for cpt in self._network.cpts:
+            scope = cpt.parents + (cpt.node,)
+            observed = [a for a in scope if not missing[a]]
+            hidden = [a for a in scope if missing[a]]
+            table = np.transpose(cpt.table, [scope.index(a) for a in observed + hidden])
+            table = table[tuple(evidence[:, a] for a in observed)]
+            if not hidden:
+                weight = weight * table
+            else:
+                axes = [int(labels[a]) for a in hidden]
+                operands += [table, [0] + axes if observed else axes]
+        return [weight, [0]] + operands
 
     def all_distributions(self) -> Dict[Variable, np.ndarray]:
         """Posteriors for every missing cell of the dataset (bulk path)."""

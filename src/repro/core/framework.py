@@ -83,8 +83,8 @@ from .selection import IncrementalRanker
 from .strategies import SelectionContext, expression_frequencies, make_strategy
 from .utility_engine import UtilityEngine
 
-#: Complete rows beyond this are subsampled for structure learning only
-#: (parameters still use every complete row).
+#: Objects beyond this are subsampled for structure learning only
+#: (parameters still use every object's available cells).
 _STRUCTURE_SAMPLE_CAP = 4000
 
 #: A quarantined expression is re-asked at most this many times; past
@@ -160,16 +160,17 @@ def learn_distributions(
     """Preprocessing: one pmf per missing cell.
 
     With ``distribution_source="bayesnet"`` a network is trained on the
-    dataset's complete rows (hill climbing + BIC, then smoothed MLE CPTs)
-    unless one is supplied, and each variable gets the posterior of its
-    attribute given its object's observed attributes.  When too few
-    complete rows exist to support structure learning, the empirical
-    column marginals are used instead.
+    dataset by available-case analysis (hill climbing + BIC, then smoothed
+    MLE CPTs; each family uses the rows observed in its columns) unless
+    one is supplied, and each variable gets the posterior of its
+    attribute given its object's observed attributes.  Datasets with
+    fewer than 10 objects use the empirical column marginals instead.
 
-    Posteriors are precomputed in bulk -- one inference pass per unique
-    observed-evidence signature instead of one per missing cell; pass a
-    ``stats`` dict to receive the grouping counters
-    (``signature_groups``, ``cells``, ``inference_calls``).
+    Posteriors are precomputed in bulk by
+    :meth:`MissingValuePosteriors.precompute_all`; pass a ``stats`` dict
+    to receive its counters: ``signature_groups`` (unique observed-row
+    signatures), ``cells`` (missing cells) and ``inference_calls``
+    (contractions run, one per missing pattern and target attribute).
     """
     source = config.distribution_source
     if source == "uniform":

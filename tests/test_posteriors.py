@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bayesnet import (
     CPT,
@@ -9,6 +11,7 @@ from repro.bayesnet import (
     MissingValuePosteriors,
     dag_from_edges,
     empirical_distributions,
+    random_cpt,
     uniform_distributions,
 )
 from repro.datasets import MISSING, IncompleteDataset
@@ -154,6 +157,87 @@ class TestVectorizedPrecompute:
             "cells": 0,
             "inference_calls": 0,
         }
+
+    def test_same_pattern_rows_share_one_contraction(self):
+        # One missing pattern, three different observed values of a1.
+        values = np.array([[0, 0, MISSING], [1, 0, MISSING], [1, 1, MISSING]])
+        ds = IncompleteDataset(values=values, domain_sizes=[2, 2, 2])
+        service = MissingValuePosteriors(vstructure_network(), ds)
+        variables, dense = service.precompute_all()
+        assert service.stats == {
+            "signature_groups": 3,
+            "cells": 3,
+            "inference_calls": 1,
+        }
+        assert len({tuple(row) for row in dense.tolist()}) == 3
+        per_cell = MissingValuePosteriors(vstructure_network(), ds)
+        for i, variable in enumerate(variables):
+            assert dense[i] == pytest.approx(per_cell.distribution(variable), abs=1e-12)
+
+    def test_zero_probability_evidence_gives_uniform(self):
+        # Unsmoothed fit: a2 always copies a1, so (a1=0, a2=1) has
+        # probability zero.  a3 is independent with a skewed prior; its
+        # posterior under impossible evidence must be uniform, which only
+        # holds if the fully observed CPT of a2 enters the product.
+        data = np.array([[0, 0, 0]] * 3 + [[1, 1, 0]] * 3 + [[1, 1, 1]])
+        network = BayesianNetwork.fit(
+            data, [2, 2, 2], smoothing=0.0, dag=dag_from_edges(3, iter([(0, 1)]))
+        )
+        ds = IncompleteDataset(
+            values=np.array([[0, 1, MISSING], [0, 0, MISSING]]),
+            domain_sizes=[2, 2, 2],
+        )
+        variables, dense = MissingValuePosteriors(network, ds).precompute_all()
+        per_cell = MissingValuePosteriors(network, ds)
+        assert per_cell.distribution((0, 2)) == pytest.approx([0.5, 0.5])
+        assert dense[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert dense[1] == pytest.approx(per_cell.distribution((1, 2)), abs=1e-12)
+        assert dense[1][0] == pytest.approx(6 / 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_cell_on_random_networks(self, data):
+        d = data.draw(st.integers(1, 6), label="d")
+        cards = data.draw(st.lists(st.integers(2, 5), min_size=d, max_size=d))
+        max_parents = data.draw(st.integers(0, 3), label="max_parents")
+        order = data.draw(st.permutations(range(d)), label="order")
+        edges = []
+        for pos, node in enumerate(order):
+            parents = data.draw(
+                st.sets(st.sampled_from(order[:pos]), max_size=max_parents)
+                if pos
+                else st.just(set())
+            )
+            edges += [(parent, node) for parent in sorted(parents)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dag = dag_from_edges(d, iter(edges))
+        cpts = [
+            random_cpt(
+                node,
+                cards[node],
+                sorted(dag.parents(node)),
+                [cards[p] for p in sorted(dag.parents(node))],
+                rng,
+                concentration=0.5,
+            )
+            for node in range(d)
+        ]
+        network = BayesianNetwork(dag, cards, cpts)
+        n = data.draw(st.integers(1, 25), label="n")
+        values = np.array(
+            [[int(rng.integers(card)) for card in cards] for __ in range(n)]
+        )
+        values[rng.random((n, d)) < data.draw(st.floats(0.0, 1.0))] = MISSING
+        # A fully missing row, and a duplicate of every other row.
+        values = np.vstack([values, np.full(d, MISSING), values[::2]])
+        ds = IncompleteDataset(values=values, domain_sizes=cards)
+        variables, dense = MissingValuePosteriors(network, ds).precompute_all()
+        per_cell = MissingValuePosteriors(network, ds)
+        assert variables == list(ds.variables())
+        for i, variable in enumerate(variables):
+            expected = per_cell.distribution(variable)
+            assert np.abs(dense[i, : expected.size] - expected).max() <= 1e-12
+            assert (dense[i, expected.size :] == 0.0).all()
 
     def test_all_distributions_uses_bulk_path(self):
         ds = random_incomplete(1)

@@ -21,6 +21,21 @@ model-counting refinements (both can be disabled for ablation):
 * **sub-condition memoization** -- identical residual conditions reached
   along different branches are computed once.
 
+A third refinement is always on: the **hub kernel**.  In ``phi(o)`` the
+object's own missing variable typically appears in every clause, while each
+dominator's variables appear only in that dominator's clause.  So a
+branch usually fixes one shared ("hub") variable and leaves residuals
+in which every variable occurs once.  When that holds, the branch
+skips building ``phi[x := v]`` for each value and evaluates
+``sum_v p(x = v) * Pr(phi[x := v])`` in one pass over the clauses
+(:func:`_hub_probability`).  It applies under the faithful
+``use_components=False, use_memo=False`` ablation too, and stays exact
+there: each residual is variable-disjoint, so Algorithm 3 itself would
+answer it with the conjunctive and disjunctive rules.  The kernel
+applies the same rules to the same expression probabilities, only
+without building the residual conditions or caching them in the memo.
+Every other branch keeps the substitute-and-recurse loop.
+
 Exact model counting is worst-case exponential, so the solver can run
 under a **resource guard**: ``node_budget`` bounds the branch nodes one
 ``probability`` call may expand and ``deadline_s`` its wall time; on
@@ -35,9 +50,11 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Callable, List, Optional, Tuple
 
 from ..ctable.condition import Condition
+from ..ctable.expression import Var
 from ..datasets.dataset import Variable
 from ..errors import ResourceBudgetError
 from ..lru import LRUCache
@@ -108,6 +125,94 @@ def _independent_probability(condition: Condition, store: DistributionStore) -> 
             return 0.0
         log_result += math.log(clause_p)
     return math.exp(log_result)
+
+
+def _hub_probability(
+    condition: Condition,
+    hub: Variable,
+    values: List[int],
+    weights: List[float],
+    store: DistributionStore,
+) -> float:
+    """``sum_v weight_v * Pr(condition[hub := v])`` in one pass over the clauses.
+
+    Valid when every variable other than ``hub`` occurs exactly once, so
+    every residual ``condition[hub := v]`` is variable-disjoint.  The
+    result is what substituting each value and applying
+    :func:`_independent_probability` to the residual gives, with the same
+    certain-clause and zero-clause rules, but no residual is built:
+
+    * an expression without ``hub`` keeps its probability for every value,
+      so its ``log1p(-p)`` is summed once per clause;
+    * ``hub > c`` / ``c > hub`` make the clause certain for ``v > c`` /
+      ``v < c`` and vanish otherwise;
+    * ``hub > y`` / ``y > hub`` become ``v > y`` / ``y > v``, read from
+      ``y``'s cumulative arrays (:meth:`DistributionStore.tails`).
+
+    Each value keeps its own running log of the clause product; a clause
+    that cannot hold sends it to ``-inf``.
+    ``values`` must be ascending, as :meth:`DistributionStore.support`
+    returns them.
+    """
+    log1p = math.log1p
+    log_prob = [0.0] * len(values)
+    for clause in condition.clauses:
+        static = []  # log1p(-p) of the expressions without the hub
+        above = math.inf  # the clause is certain for v > above ...
+        below = -math.inf  # ... and for v < below
+        partners = []  # (cumulative array as a list, hub is the left side)
+        for expression in clause:
+            variables = expression.variables()
+            if hub not in variables:
+                p = store.prob_expression(expression)
+                if p >= 1.0:
+                    break  # certain for every value
+                static.append(log1p(-p))
+            elif len(variables) == 1:
+                if isinstance(expression.left, Var):  # hub > c
+                    c = expression.right.value
+                    if c < above:
+                        above = c
+                else:  # c > hub
+                    c = expression.left.value
+                    if c > below:
+                        below = c
+            elif variables[0] == hub:
+                if variables[1] != hub:  # hub > y: Pr(y < v)
+                    partners.append((store.tails(variables[1])[1].tolist(), True))
+            else:  # y > hub: Pr(y > v)
+                partners.append((store.tails(variables[0])[0].tolist(), False))
+        else:
+            # only values[lo:hi] leave every hub-vs-constant expression false
+            lo = bisect_left(values, below)
+            hi = bisect_right(values, above)
+            static_sum = math.fsum(static)
+            if not partners:
+                clause_p = -math.expm1(static_sum)
+                log_p = math.log(clause_p) if clause_p > 0.0 else -math.inf
+                for i in range(lo, hi):
+                    log_prob[i] += log_p
+                continue
+            for i in range(lo, hi):
+                v = values[i]
+                terms = [static_sum]
+                for tail, hub_left in partners:
+                    # lt[0] = 0 exactly; past the domain y < v always holds
+                    # and y > v never does
+                    if v < len(tail):
+                        p = tail[v]
+                    else:
+                        p = 1.0 if hub_left else 0.0
+                    if p >= 1.0:
+                        break
+                    terms.append(log1p(-p))
+                else:
+                    clause_p = -math.expm1(math.fsum(terms))
+                    log_prob[i] += math.log(clause_p) if clause_p > 0.0 else -math.inf
+    total = 0.0
+    for weight, log_p in zip(weights, log_prob):
+        total += weight * math.exp(log_p)
+    return total
 
 
 class ADPLL:
@@ -266,10 +371,18 @@ class ADPLL:
         variable = self._pick_branch_variable(condition)
         pmf = self._store.pmf(variable)
         support = self._store.support(variable)
-        total = 0.0
         # One bulk ndarray->list conversion instead of a float()/indexing
         # pair per iteration: this loop is the deepest hot path.
-        for value, weight in zip(support.tolist(), pmf[support].tolist()):
+        values = support.tolist()
+        weights = pmf[support].tolist()
+        counts = condition.variable_counts()
+        if sum(counts.values()) == counts[variable] + len(counts) - 1:
+            # Every other variable occurs once: each residual is
+            # variable-disjoint, so evaluate them all without building them.
+            self.branch_count += len(values)
+            return _hub_probability(condition, variable, values, weights, self._store)
+        total = 0.0
+        for value, weight in zip(values, weights):
             residual = condition.substitute(variable, value)
             self.branch_count += 1
             total += weight * self._probability(residual)

@@ -194,8 +194,12 @@ class DistributionStore:
     # ------------------------------------------------------------------
     # expression probabilities (exact, under variable independence)
     # ------------------------------------------------------------------
-    def _tails(self, variable: Variable) -> "tuple[np.ndarray, np.ndarray]":
-        """``(gt, lt)`` with ``gt[c] = Pr(X > c)`` and ``lt[c] = Pr(X < c)``."""
+    def tails(self, variable: Variable) -> "tuple[np.ndarray, np.ndarray]":
+        """``(gt, lt)`` with ``gt[c] = Pr(X > c)`` and ``lt[c] = Pr(X < c)``.
+
+        Both have the length of the variable's base domain and are cached
+        per constraint version; callers must not modify them.
+        """
         constraints = self._constraints
         cached = self._tail_cache.get(variable)
         if cached is not None:
@@ -232,13 +236,13 @@ class DistributionStore:
     def _prob_expression_uncached(self, expression: Expression) -> float:
         left, right = expression.left, expression.right
         if isinstance(left, Var) and isinstance(right, Const):
-            gt, __ = self._tails(left.variable)
+            gt, __ = self.tails(left.variable)
             c = right.value
             if c >= len(gt):
                 return 0.0
             return float(gt[c]) if c >= 0 else 1.0
         if isinstance(left, Const) and isinstance(right, Var):
-            __, lt = self._tails(right.variable)
+            __, lt = self.tails(right.variable)
             c = left.value
             if c <= 0:
                 return 0.0
@@ -250,7 +254,7 @@ class DistributionStore:
     def _prob_var_greater_var(self, a: Variable, b: Variable) -> float:
         """``Pr(A > B)`` for independent discrete A, B."""
         pmf_a = self.pmf(a)
-        __, lt_b = self._tails(b)  # lt_b[x] = Pr(B < x)
+        __, lt_b = self.tails(b)  # lt_b[x] = Pr(B < x)
         limit = min(len(pmf_a), len(lt_b))
         total = float(pmf_a[:limit] @ lt_b[:limit])
         # values of A above B's domain always win
@@ -295,7 +299,7 @@ class DistributionStore:
                 var_var.append(expression)
 
         for variable, pairs in var_const.items():
-            gt, __ = self._tails(variable)
+            gt, __ = self.tails(variable)
             size = len(gt)
             if len(pairs) < _BULK_GATHER_MIN:
                 # ndarray setup costs more than it saves on tiny groups
@@ -312,7 +316,7 @@ class DistributionStore:
                 out[expression] = value
                 self._expr_cache[expression] = (value, version)
         for variable, pairs in const_var.items():
-            __, lt = self._tails(variable)
+            __, lt = self.tails(variable)
             size = len(lt)
             if len(pairs) < _BULK_GATHER_MIN:
                 for expression, c in pairs:

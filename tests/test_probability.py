@@ -1,5 +1,7 @@
 """Tests for the distribution store and the three probability methods."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ctable import (
     Condition,
+    Const,
     Expression,
     Relation,
     Var,
@@ -25,6 +28,9 @@ from repro.probability import (
     approx_probability,
     naive_probability,
 )
+from repro.errors import ResourceBudgetError
+from repro.probability import adpll as adpll_module
+from repro.probability.adpll import _hub_probability, _independent_probability
 
 V = (0, 0)
 W = (1, 0)
@@ -499,6 +505,8 @@ class TestIndependentProbabilityPrecision:
     drops near machine epsilon; the solver accumulates in log space
     (``log1p``/``expm1``/``fsum``), so results stay relatively accurate.
     The exact reference is computed in ``fractions.Fraction`` arithmetic.
+    Comparisons pass ``abs=0``: ``pytest.approx``'s default absolute
+    tolerance of 1e-12 would accept any answer this small.
     """
 
     def tiny_store(self, eps, n_vars):
@@ -527,7 +535,7 @@ class TestIndependentProbabilityPrecision:
         exact = self.exact_fraction(store, [clause])
         value = adpll_probability(condition, store)
         assert exact > 0
-        assert value == pytest.approx(float(exact), rel=1e-9)
+        assert value == pytest.approx(float(exact), rel=1e-9, abs=0)
 
     def test_many_independent_clauses(self):
         n_vars = 12
@@ -539,7 +547,7 @@ class TestIndependentProbabilityPrecision:
         condition = Condition.of(clauses)
         exact = self.exact_fraction(store, clauses)
         value = adpll_probability(condition, store)
-        assert value == pytest.approx(float(exact), rel=1e-9)
+        assert value == pytest.approx(float(exact), rel=1e-9, abs=0)
 
     @given(
         st.floats(min_value=1e-15, max_value=0.5),
@@ -552,7 +560,7 @@ class TestIndependentProbabilityPrecision:
         condition = Condition.of([clause])
         exact = self.exact_fraction(store, [clause])
         value = adpll_probability(condition, store)
-        assert value == pytest.approx(float(exact), rel=1e-9)
+        assert value == pytest.approx(float(exact), rel=1e-9, abs=0)
 
     def test_certain_expression_short_circuits(self):
         # p == 1.0 inside a clause must not reach log1p(-1)
@@ -560,3 +568,305 @@ class TestIndependentProbabilityPrecision:
         store = DistributionStore({V: pmf, W: np.array([0.5, 0.5])})
         condition = Condition.of([[var_greater_const(0, 0, 0)]])
         assert adpll_probability(condition, store) == 1.0
+
+
+# ----------------------------------------------------------------------
+# the hub kernel: one branch over a variable shared by variable-disjoint
+# residuals, evaluated without building the residuals
+# ----------------------------------------------------------------------
+HUB = (0, 1)
+
+
+def substitute_loop(condition, hub, store):
+    """The per-value reference: build each residual, then apply the
+    independent-clause rules to it (the recursion the kernel replaces)."""
+    pmf = store.pmf(hub)
+    total = 0.0
+    for value in store.support(hub).tolist():
+        residual = condition.substitute(hub, value)
+        if residual.is_constant:
+            p = 1.0 if residual.is_true else 0.0
+        else:
+            assert residual.is_variable_disjoint()
+            p = _independent_probability(residual, store)
+        total += float(pmf[value]) * p
+    return total
+
+
+def hub_kernel(condition, hub, store):
+    support = store.support(hub)
+    return _hub_probability(
+        condition, hub, support.tolist(), store.pmf(hub)[support].tolist(), store
+    )
+
+
+@st.composite
+def hub_condition_and_store(draw):
+    """A condition in which every variable but ``HUB`` occurs exactly once.
+
+    The hub (attribute 1) sits on either side of var-const and var-var
+    expressions; its partners and the non-hub variables (attribute 0)
+    have domains smaller and larger than the hub's and pmfs with zero
+    cells; out-of-domain constants give non-hub expressions with p = 1
+    and p = 0; clauses of hub-vs-constant expressions alone are emptied
+    by some values; an optional crowd answer narrows the hub's support.
+    """
+    hub_domain = draw(st.integers(2, 4))
+
+    def pmf(size):
+        weights = draw(
+            st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any)
+        )
+        weights = np.array(weights, dtype=float)
+        return weights / weights.sum()
+
+    pmfs = {HUB: pmf(hub_domain)}
+    fresh_left = [4]  # bounds the naive enumeration
+
+    def fresh():
+        variable = (len(pmfs), 0)
+        pmfs[variable] = pmf(draw(st.integers(1, hub_domain + 2)))
+        fresh_left[0] -= 1
+        return variable
+
+    kinds = ["hub>c", "c>hub", "hub>y", "y>hub", "z>c", "c>z", "z>w"]
+    clauses = []
+    for __ in range(draw(st.integers(1, 4))):
+        clause = []
+        for __ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(kinds if fresh_left[0] >= 2 else kinds[:2]))
+            if kind == "hub>c":
+                c = draw(st.integers(-1, hub_domain))
+                clause.append(Expression(Var(*HUB), Const(c)))
+            elif kind == "c>hub":
+                c = draw(st.integers(0, hub_domain + 1))
+                clause.append(Expression(Const(c), Var(*HUB)))
+            elif kind == "hub>y":
+                clause.append(Expression(Var(*HUB), Var(*fresh())))
+            elif kind == "y>hub":
+                clause.append(Expression(Var(*fresh()), Var(*HUB)))
+            elif kind == "z>c":
+                z = fresh()
+                c = draw(st.integers(-1, len(pmfs[z])))
+                clause.append(Expression(Var(*z), Const(c)))
+            elif kind == "c>z":
+                z = fresh()
+                c = draw(st.integers(0, len(pmfs[z]) + 1))
+                clause.append(Expression(Const(c), Var(*z)))
+            else:
+                clause.append(Expression(Var(*fresh()), Var(*fresh())))
+        clauses.append(clause)
+    constraints = VariableConstraints([hub_domain + 2, hub_domain])
+    if draw(st.booleans()):
+        c = draw(st.integers(0, hub_domain - 1))
+        relation = draw(st.sampled_from([Relation.GREATER, Relation.LESS]))
+        constraints.apply_answer(var_greater_const(HUB[0], HUB[1], c), relation)
+    return Condition.of(clauses), DistributionStore(pmfs, constraints)
+
+
+class TestHubKernel:
+    @given(hub_condition_and_store())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_substitute_loop_and_naive(self, pair):
+        condition, store = pair
+        if condition.is_constant or HUB not in condition.variables():
+            return
+        value = hub_kernel(condition, HUB, store)
+        assert value == pytest.approx(substitute_loop(condition, HUB, store), abs=1e-12)
+        exact = naive_probability(condition, store)
+        assert value == pytest.approx(exact, abs=1e-9)
+        assert ADPLL(store).probability(condition) == pytest.approx(exact, abs=1e-9)
+
+    def test_certain_and_impossible_clauses(self):
+        # (hub > 1) alone is emptied for hub in {0, 1}; (z > -1) is certain
+        store = uniform_store(domain=4, variables=(HUB, V, W))
+        condition = Condition.of(
+            [
+                [Expression(Var(*HUB), Const(1))],
+                [Expression(Var(*V), Const(-1)), Expression(Const(3), Var(*HUB))],
+                [Expression(Var(*W), Var(*HUB))],
+            ]
+        )
+        expected = naive_probability(condition, store)
+        assert hub_kernel(condition, HUB, store) == pytest.approx(expected, abs=1e-15)
+        assert ADPLL(store).probability(condition) == pytest.approx(expected, abs=1e-15)
+
+    def test_tails_match_expression_probabilities(self):
+        store = DistributionStore({V: np.array([0.1, 0.2, 0.3, 0.4])})
+        gt, lt = store.tails(V)
+        for c in range(4):
+            assert gt[c] == store.prob_expression(var_greater_const(0, 0, c))
+            assert lt[c] == store.prob_expression(const_greater_var(c, 0, 0))
+
+
+class TestHubKernelPrecision:
+    """The kernel keeps the log-space accuracy of the independent rules.
+
+    Wide clauses of tiny-probability expressions, some of them over the
+    hub's partners, against the exact ``Fraction`` sum over hub values
+    (the helpers of :class:`TestIndependentProbabilityPrecision`).
+    """
+
+    reference = TestIndependentProbabilityPrecision()
+
+    def hub_store(self, eps, n_vars):
+        store = self.reference.tiny_store(eps, n_vars)
+        pmfs = {v: store.pmf(v) for v in store.variables()}
+        pmfs[HUB] = np.array([0.25, 0.75])
+        return DistributionStore(pmfs)
+
+    def hub_condition(self, n_vars):
+        # hub = 0: both clauses are wide ors of tiny probabilities, the
+        # second over the hub's partners (Pr(z > 0) = eps); hub = 1 makes
+        # the first clause certain and empties the second
+        half = n_vars // 2
+        return Condition.of(
+            [
+                [var_greater_const(o, 0, 0) for o in range(half)]
+                + [Expression(Var(*HUB), Const(0))],
+                [Expression(Var(o, 0), Var(*HUB)) for o in range(half, n_vars)],
+            ]
+        )
+
+    def exact_hub_fraction(self, store, condition):
+        total = Fraction(0)
+        pmf = store.pmf(HUB)
+        for value in (0, 1):
+            residual = condition.substitute(HUB, value)
+            if residual.is_false:
+                continue
+            clauses = [] if residual.is_true else residual.clauses
+            total += Fraction(float(pmf[value])) * self.reference.exact_fraction(
+                store, clauses
+            )
+        return total
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-15])
+    def test_wide_hub_clauses_tiny_probabilities(self, eps):
+        store = self.hub_store(eps, 16)
+        condition = self.hub_condition(16)
+        exact = self.exact_hub_fraction(store, condition)
+        assert 0 < exact < Fraction(1, 10**12)
+        value = hub_kernel(condition, HUB, store)
+        assert value == pytest.approx(float(exact), rel=1e-9, abs=0)
+        assert adpll_probability(condition, store) == pytest.approx(
+            float(exact), rel=1e-9, abs=0
+        )
+
+    @given(
+        st.floats(min_value=1e-15, max_value=0.5),
+        st.integers(4, 20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_hub_property_against_fraction_reference(self, eps, n_vars):
+        store = self.hub_store(eps, n_vars)
+        condition = self.hub_condition(n_vars)
+        exact = self.exact_hub_fraction(store, condition)
+        value = hub_kernel(condition, HUB, store)
+        assert value == pytest.approx(float(exact), rel=1e-9, abs=0)
+
+
+def two_hub_store(hub_support=3):
+    """Hubs ``HUB`` and ``(9, 1)``, each narrowed to ``hub_support`` of 4 values."""
+    constraints = VariableConstraints([4, 4])
+    for hub in (HUB, (9, 1)):
+        constraints.apply_answer(
+            var_greater_const(hub[0], hub[1], 3 - hub_support), Relation.GREATER
+        )
+    return uniform_store(
+        domain=4, variables=[HUB, (9, 1)] + [(o, 0) for o in range(1, 7)],
+        constraints=constraints,
+    )
+
+
+def hub_clauses(hub, partners):
+    return [
+        [Expression(Var(*hub), Const(1)), Expression(Var(*partners[0]), Var(*hub))],
+        [Expression(Const(2), Var(*hub)), Expression(Var(*partners[1]), Const(1))],
+        [Expression(Var(*hub), Var(*partners[2]))],
+    ]
+
+
+class TestHubKernelGuards:
+    """Guards are checked at branch entry and count one node per value."""
+
+    def test_branch_count_is_support_size(self):
+        store = two_hub_store(hub_support=3)
+        condition = Condition.of(hub_clauses(HUB, [(1, 0), (2, 0), (3, 0)]))
+        solver = ADPLL(store)
+        solver.probability(condition)
+        assert solver.branch_count == len(store.support(HUB)) == 3
+        # two independent hub components: one branch each
+        both = Condition.of(
+            hub_clauses(HUB, [(1, 0), (2, 0), (3, 0)])
+            + hub_clauses((9, 1), [(4, 0), (5, 0), (6, 0)])
+        )
+        solver = ADPLL(store)
+        solver.probability(both)
+        assert solver.branch_count == 6
+
+    def test_budget_below_count_trips_and_memo_stays_clean(self):
+        store = two_hub_store(hub_support=3)
+        both = Condition.of(
+            hub_clauses(HUB, [(1, 0), (2, 0), (3, 0)])
+            + hub_clauses((9, 1), [(4, 0), (5, 0), (6, 0)])
+        )
+        solver = ADPLL(store, node_budget=3)
+        with pytest.raises(ResourceBudgetError):
+            solver.probability(both)
+        assert solver.guard_trips == 1
+        assert both not in solver._memo
+        # every entry left behind is a completed hub component, not a residual
+        assert all(
+            HUB in c.variables() or (9, 1) in c.variables() for c in solver._memo
+        )
+        solver.node_budget = 0
+        assert solver.probability(both) == ADPLL(store).probability(both)
+
+    def test_guarded_matches_unguarded_bitwise(self):
+        store = two_hub_store(hub_support=4)
+        both = Condition.of(
+            hub_clauses(HUB, [(1, 0), (2, 0), (3, 0)])
+            + hub_clauses((9, 1), [(4, 0), (5, 0), (6, 0)])
+        )
+        plain = ADPLL(store).probability(both)
+        guarded = ADPLL(store, node_budget=10**9, deadline_s=3600.0).probability(both)
+        assert guarded == plain
+        faithful = ADPLL(store, use_components=False, use_memo=False)
+        assert faithful.probability(both) == pytest.approx(plain, abs=1e-12)
+
+    def spy_hubs(self, monkeypatch):
+        calls = []
+
+        def spy(condition, hub, values, weights, store):
+            calls.append((condition, hub))
+            return _hub_probability(condition, hub, values, weights, store)
+
+        monkeypatch.setattr(adpll_module, "_hub_probability", spy)
+        return calls
+
+    def test_two_shared_variables_recurse(self, monkeypatch):
+        # HUB is in every clause, (1, 0) in two: the first branch (on HUB)
+        # must substitute; its residuals share (1, 0) and hit the kernel.
+        store = two_hub_store(hub_support=4)
+        condition = Condition.of(
+            [
+                [Expression(Var(*HUB), Const(1)), Expression(Var(1, 0), Const(2))],
+                [Expression(Var(*HUB), Var(2, 0)), Expression(Const(2), Var(1, 0))],
+                [Expression(Var(3, 0), Var(*HUB)), Expression(Var(1, 0), Var(4, 0))],
+            ]
+        )
+        calls = self.spy_hubs(monkeypatch)
+        value = ADPLL(store).probability(condition)
+        assert calls and all(c != condition and hub == (1, 0) for c, hub in calls)
+        assert value == pytest.approx(naive_probability(condition, store), abs=1e-12)
+
+    def test_first_heuristic_on_unshared_variable_recurses(self, monkeypatch):
+        # "first" picks (1, 0) over the hub (9, 1); (1, 0) occurs once, so
+        # the branch substitutes
+        store = two_hub_store(hub_support=4)
+        condition = Condition.of(hub_clauses((9, 1), [(1, 0), (2, 0), (3, 0)]))
+        calls = self.spy_hubs(monkeypatch)
+        value = ADPLL(store, branch_heuristic="first").probability(condition)
+        assert all(c != condition for c, __ in calls)
+        assert value == pytest.approx(naive_probability(condition, store), abs=1e-12)

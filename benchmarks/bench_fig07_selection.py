@@ -5,16 +5,17 @@ probability-heavy inner phase: every round scores ``G(o, e)`` for each
 candidate expression of the top-k objects.  The scalar path issues
 serial probability evaluations per candidate (the base condition plus
 both residuals); the :class:`repro.core.utility_engine.UtilityEngine`
-collects each round's candidates into one globally deduplicated batch
-backed by a cross-round gain cache, so identical selections are serviced
-by far fewer fresh ADPLL solves.
+collects each round's candidates into one batch backed by a cross-round
+gain cache, and scores the pairs ADPLL's one-pass branch kernel covers
+without solving any residual condition.
 
-The headline series is the **utility-evaluation reduction**: the number
-of probability evaluations the scalar path issues while scoring
-utilities, divided by the fresh ADPLL solves the batched path performs
-for bit-identical selections.  The run fails loudly if the two paths
-ever disagree on a round's selected objects or the final answer set, or
-if the reduction drops below 2x on the reference workload.
+The rows' times are the phase's cost.  The **utility-evaluation
+reduction** (probability evaluations the scalar path issues, divided by
+the fresh solves the batched path performs) is a proxy: with every pair
+kernel-scored the batched path performs none and the ratio reads
+``inf``.  The run fails loudly if the two paths ever disagree on a
+round's selected objects or the final answer set, or if the reduction
+drops below 2x on the reference workload.
 
 Standalone mode emits ``BENCH_fig07_selection.json`` in pytest-benchmark
 shape (render with ``python -m repro.benchreport``)::

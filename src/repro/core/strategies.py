@@ -18,14 +18,20 @@ expression that touches an already-banned variable.
 
 When :attr:`SelectionContext.utility_engine` is set, UBS and HHS become
 thin policies over batched gain tables: :meth:`prefetch_round` warms the
-:class:`repro.core.utility_engine.UtilityEngine` with one deduplicated
-batch per round (HHS only with each condition's first frequency-ordered
-chunk of size ``m``, preserving its early-stop cost profile), and the
-per-object walk is then served from the gain cache.  Gains are
-bit-identical to the scalar path, so both paths select the same
-expressions; prefetching is sound because gains do not depend on the
-round's growing banned-variable set -- only candidate *eligibility* does,
-and that is still filtered per object at selection time.
+:class:`repro.core.utility_engine.UtilityEngine` with one batch per
+round (HHS only with each condition's first frequency-ordered chunk of
+size ``m``, preserving its early-stop cost profile), and the per-object
+walk is then served from the gain cache.  The engine scores most pairs
+from one pass per condition instead of solving residual conditions.
+Prefetching is sound because gains do not depend on the round's growing
+banned-variable set -- only candidate *eligibility* does, and that is
+still filtered per object at selection time.
+
+The scalar path (no utility engine) calls
+:func:`repro.core.utility.marginal_utility` per candidate, solving both
+residual conditions.  It is the reference: the batched gains match it
+within 1e-12, so the two paths select the same expressions unless two
+candidates' gains tie to within that.
 """
 
 from __future__ import annotations

@@ -108,7 +108,3 @@ def conjoin(condition: Condition, expression: Expression) -> Condition:
             return Condition.false()
         return Condition.of([[expression]])
     return Condition.of(list(condition.clauses) + [[expression]])
-
-
-#: Backwards-compatible alias (pre-batching internal name).
-_conjoin = conjoin

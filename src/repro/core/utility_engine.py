@@ -1,36 +1,42 @@
 """Batched marginal-utility scoring for the selection phase.
 
 UBS/HHS need ``G(o, e)`` (Eq. 4) for many candidate ``(condition,
-expression)`` pairs per round.  The scalar path pays two full ADPLL
-probability computations per candidate, serially, and forgets everything
-between rounds.  The :class:`UtilityEngine` turns the same work into a
-small number of deduplicated batches:
+expression)`` pairs per round.  The scalar path builds both residual
+conditions ``phi[e:=true]`` / ``phi[e:=false]`` per candidate and solves
+each, serially, and forgets everything between rounds.  The
+:class:`UtilityEngine` scores a round's pairs together:
 
 * a round's candidate pairs arrive together through :meth:`gains`;
-* the residual conditions ``phi[e:=true]`` / ``phi[e:=false]`` (or the
-  conjunction ``phi ^ e`` in ``"conditional"`` mode) are materialized
-  once per distinct pair and LRU-cached -- residuals are purely
-  syntactic rewrites, so these cache entries never invalidate;
-* all base and residual conditions of the batch are deduplicated and
-  evaluated through :meth:`ProbabilityEngine.probability_many`, which
-  bulk-warms leaf expression probabilities and can fan out to a process
-  pool;
 * every finished gain is cached keyed ``(condition, expression)``
   together with the :class:`DistributionStore` version it was computed
   at; a later round revalidates entries via
   ``variables_unchanged_since``, so pairs untouched by newer crowd
-  answers are free.
+  answers are free;
+* the remaining pairs are grouped by condition, and
+  :meth:`ProbabilityEngine.branch_probabilities` gives both branch
+  probabilities of every pair it covers from one pass over the
+  condition, building no residual (exact, unguarded ADPLL only; see
+  :meth:`repro.probability.adpll.ADPLL.branch_probabilities`);
+* the pairs it does not cover -- and every pair in ``"conditional"``
+  mode (the conjunction ``phi ^ e``) -- take the residual path: the
+  residual conditions are materialized once per distinct pair and
+  LRU-cached (they are purely syntactic rewrites, so these entries never
+  invalidate), deduplicated, and evaluated through one
+  :meth:`ProbabilityEngine.probability_many` batch.
 
-Gains are bit-identical to :func:`repro.core.utility.marginal_utility`:
-both paths read the same probability backend and share
-:func:`repro.core.utility.gain_from_probabilities`.
+Gains match :func:`repro.core.utility.marginal_utility` (within 1e-12
+where the kernel scores them, bit for bit on the residual path): both
+paths share :func:`repro.core.utility.gain_from_probabilities`.
 
 Counter semantics (surfaced via :meth:`stats` and the ``repro.obs``
 verifier): every pair passed to :meth:`gains` increments
 ``utility_candidates_total`` and exactly one of ``utility_evals_total``
-(a fresh gain computation), ``residual_cache_hits`` (served from the
-cross-round gain cache or a duplicate within the batch) or
-``utility_skipped_total`` (short-circuited at ``H(o) == 0``).
+(a fresh gain computation, by the kernel or the residual path),
+``residual_cache_hits`` (served from the cross-round gain cache or a
+duplicate within the batch) or ``utility_skipped_total``
+(short-circuited at ``H(o) == 0``).  ``utility_probability_requests``,
+``_submitted`` and ``_computed`` count only the residual path's branch
+lookups.
 """
 
 from __future__ import annotations
@@ -78,14 +84,13 @@ class UtilityEngine:
         self.cache_hits = 0
         self.skipped_total = 0
         self.batches = 0
-        #: conditions handed to :meth:`gains`' probability stages, before
-        #: within-batch dedup
+        #: residual conditions handed to :meth:`gains`' residual path,
+        #: before within-batch dedup
         self.probability_requests = 0
         #: distinct conditions actually submitted to ``probability_many``
         self.probability_submitted = 0
-        #: fresh ADPLL solves those submissions actually triggered (the
-        #: rest were served by the engine's version-validated LRU, e.g.
-        #: base conditions already warmed by the entropy ranking)
+        #: fresh solves those submissions actually triggered (the rest
+        #: were served by the engine's version-validated LRU)
         self.probability_computed = 0
         #: conditions handed to the forest backend's round-level
         #: :meth:`ProbabilityEngine.precompile_many` batch (0 otherwise)
@@ -97,9 +102,10 @@ class UtilityEngine:
         """``G(o, e)`` for every pair, served from cache where possible.
 
         One call per round (or per HHS chunk) replaces the scalar path's
-        per-candidate serial ADPLL calls: base and residual conditions of
-        all cache-missing pairs are deduplicated globally and evaluated
-        in two ``probability_many`` batches.
+        per-candidate serial ADPLL calls: the base conditions of all
+        cache-missing pairs go through one ``probability_many`` batch,
+        the kernel scores what it covers, and the residuals of the rest
+        go through a second batch.
         """
         if not pairs:
             return []
@@ -130,9 +136,10 @@ class UtilityEngine:
 
         if fresh:
             ordered = list(fresh)
-            self.probability_requests += len(ordered)
             self._precompile_round(ordered)
-            base_probs = self._probability_many([c for c, __ in ordered])
+            base_probs = self.engine.probability_many(
+                [c for c, __ in ordered], n_jobs=self._n_jobs
+            )
             pending: List[Tuple[CandidatePair, float]] = []
             for pair, p_phi in zip(ordered, base_probs):
                 if entropy(p_phi) == 0.0:
@@ -144,17 +151,25 @@ class UtilityEngine:
                     pending.append((pair, p_phi))
             if pending:
                 store.prob_expressions_bulk({e for (__, e), __ in pending})
-                branches = self._branch_conditions(pending)
-                self.probability_requests += len(branches)
-                branch_probs = self._probability_many(branches)
-                per_pair = len(branches) // len(pending)
-                for index, (pair, p_phi) in enumerate(pending):
-                    p_e = store.prob_expression(pair[1])
+                branches = self._kernel_branches(pending)
+                residual = [item for item in pending if item[0] not in branches]
+                if residual:
+                    conditions = self._branch_conditions(residual)
+                    self.probability_requests += len(conditions)
+                    probs = iter(self._probability_many(conditions))
+                    per_pair = len(conditions) // len(residual)
+                    for pair, __ in residual:
+                        branches[pair] = (
+                            next(probs),
+                            next(probs) if per_pair == 2 else 0.0,
+                        )
+                for pair, p_phi in pending:
+                    p_true, p_false = branches[pair]
                     gain = gain_from_probabilities(
                         p_phi,
-                        p_e,
-                        branch_probs[per_pair * index],
-                        branch_probs[per_pair * index + 1] if per_pair == 2 else 0.0,
+                        store.prob_expression(pair[1]),
+                        p_true,
+                        p_false,
                         mode=self.mode,
                     )
                     self.evals_total += 1
@@ -185,6 +200,24 @@ class UtilityEngine:
             self._branch_conditions([(pair, 0.0) for pair in ordered])
         )
         self.precompiled_total += self.engine.precompile_many(conditions)
+
+    def _kernel_branches(
+        self, pending: Sequence[Tuple[CandidatePair, float]]
+    ) -> Dict[CandidatePair, Tuple[float, float]]:
+        """Both syntactic branches of every pair the engine's one-pass
+        kernel covers, asked once per condition with its pending
+        expressions (:meth:`ProbabilityEngine.branch_probabilities`)."""
+        branches: Dict[CandidatePair, Tuple[float, float]] = {}
+        if self.mode != "syntactic":
+            return branches
+        by_condition: Dict[Condition, List[Expression]] = {}
+        for (condition, expression), __ in pending:
+            by_condition.setdefault(condition, []).append(expression)
+        for condition, expressions in by_condition.items():
+            covered = self.engine.branch_probabilities(condition, expressions)
+            for expression, branch in covered.items():
+                branches[(condition, expression)] = branch
+        return branches
 
     @staticmethod
     def _pair_variables(pair: CandidatePair):

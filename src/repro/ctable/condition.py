@@ -189,18 +189,13 @@ class Condition:
         """
         return all(count == 1 for count in self.variable_counts().values())
 
-    def connected_components(self) -> List["Condition"]:
-        """Partition the clauses into variable-connected sub-conditions.
+    def clause_components(self) -> List[List[int]]:
+        """Clause indices of each variable-connected group of clauses.
 
-        Two clauses are connected when they share a variable; maximal
-        groups are probabilistically independent, so both ADPLL and the
-        circuit compiler solve them separately and multiply.  Returns
-        ``[self]`` for constants and single-component conditions (callers
-        check ``len() > 1`` before recursing, which also guards against
-        infinite recursion).  Union-find over clause indices.
+        Two clauses are connected when they share a variable.  Groups come
+        in the order of their first clause, indices ascending within each.
+        Union-find over clause indices.
         """
-        if self.is_constant or len(self.clauses) < 2:
-            return [self]
         parent = list(range(len(self.clauses)))
 
         def find(i: int) -> int:
@@ -219,12 +214,27 @@ class Condition:
                             parent[root_b] = root_a
                     else:
                         owner[variable] = index
-        groups: Dict[int, List[Clause]] = {}
-        for index, clause in enumerate(self.clauses):
-            groups.setdefault(find(index), []).append(clause)
+        groups: Dict[int, List[int]] = {}
+        for index in range(len(self.clauses)):
+            groups.setdefault(find(index), []).append(index)
+        return list(groups.values())
+
+    def connected_components(self) -> List["Condition"]:
+        """Partition the clauses into variable-connected sub-conditions.
+
+        Maximal groups of connected clauses (:meth:`clause_components`)
+        are probabilistically independent, so both ADPLL and the circuit
+        compiler solve them separately and multiply.  Returns ``[self]``
+        for constants and single-component conditions (callers check
+        ``len() > 1`` before recursing, which also guards against
+        infinite recursion).
+        """
+        if self.is_constant or len(self.clauses) < 2:
+            return [self]
+        groups = self.clause_components()
         if len(groups) == 1:
             return [self]
-        return [Condition.of(clauses) for clauses in groups.values()]
+        return [Condition.of([self.clauses[i] for i in group]) for group in groups]
 
     # ------------------------------------------------------------------
     # semantics

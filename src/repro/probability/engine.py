@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ctable.condition import Condition
+from ..ctable.expression import Expression
 from ..errors import ResourceBudgetError
 from ..lru import LRUCache
 from ..parallel import (
@@ -545,6 +546,25 @@ class ProbabilityEngine:
             breaker.record_success()
             count += 1
         return count
+
+    def branch_probabilities(
+        self, condition: Condition, expressions: Sequence[Expression]
+    ) -> Dict[Expression, Tuple[float, float]]:
+        """``(Pr(phi[e:=T]), Pr(phi[e:=F]))`` for the candidates one pass covers.
+
+        Serves :class:`repro.core.utility_engine.UtilityEngine` from
+        :meth:`ADPLL.branch_probabilities` when probabilities are exact,
+        unguarded ADPLL (``method="adpll"``, ``backend="adpll"``, no node
+        budget or deadline).  Any other configuration, and every candidate
+        the kernel does not cover, gets no entry: its caller builds the
+        residual conditions and asks :meth:`probability_many` for them.
+        Values are read fresh from the store; nothing is cached.
+        """
+        if self.method != "adpll" or self.backend != "adpll" or self.guard_active:
+            return {}
+        if self._cancellation is not None:
+            self._cancellation.check("probability")
+        return self._adpll.branch_probabilities(condition, expressions)
 
     def _warm_leaves(self, conditions: Sequence[Condition]) -> None:
         """Bulk-compute every distinct leaf expression of the batch."""

@@ -870,3 +870,152 @@ class TestHubKernelGuards:
         value = ADPLL(store, branch_heuristic="first").probability(condition)
         assert all(c != condition for c, __ in calls)
         assert value == pytest.approx(naive_probability(condition, store), abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the branch kernel: every candidate's Pr(phi[e:=T]) and Pr(phi[e:=F])
+# from one pass over the condition
+# ----------------------------------------------------------------------
+def covered_expressions(condition):
+    """Expressions whose component has at most one repeated variable."""
+    covered = set()
+    for component in condition.connected_components():
+        counts = component.variable_counts()
+        if sum(1 for count in counts.values() if count > 1) <= 1:
+            covered.update(component.distinct_expressions())
+    return covered
+
+
+@st.composite
+def multi_component_condition(draw):
+    """Disjoint, hub and two-shared-variable components side by side.
+
+    Hubs (attribute 1) sit on both sides of var-const and var-var
+    expressions, and one hub-vs-constant expression repeats across the
+    hub component's clauses.  Unit clauses let ``e := F`` empty a
+    clause; a candidate in every clause of its component lets ``e := T``
+    drop it.  Out-of-domain constants give p = 1 and p = 0, pmfs have
+    zero cells, and an optional crowd answer narrows the hub's support.
+    """
+    domain = draw(st.integers(2, 3))
+    pmfs = {}
+    fresh_left = [6]  # bounds the naive enumeration
+
+    def pmf(size):
+        weights = draw(
+            st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
+        )
+        weights = np.array(weights, dtype=float)
+        return weights / weights.sum()
+
+    def fresh():
+        variable = (len(pmfs), 0)
+        pmfs[variable] = pmf(draw(st.integers(1, domain + 1)))
+        fresh_left[0] -= 1
+        return variable
+
+    def var_const(variable, size):
+        if draw(st.booleans()):
+            return Expression(Var(*variable), Const(draw(st.integers(-1, size))))
+        return Expression(Const(draw(st.integers(0, size + 1))), Var(*variable))
+
+    clauses = []
+    hub = (len(pmfs), 1)
+    pmfs[hub] = pmf(domain)
+    repeated = var_const(hub, domain)
+    for __ in range(draw(st.integers(1, 3))):
+        clause = []
+        for __ in range(draw(st.integers(1, 3))):
+            kinds = ["repeated", "hub-const"]
+            if fresh_left[0] > 2:
+                kinds += ["hub>y", "y>hub", "z-const"]
+            kind = draw(st.sampled_from(kinds))
+            if kind == "repeated":
+                clause.append(repeated)
+            elif kind == "hub-const":
+                clause.append(var_const(hub, domain))
+            elif kind == "hub>y":
+                clause.append(Expression(Var(*hub), Var(*fresh())))
+            elif kind == "y>hub":
+                clause.append(Expression(Var(*fresh()), Var(*hub)))
+            else:
+                z = fresh()
+                clause.append(var_const(z, len(pmfs[z])))
+        clauses.append(clause)
+    for __ in range(draw(st.integers(0, 2))):  # disjoint, often unit clauses
+        if fresh_left[0] > 2:
+            z = fresh()
+            clause = [var_const(z, len(pmfs[z]))]
+            if draw(st.booleans()):
+                clause.append(Expression(Var(*fresh()), Var(*fresh())))
+            clauses.append(clause)
+    if draw(st.booleans()):  # two shared variables: not covered
+        a, b = (len(pmfs), 1), (len(pmfs) + 1, 1)
+        pmfs[a], pmfs[b] = pmf(domain), pmf(domain)
+        clauses.append([Expression(Var(*a), Var(*b))])
+        clauses.append([var_const(a, domain), var_const(b, domain)])
+    if draw(st.booleans()):  # a unit clause in the hub component
+        clauses.append([draw(st.sampled_from([repeated, var_const(hub, domain)]))])
+    constraints = VariableConstraints([domain + 1, domain])
+    if draw(st.booleans()):
+        c = draw(st.integers(0, domain - 2))
+        relation = draw(st.sampled_from([Relation.GREATER, Relation.LESS]))
+        constraints.apply_answer(var_greater_const(hub[0], hub[1], c), relation)
+    return Condition.of(clauses), DistributionStore(pmfs, constraints)
+
+
+class TestBranchKernel:
+    @given(multi_component_condition())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_residual_solves_and_naive(self, pair):
+        condition, store = pair
+        if condition.is_constant:
+            return
+        expressions = sorted(condition.distinct_expressions(), key=Expression.sort_key)
+        branches = ADPLL(store).branch_probabilities(condition, expressions)
+        assert set(branches) == covered_expressions(condition)
+        for expression, (p_true, p_false) in branches.items():
+            for truth, value in ((True, p_true), (False, p_false)):
+                residual = condition.assign_expression(expression, truth)
+                assert value == pytest.approx(
+                    ADPLL(store).probability(residual), abs=1e-12
+                )
+                assert value == pytest.approx(
+                    naive_probability(residual, store), abs=1e-9
+                )
+
+    def test_dropped_component_is_exactly_one_and_emptied_clause_zero(self):
+        store = uniform_store(domain=4, variables=(HUB, V, W, U))
+        unit = Expression(Var(*V), Const(1))
+        repeated = Expression(Var(*HUB), Const(2))
+        condition = Condition.of(
+            [
+                [unit],
+                [repeated, Expression(Var(*W), Var(*HUB))],
+                [repeated, Expression(Const(1), Var(*HUB))],
+                [repeated, Expression(Var(*U), Const(0))],
+            ]
+        )
+        branches = ADPLL(store).branch_probabilities(condition, [unit, repeated])
+        hub_part = Condition.of(c for c in condition.clauses if unit not in c)
+        assert branches[unit][0] == pytest.approx(
+            ADPLL(store).probability(hub_part), abs=1e-15
+        )
+        assert branches[unit][1] == 0.0
+        # repeated := T drops its whole component: the unit clause is left
+        assert branches[repeated][0] == pytest.approx(0.5, abs=1e-15)
+
+    def test_only_requested_covered_candidates(self):
+        store = uniform_store(domain=4, variables=(V, W, U, HUB))
+        hub_e = Expression(Var(*HUB), Const(1))
+        condition = Condition.of(
+            [
+                [Expression(Var(*V), Var(*W))],
+                [Expression(Var(*V), Const(2)), Expression(Const(1), Var(*W))],
+                [hub_e, Expression(Var(*U), Const(0))],
+            ]
+        )
+        solver = ADPLL(store)
+        pair_e = condition.clauses[0][0]
+        assert solver.branch_probabilities(condition, [pair_e]) == {}
+        assert set(solver.branch_probabilities(condition, [pair_e, hub_e])) == {hub_e}

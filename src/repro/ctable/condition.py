@@ -25,6 +25,7 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
+    Union,
 )
 
 from ..datasets.dataset import Variable
@@ -234,7 +235,9 @@ class Condition:
         groups = self.clause_components()
         if len(groups) == 1:
             return [self]
-        return [Condition.of([self.clauses[i] for i in group]) for group in groups]
+        # Each group is an ascending-index subsequence of the canonical
+        # clause tuple, so it is canonical as it stands.
+        return [Condition(tuple(self.clauses[i] for i in group)) for group in groups]
 
     # ------------------------------------------------------------------
     # semantics
@@ -294,42 +297,75 @@ class Condition:
         utility function ("when an expression is determined, the
         corresponding condition can be simplified").
         """
-        return self.simplify_with(lambda e: truth if e == target else None)
+        return self.simplify_with({target: truth})
 
-    def simplify_with(self, resolver: ExpressionResolver) -> "Condition":
+    def simplify_with(
+        self, resolver: Union[ExpressionResolver, Dict[Expression, bool]]
+    ) -> "Condition":
         """Simplify under partial knowledge.
 
         ``resolver`` returns the known truth of an expression, or ``None``
         when still undetermined (e.g. constraints gathered from crowd
-        answers).  Clauses with a true expression drop out; false
-        expressions are removed; an emptied clause makes the condition
-        ``false``; no remaining clause makes it ``true``.
+        answers).  It may also be a dict from the decided expressions to
+        their truth: then a clause holding none of them is kept without
+        looking at its expressions.  Clauses with a true expression drop
+        out; false expressions are removed; an emptied clause makes the
+        condition ``false``; no remaining clause makes it ``true``.
+
+        The rebuild preserves order instead of re-sorting: clauses left
+        alone keep their canonical place, and each shortened clause (still
+        sorted, as a subsequence of a sorted clause) is inserted by binary
+        search over the clause sort keys, unless an equal clause is
+        already there.  The result equals :meth:`of` on the same clauses.
         """
         if self.is_constant:
             return self
-        new_clauses = []
+        if isinstance(resolver, dict):
+            decided = resolver.keys()
+            resolve = resolver.get
+        else:
+            decided = None
+            resolve = resolver
+        kept: List[Clause] = []
+        shortened: List[Clause] = []
         changed = False
         for clause in self.clauses:
+            if decided is not None and decided.isdisjoint(clause):
+                kept.append(clause)
+                continue
             new_clause = []
             satisfied = False
             for expression in clause:
-                truth = resolver(expression)
+                truth = resolve(expression)
                 if truth is True:
                     satisfied = True
-                    changed = True
                     break
-                if truth is False:
-                    changed = True
-                    continue
-                new_clause.append(expression)
+                if truth is not False:
+                    new_clause.append(expression)
             if satisfied:
-                continue
-            if not new_clause:
+                changed = True
+            elif not new_clause:
                 return _FALSE
-            new_clauses.append(new_clause)
-        if not changed:
+            elif len(new_clause) < len(clause):
+                shortened.append(tuple(new_clause))
+            else:
+                kept.append(clause)
+        if not changed and not shortened:
             return self
-        return Condition.of(new_clauses)
+        for clause in shortened:
+            key = _clause_sort_key(clause)
+            low, high = 0, len(kept)
+            while low < high:
+                middle = (low + high) // 2
+                if _clause_sort_key(kept[middle]) < key:
+                    low = middle + 1
+                else:
+                    high = middle
+            if low == len(kept) or kept[low] != clause:
+                kept.insert(low, clause)
+        if not kept:
+            return _TRUE
+        return Condition(clauses=tuple(kept))
 
     def absorbed(self) -> "Condition":
         """Apply clause absorption: drop clauses that are supersets of others.

@@ -84,6 +84,14 @@ class VariableConstraints:
             return np.arange(self._domain_size(variable))
         return np.nonzero(mask)[0]
 
+    def _bounds(self, variable: Variable) -> Tuple[int, int]:
+        """Lowest and highest value still allowed (the set is never empty)."""
+        mask = self._allowed.get(variable)
+        if mask is None:
+            return 0, self._domain_size(variable) - 1
+        values = np.flatnonzero(mask)
+        return int(values[0]), int(values[-1])
+
     def is_pinned(self, variable: Variable) -> bool:
         values = self.allowed_values(variable)
         return len(values) == 1
@@ -254,10 +262,7 @@ class VariableConstraints:
         lo = None
         hi = None
         for member in self._members(rep):
-            values = self.allowed_values(member)
-            if len(values) == 0:  # pragma: no cover - store never empties
-                continue
-            member_lo, member_hi = int(values[0]), int(values[-1])
+            member_lo, member_hi = self._bounds(member)
             lo = member_lo if lo is None else max(lo, member_lo)
             hi = member_hi if hi is None else min(hi, member_hi)
         if lo is None or hi is None or lo > hi:
@@ -452,10 +457,7 @@ class VariableConstraints:
     def _resolve_var_vs_const(
         self, variable: Variable, c: int, less: bool = False
     ) -> Optional[bool]:
-        values = self.allowed_values(variable)
-        if len(values) == 0:  # pragma: no cover - store never empties
-            return None
-        lo, hi = int(values[0]), int(values[-1])
+        lo, hi = self._bounds(variable)
         if less:
             if hi < c:
                 return True
@@ -479,13 +481,11 @@ class VariableConstraints:
             return True
         if self._strictly_above(b, a):
             return False
-        a_values = self.allowed_values(a)
-        b_values = self.allowed_values(b)
-        if len(a_values) == 0 or len(b_values) == 0:  # pragma: no cover
-            return None
-        if int(a_values[0]) > int(b_values[-1]):
+        a_lo, a_hi = self._bounds(a)
+        b_lo, b_hi = self._bounds(b)
+        if a_lo > b_hi:
             return True
-        if int(a_values[-1]) <= int(b_values[0]):
+        if a_hi <= b_lo:
             return False
         return None
 

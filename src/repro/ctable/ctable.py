@@ -5,6 +5,17 @@ pairs.  This class additionally owns the :class:`VariableConstraints`
 gathered from crowd answers and keeps conditions simplified against them,
 which is how "some conditions will turn true or false, some shall be
 simplified or remain the same" after each round (Algorithm 4, line 25).
+
+An answer's work is proportional to the expressions it decides.  The store
+reports the variables the answer touched; an expression's truth under the
+store changes only when one of its variables is touched.  So the *decided
+set* of an answer is the open expressions over those variables that now
+resolve, each resolved once, and a condition changes only in the clauses
+holding one of them.  The one exception is an expression the fresh store
+already decides from the domain alone (``0 > Var(o, a)``; ``Var(o, a) > 5``
+when 5 is the top of the domain).  The build keeps those, and a condition
+sheds them at its first touch: on that touch its statically decided
+expressions join the decided set too.
 """
 
 from __future__ import annotations
@@ -35,6 +46,14 @@ class CTable:
     #: occurrences of each open expression across all conditions, kept in
     #: sync by the answer-application deltas (no per-round recounting)
     _expr_index: Counter = field(init=False)
+    #: the open expressions over each variable (the keys of ``_expr_index``)
+    _var_exprs: Dict[Variable, Set[Expression]] = field(init=False)
+    #: expressions that may resolve without an answer touching their
+    #: variables: those the fresh store decides, plus every expression
+    #: :meth:`set_condition` put in
+    _static: Set[Expression] = field(init=False)
+    #: objects holding an expression of ``_static`` and not touched since
+    _untouched: Set[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if set(self.conditions) != set(range(self.dataset.n_objects)):
@@ -44,10 +63,23 @@ class CTable:
         )
         self._var_index = {}
         self._expr_index = Counter()
+        self._var_exprs = {}
         for obj, condition in self.conditions.items():
             for variable in condition.variables():
                 self._var_index.setdefault(variable, set()).add(obj)
             self._expr_index.update(condition.expression_counts())
+        resolve = self.constraints.resolve
+        self._static = set()
+        for expression in self._expr_index:
+            for variable in expression.variables():
+                self._var_exprs.setdefault(variable, set()).add(expression)
+            if resolve(expression) is not None:
+                self._static.add(expression)
+        self._untouched = set()
+        if self._static:
+            for obj, condition in self.conditions.items():
+                if not self._static.isdisjoint(condition.expression_counts()):
+                    self._untouched.add(obj)
 
     # ------------------------------------------------------------------
     # views
@@ -106,38 +138,56 @@ class CTable:
     ) -> FrozenSet[int]:
         """Fold one crowd answer into the constraints and re-simplify.
 
-        Only conditions mentioning a potentially-affected variable are
-        touched (the answered variables, plus -- for variable-vs-variable
-        answers -- their whole ordering component, since transitive
-        inference can resolve expressions anywhere inside it).  Returns
-        those objects so callers can re-rank incrementally: every other
-        condition's probability is unchanged by this answer.
+        The affected objects are those mentioning a touched variable: the
+        answered variables, plus -- for variable-vs-variable answers in
+        ``full`` mode -- their whole ordering component, since transitive
+        inference can resolve expressions anywhere inside it.  Each open
+        expression over a touched variable is resolved once; those now
+        true or false form the decided set.  An affected condition is
+        rewritten in the clauses holding a decided expression, plus, at
+        its first touch, the clauses holding an expression the fresh store
+        already decided.  A condition with neither keeps its ``Condition``
+        object.
+
+        Returns every affected object, changed or not, so callers can
+        re-rank incrementally: a touched variable's pmf may have narrowed
+        even where its condition did not change, and every other object's
+        probability is unchanged by this answer.
         """
         variables = self.constraints.apply_answer(expression, relation)
+        resolve = self.constraints.resolve
         affected: Set[int] = set()
+        open_expressions: Set[Expression] = set()
         for variable in variables:
-            affected |= self._var_index.get(variable, set())
+            affected.update(self._var_index.get(variable, ()))
+            open_expressions.update(self._var_exprs.get(variable, ()))
+        decided: Dict[Expression, bool] = {}
+        for candidate in open_expressions:
+            truth = resolve(candidate)
+            if truth is not None:
+                decided[candidate] = truth
         for obj in affected:
-            self._resimplify(obj)
+            old = self.conditions[obj]
+            counts = old.expression_counts()
+            hits = {e: decided[e] for e in decided.keys() & counts.keys()}
+            if obj in self._untouched:
+                self._untouched.discard(obj)
+                for candidate in self._static.intersection(counts):
+                    truth = resolve(candidate)
+                    if truth is not None:
+                        hits[candidate] = truth
+            if hits:
+                self._replace(obj, old, old.simplify_with(hits))
         return frozenset(affected)
 
-    def resimplify_all(self) -> None:
-        """Re-simplify every symbolic condition against current constraints."""
-        for obj in self.undecided():
-            self._resimplify(obj)
-
-    def _resimplify(self, obj: int) -> None:
-        old = self.conditions[obj]
-        if old.is_constant:
-            return
-        new = old.simplify_with(self.constraints.resolve)
-        if new is old:
-            return
+    def _replace(self, obj: int, old: Condition, new: Condition) -> None:
+        """Swap one object's condition and bring the indexes in line."""
         self.conditions[obj] = new
         self._update_expr_index(old, new)
-        old_vars = old.variables()
         new_vars = new.variables()
-        for variable in old_vars - new_vars:
+        for variable in new_vars - old.variables():
+            self._var_index.setdefault(variable, set()).add(obj)
+        for variable in old.variables() - new_vars:
             bucket = self._var_index.get(variable)
             if bucket is not None:
                 bucket.discard(obj)
@@ -145,7 +195,12 @@ class CTable:
                     del self._var_index[variable]
 
     def _update_expr_index(self, old: Condition, new: Condition) -> None:
-        """Apply one condition replacement to the expression-frequency index."""
+        """Apply one condition replacement to the expression indexes.
+
+        Drops the expressions whose count reaches 0 from ``_var_exprs``;
+        :meth:`set_condition`, the one caller that can add expressions,
+        adds them there itself.
+        """
         old_counts = old.expression_counts()
         self._expr_index.subtract(old_counts)
         self._expr_index.update(new.expression_counts())
@@ -154,20 +209,25 @@ class CTable:
         for expression in old_counts:
             if self._expr_index[expression] <= 0:
                 del self._expr_index[expression]
+                for variable in expression.variables():
+                    bucket = self._var_exprs[variable]
+                    bucket.discard(expression)
+                    if not bucket:
+                        del self._var_exprs[variable]
 
     def set_condition(self, obj: int, condition: Condition) -> None:
-        """Replace one object's condition (used by tests and extensions)."""
-        old = self.conditions[obj]
-        self.conditions[obj] = condition
-        self._update_expr_index(old, condition)
-        for variable in old.variables() - condition.variables():
-            bucket = self._var_index.get(variable)
-            if bucket is not None:
-                bucket.discard(obj)
-                if not bucket:
-                    del self._var_index[variable]
-        for variable in condition.variables() - old.variables():
-            self._var_index.setdefault(variable, set()).add(obj)
+        """Replace one object's condition (used by tests and extensions).
+
+        The condition is stored as given.  Its expressions join
+        ``_static``, so the object's next touch re-resolves them all and
+        drops those earlier answers already decide.
+        """
+        self._replace(obj, self.conditions[obj], condition)
+        for expression in condition.expression_counts():
+            for variable in expression.variables():
+                self._var_exprs.setdefault(variable, set()).add(expression)
+            self._static.add(expression)
+        self._untouched.add(obj)
 
     # ------------------------------------------------------------------
     # result inference

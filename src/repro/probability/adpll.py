@@ -498,8 +498,9 @@ class ADPLL:
                 solved[k] = _Part(hub, clauses, indices, store)
                 values.append(solved[k].value())
             else:
+                # one clause component: an ascending, already canonical run
                 values.append(
-                    self.probability(Condition.of([clauses[i] for i in indices]))
+                    self.probability(Condition(tuple(clauses[i] for i in indices)))
                 )
         # others[k]: the product of every part's probability but part k's
         others = [1.0] * len(values)

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ctable import Condition, const_greater_var, var_greater_const, var_greater_var
+from repro.ctable import (
+    Condition,
+    Expression,
+    const_greater_var,
+    var_greater_const,
+    var_greater_var,
+)
 
 E1 = var_greater_const(0, 0, 2)  # Var(o1,a1) > 2
 E2 = var_greater_const(1, 0, 1)  # Var(o2,a1) > 1
@@ -208,6 +214,56 @@ class TestSubstitutionProperty:
         shuffled = Condition.of(reversed([list(cl) for cl in condition.clauses]))
         assert shuffled == condition
         assert hash(shuffled) == hash(condition)
+
+
+def reference_simplify(condition, decided):
+    """The full rebuild: filter every clause, then :meth:`Condition.of`."""
+    clauses = []
+    for clause in condition.clauses:
+        if any(decided.get(e) is True for e in clause):
+            continue
+        clauses.append([e for e in clause if decided.get(e) is None])
+    return Condition.of(clauses)
+
+
+def assert_canonical_equal(actual, expected):
+    assert actual == expected
+    assert actual.clauses == expected.clauses
+    assert hash(actual) == hash(expected)
+
+
+class TestOrderPreservingRebuild:
+    @given(random_condition(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_simplify_with_equals_full_rebuild(self, condition, data):
+        decided = {}
+        expressions = sorted(condition.distinct_expressions(), key=Expression.sort_key)
+        for expression in expressions:
+            truth = data.draw(st.sampled_from([True, False, None]), label=str(expression))
+            if truth is not None:
+                decided[expression] = truth
+        expected = reference_simplify(condition, decided)
+        assert_canonical_equal(condition.simplify_with(decided), expected)
+        assert_canonical_equal(condition.simplify_with(decided.get), expected)
+
+    def test_shortened_clause_merges_with_equal_clause(self):
+        c = Condition.of([[E1], [E1, E2], [E3]])
+        out = c.simplify_with({E2: False})
+        assert_canonical_equal(out, Condition.of([[E1], [E3]]))
+        assert out.n_clauses() == 2
+
+    @given(random_condition())
+    @settings(max_examples=200, deadline=None)
+    def test_components_are_canonical(self, condition):
+        parts = condition.connected_components()
+        for part in parts:
+            assert_canonical_equal(part, Condition.of(part.clauses))
+        if len(parts) > 1:
+            merged = sorted(
+                (clause for part in parts for clause in part.clauses),
+                key=lambda clause: [e.sort_key() for e in clause],
+            )
+            assert tuple(merged) == condition.clauses
 
 
 class TestAbsorption:

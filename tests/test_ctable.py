@@ -1,14 +1,27 @@
 """Tests for the CTable container and answer updates."""
 
-import pytest
+import hashlib
+from collections import Counter
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bayesnet.posteriors import empirical_distributions
 from repro.ctable import (
     Condition,
+    Expression,
     Relation,
+    Var,
     build_ctable,
     const_greater_var,
     var_greater_const,
 )
+from repro.ctable.constraints import INFERENCE_MODES, VariableConstraints
+from repro.datasets import MISSING, IncompleteDataset, generate_nba, generate_synthetic
+from repro.probability import DistributionStore
+from repro.probability.adpll import ADPLL
 
 
 class TestViews:
@@ -174,3 +187,263 @@ class TestExpressionFrequencyIndex:
         assert movies_ctable.expression_frequencies() == recounted_frequencies(
             movies_ctable
         )
+
+
+# ----------------------------------------------------------------------
+# answer application: the decided-set path against the full re-resolve
+# ----------------------------------------------------------------------
+def oracle_apply(conditions, constraints, expression, relation):
+    """Fold one answer in the way the c-table once did, as the reference.
+
+    Every expression of every condition mentioning a touched variable is
+    re-resolved, and each result is normalised by :meth:`Condition.of`.
+    """
+    variables = constraints.apply_answer(expression, relation)
+    affected = frozenset(
+        obj
+        for obj, condition in conditions.items()
+        if not condition.variables().isdisjoint(variables)
+    )
+    for obj in affected:
+        clauses = []
+        for clause in conditions[obj].clauses:
+            truths = [constraints.resolve(e) for e in clause]
+            if True in truths:
+                continue
+            clauses.append([e for e, truth in zip(clause, truths) if truth is None])
+        conditions[obj] = Condition.of(clauses)
+    return affected
+
+
+def assert_same_conditions(ctable, conditions):
+    for obj, expected in conditions.items():
+        actual = ctable.condition(obj)
+        assert actual == expected
+        assert actual.clauses == expected.clauses
+        assert hash(actual) == hash(expected)
+
+
+def assert_indexes_recounted(ctable):
+    """Every incrementally kept index equals a recount from scratch."""
+    expressions = Counter()
+    var_index = {}
+    for obj, condition in ctable.conditions.items():
+        expressions.update(condition.expression_counts())
+        for variable in condition.variables():
+            var_index.setdefault(variable, set()).add(obj)
+    var_exprs = {}
+    for expression in expressions:
+        for variable in expression.variables():
+            var_exprs.setdefault(variable, set()).add(expression)
+    assert dict(ctable._expr_index) == dict(expressions)
+    assert ctable._var_index == var_index
+    assert ctable._var_exprs == var_exprs
+
+
+def statically_decided(ctable):
+    fresh = VariableConstraints(ctable.dataset.domain_sizes, mode=ctable.inference_mode)
+    return {e for e in ctable.expression_frequencies() if fresh.resolve(e) is not None}
+
+
+@st.composite
+def small_datasets(draw):
+    """Tiny incomplete datasets.  Cells favour the domain's ends, where the
+    build emits statically decided expressions (``0 > Var``, ``Var > top``).
+    """
+    n = draw(st.integers(3, 7))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    rows = []
+    for __ in range(n):
+        rows.append(
+            [
+                draw(
+                    st.one_of(
+                        st.just(MISSING),
+                        st.sampled_from((0, size - 1)),
+                        st.integers(0, size - 1),
+                    )
+                )
+                for size in sizes
+            ]
+        )
+    return IncompleteDataset(values=np.array(rows, dtype=np.int64), domain_sizes=sizes)
+
+
+def answerable(dataset, ctable):
+    """The build's expressions plus every var-vs-const and var-vs-var
+    question over the missing cells, in a fixed order."""
+    pool = set(ctable.expression_frequencies())
+    missing = [tuple(cell) for cell in np.argwhere(dataset.mask)]
+    for obj, attr in missing:
+        for value in range(dataset.domain_sizes[attr]):
+            pool.add(var_greater_const(obj, attr, value))
+        for other, other_attr in missing:
+            if other_attr == attr and other != obj:
+                pool.add(Expression(Var(obj, attr), Var(other, attr)))
+    return sorted(pool, key=Expression.sort_key)
+
+
+class TestDecidedSetParity:
+    """``apply_answer`` equals the full re-resolve after every answer."""
+
+    @given(small_datasets(), st.sampled_from(INFERENCE_MODES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_resimplification(self, dataset, mode, data):
+        ctable = build_ctable(dataset, alpha=1.0, inference_mode=mode)
+        conditions = dict(ctable.conditions)
+        reference = VariableConstraints(dataset.domain_sizes, mode=mode)
+        pool = answerable(dataset, ctable)
+        if not pool:
+            return
+        assert_indexes_recounted(ctable)
+        # Answers are drawn at random, so later ones contradict earlier
+        # ones, and statically decided expressions get answered both ways.
+        for __ in range(data.draw(st.integers(1, 8), label="answers")):
+            expression = data.draw(st.sampled_from(pool), label="expression")
+            relation = data.draw(st.sampled_from(list(Relation)), label="relation")
+            affected = ctable.apply_answer(expression, relation)
+            assert affected == oracle_apply(conditions, reference, expression, relation)
+            assert_same_conditions(ctable, conditions)
+            assert_indexes_recounted(ctable)
+
+    def test_generated_datasets_emit_static_expressions(self):
+        """The strategy above reaches the first-touch rule."""
+        found = []
+
+        @given(small_datasets())
+        @settings(max_examples=60, deadline=None)
+        def collect(dataset):
+            found.append(bool(statically_decided(build_ctable(dataset, alpha=1.0))))
+
+        collect()
+        assert sum(found) >= 10
+
+
+def first_touch_ctable():
+    """Five objects over two 0..3 attributes.
+
+    phi(o2) = [0 > Var(o4, a2)] ∧ [3 > Var(o5, a1)]: the first clause is
+    false for every value.  phi(o5) holds ``Var(o5, a1) > 3``, also false
+    for every value; phi(o3) holds neither kind.
+    """
+    values = np.array(
+        [[0, MISSING], [3, 0], [1, 1], [3, MISSING], [MISSING, 1]], dtype=np.int64
+    )
+    dataset = IncompleteDataset(values=values, domain_sizes=[4, 4])
+    return build_ctable(dataset, alpha=1.0)
+
+
+class TestFirstTouch:
+    def test_static_expressions_drop_at_first_touch(self):
+        ct = first_touch_ctable()
+        never_touched = ct.condition(1)
+        static = var_greater_const(4, 0, 3)
+        assert static in ct.condition(4).distinct_expressions()
+        # Var(o1, a2) is mentioned by phi(o1) and phi(o5) only, and
+        # Var(o1, a2) < 3 decides nothing in phi(o5): only the first-touch
+        # rule drops its statically false expression.
+        answer = var_greater_const(0, 1, 2)
+        assert ct.apply_answer(answer, Relation.LESS) == frozenset({0, 4})
+        assert static not in ct.condition(4).distinct_expressions()
+        assert ct.condition(4) == Condition.of(
+            [
+                [const_greater_var(1, 0, 1), var_greater_const(4, 0, 0)],
+                [const_greater_var(1, 3, 1)],
+                [var_greater_const(4, 0, 1)],
+            ]
+        )
+        # phi(o2) was not touched: it keeps its statically false clause.
+        assert ct.condition(1) is never_touched
+        assert const_greater_var(0, 3, 1) in never_touched.distinct_expressions()
+
+    def test_first_touch_matches_reference(self):
+        ct = first_touch_ctable()
+        conditions = dict(ct.conditions)
+        reference = VariableConstraints(ct.dataset.domain_sizes)
+        for expression, relation in (
+            (var_greater_const(0, 1, 1), Relation.LESS),
+            (var_greater_const(4, 0, 2), Relation.LESS),
+            (const_greater_var(0, 3, 1), Relation.GREATER),
+        ):
+            affected = ct.apply_answer(expression, relation)
+            assert affected == oracle_apply(conditions, reference, expression, relation)
+            assert_same_conditions(ct, conditions)
+            assert_indexes_recounted(ct)
+
+    def test_affected_object_without_hit_keeps_condition(self):
+        ct = first_touch_ctable()
+        before = ct.condition(2)
+        # Var(o5, a1) < 3 leaves phi(o3)'s "1 > Var(o5, a1)" open, and
+        # phi(o3) holds no statically decided expression.
+        affected = ct.apply_answer(var_greater_const(4, 0, 2), Relation.LESS)
+        assert 2 in affected
+        assert ct.condition(2) is before
+
+    def test_set_condition_drops_decided_expressions_at_next_touch(self):
+        ct = first_touch_ctable()
+        ct.apply_answer(var_greater_const(4, 0, 2), Relation.LESS)
+        decided = var_greater_const(4, 0, 2)  # false since Var(o5, a1) < 3
+        still_open = const_greater_var(1, 3, 1)
+        ct.set_condition(2, Condition.of([[decided, still_open]]))
+        assert ct.condition(2) == Condition.of([[decided, still_open]])
+        # An answer on Var(o4, a2) alone, deciding nothing in phi(o3).
+        ct.apply_answer(var_greater_const(3, 1, 2), Relation.LESS)
+        assert ct.condition(2) == Condition.of([[still_open]])
+        assert_indexes_recounted(ct)
+
+
+def probability_digest(adpll, conditions):
+    """sha256 over every probability and branch pair ADPLL gives."""
+    digest = hashlib.sha256()
+    for obj in sorted(conditions):
+        condition = conditions[obj]
+        if condition.is_constant:
+            continue
+        digest.update(adpll.probability(condition).hex().encode())
+        branches = adpll.branch_probabilities(
+            condition, sorted(condition.distinct_expressions(), key=Expression.sort_key)
+        )
+        for expression in sorted(branches, key=Expression.sort_key):
+            for value in branches[expression]:
+                digest.update(value.hex().encode())
+    return digest.hexdigest()
+
+
+class TestProbabilityParity:
+    """ADPLL gives bit-identical values on decided-set and reference c-tables."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_synthetic(n_objects=150, missing_rate=0.1, seed=5),
+            lambda: generate_synthetic(n_objects=120, missing_rate=0.2, seed=11),
+            lambda: generate_nba(n_objects=120, missing_rate=0.1, seed=3),
+        ],
+        ids=["synthetic-5", "synthetic-11", "nba-3"],
+    )
+    @pytest.mark.parametrize("use_components", [True, False])
+    def test_three_answer_rounds(self, make, use_components):
+        dataset = make()
+        ct = build_ctable(dataset, alpha=0.1)
+        conditions = dict(ct.conditions)
+        reference = VariableConstraints(dataset.domain_sizes)
+        pmfs = empirical_distributions(dataset)
+        for __ in range(3):
+            frequencies = ct.expression_frequencies()
+            asked = sorted(
+                frequencies, key=lambda e: (-frequencies[e], e.sort_key())
+            )[:6]
+            for expression in asked:
+                relation = expression.true_relation(dataset.complete)
+                affected = ct.apply_answer(expression, relation)
+                assert affected == oracle_apply(
+                    conditions, reference, expression, relation
+                )
+            assert_same_conditions(ct, conditions)
+            ours, theirs = (
+                ADPLL(DistributionStore(pmfs, store), use_components=use_components)
+                for store in (ct.constraints, reference)
+            )
+            assert probability_digest(ours, ct.conditions) == probability_digest(
+                theirs, conditions
+            )

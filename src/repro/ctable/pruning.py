@@ -28,6 +28,16 @@ unlocks the classical sort-filter-skyline toolbox:
   blocks; a group whose running dominator count crosses the
   ``alpha * n`` threshold is alpha-pruned and scans no further block.
 
+The scan is one pass.  Bounds and membership tests compare one
+attribute at a time, so no ``(groups x blocks x d)`` intermediate is
+ever built.  While counting, each tested block's hits are kept as
+``(group, row)`` pairs; after the last stage the hits of the open
+groups plus the rows of their bulk-accepted blocks, sorted by
+``(group, row)``, are their member lists.  Those lists are complete: a
+group stays open only if its count never exceeds the limit, and counts
+only grow, so it was alive at every stage boundary and tested on every
+block its bounds could not decide.
+
 Skipped pairs provably produce no clauses: bulk-rejected blocks contain
 no dominator of ``o`` (so no clause source), and pairs behind an alpha
 early exit belong to objects whose condition is the constant *false*
@@ -44,7 +54,7 @@ index arrays from shared memory.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -122,17 +132,13 @@ def _build_index(dataset: IncompleteDataset, block_size: int):
 
     rhi_s = np.ascontiguousarray(rhi[order])
     rcnt_s = hi_cnt[order].astype(np.int64)
-    s_hi_s = rhi_s.sum(axis=1)
 
-    h = len(rhi_s)
-    nb = -(-h // block_size)
-    starts = np.arange(nb, dtype=np.int64) * block_size
-    ends = np.minimum(starts + block_size, h)
-    bmax = np.stack([rhi_s[s:e].max(axis=0) for s, e in zip(starts, ends)])
-    bmin = np.stack([rhi_s[s:e].min(axis=0) for s, e in zip(starts, ends)])
-    bsmax = np.array([s_hi_s[s:e].max() for s, e in zip(starts, ends)])
-    cum = np.concatenate(([0], np.cumsum(rcnt_s)))
-    bcnt = cum[ends] - cum[starts]
+    # per-block bounds: attribute min/max, max attribute sum, objects
+    starts = np.arange(0, len(rhi_s), block_size)
+    bmax = np.maximum.reduceat(rhi_s, starts, axis=0)
+    bmin = np.minimum.reduceat(rhi_s, starts, axis=0)
+    bsmax = np.maximum.reduceat(rhi_s.sum(axis=1), starts)
+    bcnt = np.add.reduceat(rcnt_s, starts)
 
     # objects of each sorted distinct-hi row, as one packed array
     sorted_row_of_obj = rank[hi_inv]
@@ -145,7 +151,7 @@ def _build_index(dataset: IncompleteDataset, block_size: int):
         "bmax": bmax,
         "bmin": bmin,
         "bsmax": bsmax,
-        "bcnt": bcnt.astype(np.int64),
+        "bcnt": bcnt,
         "rlo": np.ascontiguousarray(rlo),
         "slo": rlo.sum(axis=1).astype(np.int64),
     }
@@ -155,8 +161,7 @@ def _build_index(dataset: IncompleteDataset, block_size: int):
         "obj_by_row": obj_by_row,
         "row_obj_offsets": row_obj_offsets,
         "block_of_obj": sorted_row_of_obj // block_size,
-        "n_blocks": nb,
-        "block_size": block_size,
+        "n_blocks": len(starts),
     }
     return arrays, meta
 
@@ -164,9 +169,12 @@ def _build_index(dataset: IncompleteDataset, block_size: int):
 # ----------------------------------------------------------------------
 # the scan kernel (runs in-process or inside pool workers)
 # ----------------------------------------------------------------------
-#: admissibility is computed in group chunks to bound the broadcast
-#: intermediates to ``chunk * n_blocks * d`` bools
-_ADMISSIBILITY_CHUNK = 2048
+def _ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lens)])``."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - (ends - lens), lens
+    )
 
 
 def _scan_groups(
@@ -174,72 +182,72 @@ def _scan_groups(
 ):
     """Counts, coverage and open-group members for lo-groups ``[g0, g1)``.
 
+    One pass decides everything (see the module docstring): bounds and
+    membership compare one attribute at a time, and the counting pass
+    keeps its hits, so an open group's member rows are its kept hits
+    plus the rows of its bulk-accepted blocks.
+
     Pure function of the index arrays: deterministic and side-effect
     free, so sharding it over processes cannot change any decision.
     """
-    rhi_s = arrays["rhi_s"]
-    rcnt_s = arrays["rcnt_s"]
-    bmax, bmin, bsmax, bcnt = (
-        arrays["bmax"], arrays["bmin"], arrays["bsmax"], arrays["bcnt"],
-    )
-    rlo = arrays["rlo"][g0:g1]
-    slo = arrays["slo"][g0:g1]
-    m = g1 - g0
-    nb = len(bcnt)
+    rhi_t = np.ascontiguousarray(arrays["rhi_s"].T)
+    rlo_t = np.ascontiguousarray(arrays["rlo"][g0:g1].T)
+    rcnt_s, bmax, bmin, bcnt = (arrays[k] for k in ("rcnt_s", "bmax", "bmin", "bcnt"))
+    (d, m), h, nb = rlo_t.shape, rhi_t.shape[1], len(bcnt)
 
-    accept = np.zeros((m, nb), dtype=bool)
-    test = np.zeros((m, nb), dtype=bool)
-    for c0 in range(0, m, _ADMISSIBILITY_CHUNK):
-        c1 = min(c0 + _ADMISSIBILITY_CHUNK, m)
-        chunk = rlo[c0:c1]
-        reject = (chunk[:, None, :] > bmax[None, :, :]).any(axis=2)
-        reject |= slo[c0:c1, None] > bsmax[None, :]
-        acc = ~reject & (chunk[:, None, :] <= bmin[None, :, :]).all(axis=2)
-        accept[c0:c1] = acc
-        test[c0:c1] = ~reject & ~acc
+    # reject: lo exceeds the block max on some attribute or in its sum;
+    # accept: lo is at or below the block min on every attribute
+    reject = arrays["slo"][g0:g1, None] > arrays["bsmax"][None, :]
+    accept = np.ones((m, nb), dtype=bool)
+    cmp = np.empty((m, nb), dtype=bool)
+    for a in range(d):
+        reject |= np.greater(rlo_t[a, :, None], bmax[:, a], out=cmp)
+        accept &= np.less_equal(rlo_t[a, :, None], bmin[:, a], out=cmp)
+    test = np.logical_not(np.logical_or(reject, accept, out=cmp), out=cmp)
+    np.greater(accept, reject, out=accept)  # accept &= ~reject
+    tested = reject  # the buffer is free again
+    tested.fill(False)
 
     counts = accept @ bcnt
     covered = np.zeros(m, dtype=np.int64)
-    tested = np.zeros((m, nb), dtype=bool)
     alive = np.ones(m, dtype=bool)
+    kept = np.empty((2, 0), dtype=np.int64)  # (group, row) hits of alive groups
     stage_bounds = np.linspace(0, nb, min(n_stages, nb) + 1).astype(np.int64)
     for si in range(len(stage_bounds) - 1):
+        hits = [kept]
         for b in range(stage_bounds[si], stage_bounds[si + 1]):
             gsel = np.nonzero(test[:, b] & alive)[0]
             if gsel.size == 0:
                 continue
-            s, e = b * block_size, min((b + 1) * block_size, len(rhi_s))
-            block = rhi_s[s:e]
-            memb = (block[None, :, :] >= rlo[gsel, None, :]).all(axis=2)
-            counts[gsel] += memb @ rcnt_s[s:e]
+            s, e = b * block_size, min((b + 1) * block_size, h)
+            memb = rlo_t[0, gsel, None] <= rhi_t[0, s:e]
+            for a in range(1, d):
+                memb &= rlo_t[a, gsel, None] <= rhi_t[a, s:e]
+            hit = np.flatnonzero(memb)
+            gi = hit // (e - s)
+            hits.append(np.stack([gsel[gi], hit - gi * (e - s) + s]))
+            np.add.at(counts, hits[-1][0], rcnt_s[hits[-1][1]])
             covered[gsel] += bcnt[b]
             tested[gsel, b] = True
         alive &= (counts - 1) <= limit
+        # hits of groups that just crossed the limit are never read
+        kept = np.concatenate(hits, axis=1)
+        kept = kept[:, alive[kept[0]]]
 
-    # Second pass: distinct-row member lists, only for groups whose
-    # objects keep a symbolic condition (0 < |D| <= limit).  Re-tests
-    # already-counted pairs, so it adds nothing to the coverage stats.
+    # Member rows of the groups whose objects keep a symbolic condition
+    # (0 < |D| <= limit): kept hits plus the rows of accepted blocks.
     open_groups = np.nonzero((counts - 1 > 0) & (counts - 1 <= limit))[0]
-    member_rows: List[np.ndarray] = []
-    member_offsets = np.zeros(len(open_groups) + 1, dtype=np.int64)
-    for i, g in enumerate(open_groups.tolist()):
-        L = rlo[g]
-        rows: List[np.ndarray] = []
-        for b in np.nonzero(accept[g] | test[g])[0].tolist():
-            s, e = b * block_size, min((b + 1) * block_size, len(rhi_s))
-            if accept[g, b]:
-                rows.append(np.arange(s, e, dtype=np.int64))
-            else:
-                hit = np.nonzero((rhi_s[s:e] >= L).all(axis=1))[0]
-                if hit.size:
-                    rows.append(hit.astype(np.int64) + s)
-        group_rows = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        )
-        member_rows.append(group_rows)
-        member_offsets[i + 1] = member_offsets[i] + group_rows.size
-    members = (
-        np.concatenate(member_rows) if member_rows else np.empty(0, dtype=np.int64)
+    slot = np.full(m, -1, dtype=np.int64)
+    slot[open_groups] = np.arange(len(open_groups))
+    hit_slot = slot[kept[0]]
+    is_open = hit_slot >= 0
+    ag, ab = np.nonzero(accept[open_groups])
+    a_lens = np.minimum((ab + 1) * block_size, h) - ab * block_size
+    groups = np.concatenate([hit_slot[is_open], np.repeat(ag, a_lens)])
+    rows = np.concatenate([kept[1][is_open], _ragged_ranges(ab * block_size, a_lens)])
+    members = rows[np.lexsort((rows, groups))]
+    member_offsets = np.concatenate(
+        ([0], np.cumsum(np.bincount(groups, minlength=len(open_groups))))
     )
     return counts, covered, tested, open_groups + g0, members, member_offsets
 
@@ -276,24 +284,8 @@ def pruned_dominator_scan(
         block_size = DEFAULT_BLOCK_SIZE if n < 50_000 else 2 * DEFAULT_BLOCK_SIZE
     if n_stages is None:
         n_stages = DEFAULT_STAGES if n < 50_000 else DEFAULT_STAGES + 4
-    if n == 0:
-        return PruneScan(
-            np.zeros(0, dtype=np.int64),
-            {},
-            {
-                "prune_enabled": True,
-                "pairs_tested": 0,
-                "pairs_pruned": 0,
-                "pair_universe": 0,
-                "blocks_sharded": 0,
-                "scan_workers": 1,
-                "scan_decision": "sequential: empty dataset",
-                "scan_seconds": 0.0,
-                "scan_worker_seconds": [],
-                "scan_worker_seconds_max": 0.0,
-            },
-        )
-    arrays, meta = _build_index(dataset, max(1, int(block_size)))
+    block_size = max(1, int(block_size))
+    arrays, meta = _build_index(dataset, block_size)
     lo_inv = meta["lo_inv"]
     lo_cnt = meta["lo_cnt"]
     n_groups = len(lo_cnt)
@@ -301,6 +293,7 @@ def pruned_dominator_scan(
         cancel_check()
 
     decision = decide_workers(n_jobs, n_groups, MIN_GROUPS_PER_WORKER)
+    scan_args = (float(limit), int(n_stages), block_size)
     if decision.parallel:
         bundle = SharedArrayBundle.publish(arrays)
         try:
@@ -308,14 +301,7 @@ def pruned_dominator_scan(
                 0, n_groups, decision.n_workers * 4 + 1
             ).astype(np.int64)
             shards = [
-                (
-                    bundle.handle,
-                    int(g0),
-                    int(g1),
-                    float(limit),
-                    int(n_stages),
-                    int(meta["block_size"]),
-                )
+                (bundle.handle, int(g0), int(g1)) + scan_args
                 for g0, g1 in zip(bounds[:-1], bounds[1:])
                 if g1 > g0
             ]
@@ -332,12 +318,7 @@ def pruned_dominator_scan(
         if cancel_check is not None:
             cancel_check()
         t0 = time.perf_counter()
-        parts = [
-            _scan_groups(
-                arrays, 0, n_groups, float(limit), int(n_stages),
-                int(meta["block_size"]),
-            )
-        ]
+        parts = [_scan_groups(arrays, 0, n_groups, *scan_args)]
         blocks_sharded = 1
         worker_seconds = [time.perf_counter() - t0]
 
@@ -362,16 +343,21 @@ def pruned_dominator_scan(
     group_off = np.concatenate(([0], np.cumsum(lo_cnt)))
     for part in parts:
         __, __, __, open_groups, members, offsets = part
-        for i, g in enumerate(open_groups.tolist()):
-            rows = members[offsets[i]:offsets[i + 1]]
-            objs = np.sort(
-                np.concatenate(
-                    [obj_by_row[row_off[r]:row_off[r + 1]] for r in rows.tolist()]
-                )
-            )
-            for o in group_objects[group_off[g]:group_off[g + 1]].tolist():
-                pos = np.searchsorted(objs, o)
-                open_sets[o] = np.delete(objs, pos)
+        # member rows -> objects, sorted within each group
+        lens = row_off[members + 1] - row_off[members]
+        objs = obj_by_row[_ragged_ranges(row_off[members], lens)]
+        seg = np.concatenate(([0], np.cumsum(lens)))[offsets]
+        seg_lens = np.diff(seg)
+        objs = objs[np.lexsort((objs, np.repeat(np.arange(len(seg_lens)), seg_lens)))]
+        # one copy of the group's objects per owner, minus the owner
+        owned = lo_cnt[open_groups]
+        owners = group_objects[_ragged_ranges(group_off[open_groups], owned)]
+        owner_group = np.repeat(np.arange(len(open_groups)), owned)
+        copy_lens = seg_lens[owner_group]
+        flat = objs[_ragged_ranges(seg[owner_group], copy_lens)]
+        flat = flat[flat != np.repeat(owners, copy_lens)]
+        sets = np.split(flat, np.cumsum(copy_lens - 1)[:-1])
+        open_sets.update(zip(owners.tolist(), sets))
 
     per_object_counts = (counts - 1)[lo_inv]
     stats = {
@@ -380,7 +366,7 @@ def pruned_dominator_scan(
         "pairs_pruned": pair_universe - pairs_tested,
         "pair_universe": pair_universe,
         "prune_blocks": int(meta["n_blocks"]),
-        "prune_block_size": int(meta["block_size"]),
+        "prune_block_size": block_size,
         "distinct_hi_rows": int(len(arrays["rhi_s"])),
         "distinct_lo_rows": int(n_groups),
         "blocks_sharded": int(blocks_sharded),

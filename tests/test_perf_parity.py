@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from repro.bayesnet.posteriors import empirical_distributions, uniform_distributions
 from repro.ctable import (
     build_ctable,
+    dominator_sets,
     dominator_sets_baseline,
     dominator_sets_numpy,
     pruned_dominator_scan,
 )
-from repro.datasets import MISSING, IncompleteDataset
+from repro.datasets import MISSING, IncompleteDataset, generate_nba
 from repro.lru import LRUCache
 from repro.parallel import PoolDecision
 from repro.probability import DistributionStore, ProbabilityEngine
@@ -188,7 +189,61 @@ class TestPruningParity:
         )
         scan = pruned_dominator_scan(dataset, 0.0)
         assert len(scan.dominator_counts) == 0
+        assert scan.open_sets == {}
         assert scan.stats["pair_universe"] == 0
+        for key in ("prune_blocks", "distinct_hi_rows", "distinct_lo_rows"):
+            assert scan.stats[key] == 0
+        full = pruned_dominator_scan(random_dataset(0, n=10), 1.0)
+        assert set(scan.stats) == set(full.stats)
+
+    @staticmethod
+    def _assert_scan_exact(dataset, limit, block_size, n_stages):
+        scan = pruned_dominator_scan(
+            dataset, limit, block_size=block_size, n_stages=n_stages
+        )
+        truth = dominator_sets(dataset)
+        n = dataset.n_objects
+        open_objects = set()
+        for o, dominators in enumerate(truth):
+            count = scan.dominator_counts[o]
+            if dominators.size == 0:
+                assert count == 0
+            elif dominators.size <= limit:
+                assert count == dominators.size
+                np.testing.assert_array_equal(scan.open_sets[o], dominators)
+                open_objects.add(o)
+            else:
+                assert count > limit
+        assert set(scan.open_sets) == open_objects
+        stats = scan.stats
+        assert stats["pairs_tested"] + stats["pairs_pruned"] == n * (n - 1)
+
+    # block_size=1 turns every block that is not rejected into a
+    # bulk-accepted one, which covers the accepted-rows member path.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        incomplete_datasets(),
+        st.sampled_from([0.05, 0.3, 1.0]),
+        st.sampled_from([1, 2, 3, 32]),
+        st.sampled_from([1, 3, 8]),
+    )
+    def test_scan_matches_dominator_sets(self, dataset, alpha, block_size, n_stages):
+        limit = alpha * dataset.n_objects
+        self._assert_scan_exact(dataset, limit, block_size, n_stages)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", ["random", "nba"])
+    def test_scan_block_and_stage_sweep(self, family, seed):
+        if family == "nba":
+            dataset = generate_nba(n_objects=120, missing_rate=0.2, seed=seed)
+        else:
+            dataset = random_dataset(seed, n=90, d=3, missing_rate=0.3)
+        for alpha in (0.02, 0.1, 0.5):
+            for block_size in (1, 2, 3, 32):
+                for n_stages in (1, 3, 8):
+                    self._assert_scan_exact(
+                        dataset, alpha * dataset.n_objects, block_size, n_stages
+                    )
 
 
 class TestProbabilityParity:

@@ -192,7 +192,10 @@ class BayesCrowdConfig:
         if self.distribution_source not in DISTRIBUTION_SOURCES:
             raise ValueError("unknown distribution source %r" % self.distribution_source)
         if self.dominator_method not in DOMINATOR_METHODS:
-            raise ValueError("unknown dominator method %r" % self.dominator_method)
+            raise ValueError(
+                "unknown dominator method %r; expected one of %r"
+                % (self.dominator_method, DOMINATOR_METHODS)
+            )
         if self.backend not in BACKENDS:
             raise ValueError(
                 "unknown backend %r; expected one of %r" % (self.backend, BACKENDS)

@@ -9,7 +9,6 @@ from .dominators import (
     dominator_sets,
     dominator_sets_baseline,
     dominator_sets_fast,
-    dominator_sets_numpy,
 )
 from .pruning import PRUNE_MODES, PruneScan, pruned_dominator_scan
 from .expression import (
@@ -36,7 +35,6 @@ __all__ = [
     "dominator_sets",
     "dominator_sets_baseline",
     "dominator_sets_fast",
-    "dominator_sets_numpy",
     "PRUNE_MODES",
     "PruneScan",
     "pruned_dominator_scan",

@@ -11,7 +11,10 @@ For every object ``o``:
 5. otherwise ``phi(o)`` is the CNF "no dominator candidate actually
    dominates o": one clause per ``p`` in ``D(o)``, with disjuncts
    ``o.[k] > p.[k]`` per attribute, where cells that are missing become
-   variables.
+   variables.  A disjunct the domain already decides is not emitted:
+   ``0 > Var(p, k)``, ``Var(o, k) > top_k`` and, over a one-value
+   domain, ``Var(o, k) > Var(p, k)`` are false in every valuation.  A
+   clause they empty makes ``phi(o)`` false.
 
 Both-observed disjuncts evaluate immediately; like the paper's CNF we
 ignore the measure-zero "all remaining attributes tie exactly" case for
@@ -24,60 +27,36 @@ from __future__ import annotations
 
 import time
 from operator import itemgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from ..datasets.dataset import IncompleteDataset
 from .condition import Condition
 from .ctable import CTable
-from .dominators import dominator_sets, possible_dominator_blocks
+from .dominators import dominator_sets
 from .expression import Const, Expression, Var
 from .pruning import PRUNE_MODES, pruned_dominator_scan
 
-#: Construction backends: ``numpy`` runs dominance tests, alpha-pruning
-#: and clause layout as bulk array operations; ``python`` is the scalar
-#: per-object/per-pair loop kept for ablation and correctness
-#: cross-checks; ``auto`` picks numpy unless the Figure-2 ``baseline``
-#: dominator derivation was explicitly requested.
+#: Construction backends: ``numpy`` lays clauses out with bulk array
+#: operations; ``python`` is the scalar per-pair loop kept for ablation
+#: and correctness cross-checks; ``auto`` picks numpy unless the
+#: Figure-2 ``baseline`` dominator derivation was explicitly requested.
 BACKENDS = ("auto", "numpy", "python")
 
 
-def _clause_for_pair(
-    dataset: IncompleteDataset, o: int, p: int
-) -> Optional[List[Expression]]:
-    """The disjunction encoding ``p`` does not dominate ``o``.
+class _Cells(NamedTuple):
+    """What both emitters read of the dataset, computed once per build."""
 
-    Returns ``None`` when the clause is trivially true (droppable) and an
-    empty list when it is trivially false (``p`` certainly dominates ``o``).
-    """
-    values = dataset.values
-    mask = dataset.mask
-    clause: List[Expression] = []
-    strictly_better_somewhere = False  # p > o on some fully-observed attribute
-    for k in range(dataset.n_attributes):
-        o_missing = bool(mask[o, k])
-        p_missing = bool(mask[p, k])
-        if not o_missing and not p_missing:
-            if values[o, k] > values[p, k]:
-                return None  # o certainly beats p here: p can never dominate
-            if values[p, k] > values[o, k]:
-                strictly_better_somewhere = True
-            continue  # false disjunct: drop it
-        if o_missing and p_missing:
-            clause.append(Expression(Var(o, k), Var(p, k)))
-        elif o_missing:
-            clause.append(Expression(Var(o, k), Const(int(values[p, k]))))
-        else:
-            clause.append(Expression(Const(int(values[o, k])), Var(p, k)))
-    if not clause:
-        # Fully comparable pair with p >= o everywhere (a strict o-win would
-        # have returned early): p dominates o iff it is strictly better
-        # somewhere (Definition 1).  All-equal rows do not dominate.
-        if strictly_better_somewhere:
-            return []
-        return None
-    return clause
+    dataset: IncompleteDataset
+    #: rows without a missing cell
+    complete: np.ndarray
+    #: top of each attribute's domain (``domain_size - 1``)
+    top: np.ndarray
+    #: ``live[o, k]``: column ``k`` can hold an open disjunct of ``phi(o)``
+    #: (``o`` misses ``k`` over a domain of two or more values, or
+    #: observes a value above 0 there)
+    live: np.ndarray
 
 
 def build_ctable(
@@ -100,25 +79,25 @@ def build_ctable(
         probability is near zero and their conditions would be huge).
         ``alpha >= 1`` disables pruning.
     dominator_method:
-        dominator derivation: ``"fast"`` (Get-CTable's selectivity-sorted
-        filters), ``"baseline"`` (pairwise comparisons, per Figure 2) or
-        ``"numpy"`` (blocked full-relation broadcasting).  Honored by
-        both backends.
+        dominator derivation when the pruning scan is off: ``"fast"``
+        (Get-CTable's selectivity-sorted filters) or ``"baseline"``
+        (pairwise comparisons, per Figure 2).  The pruning scan derives
+        the sets itself and ignores it.
     inference_mode:
         how aggressively crowd answers are propagated afterwards
         (see :data:`repro.ctable.constraints.INFERENCE_MODES`).
     backend:
-        ``"numpy"`` (bulk broadcast kernels), ``"python"`` (scalar loops)
+        ``"numpy"`` (bulk clause layout), ``"python"`` (scalar loops)
         or ``"auto"`` (numpy, unless ``dominator_method="baseline"`` asks
         for the Figure-2 scalar comparison).  Both backends produce
         identical c-tables; construction statistics land in
         :attr:`CTable.build_stats`.
     prune:
-        ``"on"`` runs the sub-quadratic dominance pruning pre-pass of
-        :mod:`repro.ctable.pruning` before clause emission, ``"off"``
-        keeps the exhaustive pair scan, ``"auto"`` enables it for the
-        numpy backend.  The pre-pass is exact: the resulting c-table is
-        identical clause for clause, only ``pairs_tested`` shrinks.
+        ``"on"`` derives the dominator sets with the sub-quadratic
+        pruning scan of :mod:`repro.ctable.pruning`, ``"off"`` with
+        ``dominator_method``, ``"auto"`` uses the scan for the numpy
+        backend.  The scan is exact: the resulting c-table is identical
+        clause for clause, only ``pairs_tested`` shrinks.
     n_jobs:
         process-pool width for the pruning scan (engine convention:
         1 = sequential, 0 = one worker per usable core).  Sharding the
@@ -141,24 +120,55 @@ def build_ctable(
         backend = "python" if dominator_method == "baseline" else "numpy"
     use_prune = prune == "on" or (prune == "auto" and backend == "numpy")
     start = time.perf_counter()
+    n = dataset.n_objects
+    limit = alpha * n
     if use_prune:
-        ctable = _build_ctable_pruned(
-            dataset, alpha, inference_mode, backend, n_jobs, cancel_check
+        scan = pruned_dominator_scan(
+            dataset, limit, n_jobs=n_jobs, cancel_check=cancel_check
         )
-    elif backend == "numpy":
-        ctable = _build_ctable_numpy(
-            dataset, alpha, inference_mode, dominator_method, cancel_check
-        )
+        counts = scan.dominator_counts.tolist()
+        sets = scan.open_sets
     else:
-        ctable = _build_ctable_python(
-            dataset, alpha, dominator_method, inference_mode, cancel_check
-        )
-    stats = ctable.build_stats
+        sets = dominator_sets(dataset, method=dominator_method)
+        counts = [members.size for members in sets]
+    emit = _build_condition_bulk if backend == "numpy" else _build_condition
+    mask = dataset.mask
+    top = np.asarray(dataset.domain_sizes, dtype=np.int64) - 1
+    cells = _Cells(
+        dataset, ~mask.any(axis=1), top, np.where(mask, top > 0, dataset.values > 0)
+    )
+    conditions: Dict[int, Condition] = {}
+    pruned = set()
+    #: expression intern table shared across the whole build; disjuncts
+    #: repeat heavily (small domains, shared dominators), so reusing the
+    #: instance skips hash/key recomputation and speeds clause sorting.
+    interned: Dict[tuple, Expression] = {}
+    for o in range(n):
+        if cancel_check is not None:
+            cancel_check()
+        count = counts[o]
+        if count == 0:
+            conditions[o] = Condition.true()
+        elif count > limit:
+            conditions[o] = Condition.false()
+            pruned.add(o)
+        else:
+            conditions[o] = emit(cells, o, sets[o], interned)
+    stats = _count_stats(conditions, pruned)
+    if use_prune:
+        stats.update(scan.stats)
+    ctable = CTable(
+        dataset=dataset,
+        conditions=conditions,
+        pruned=frozenset(pruned),
+        inference_mode=inference_mode,
+        build_stats=stats,
+    )
     stats["backend"] = backend
     stats["seconds"] = time.perf_counter() - start
-    stats["n_objects"] = dataset.n_objects
+    stats["n_objects"] = n
     stats["builds"] = 1
-    pairs = dataset.n_objects * (dataset.n_objects - 1)
+    pairs = n * (n - 1)
     stats.setdefault("prune_enabled", False)
     stats.setdefault("pairs_tested", pairs)
     stats.setdefault("pairs_pruned", 0)
@@ -169,236 +179,29 @@ def build_ctable(
     return ctable
 
 
-def _build_ctable_python(
-    dataset: IncompleteDataset,
-    alpha: float,
-    dominator_method: str,
-    inference_mode: str,
-    cancel_check=None,
-) -> CTable:
-    """The scalar reference path: per-object loops over dominator sets."""
-    sets = dominator_sets(dataset, method=dominator_method)
-    n = dataset.n_objects
-    limit = alpha * n
-    conditions = {}
-    pruned = set()
-
-    values = dataset.values
-    mask = dataset.mask
-    complete_object = ~mask.any(axis=1)
-
-    for o in range(n):
-        if cancel_check is not None:
-            cancel_check()
-        dominators = sets[o]
-        if dominators.size == 0:
-            conditions[o] = Condition.true()
-            continue
-        if dominators.size > limit:
-            conditions[o] = Condition.false()
-            pruned.add(o)
-            continue
-        condition = _build_condition(
-            dataset, o, dominators, values, mask, complete_object
-        )
-        conditions[o] = condition
-    return CTable(
-        dataset=dataset,
-        conditions=conditions,
-        pruned=frozenset(pruned),
-        inference_mode=inference_mode,
-        build_stats=_count_stats(conditions, pruned),
-    )
-
-
-def _build_ctable_pruned(
-    dataset: IncompleteDataset,
-    alpha: float,
-    inference_mode: str,
-    backend: str,
-    n_jobs: int,
-    cancel_check=None,
-) -> CTable:
-    """Sub-quadratic path: dominance pruning pre-pass, then clause emission.
-
-    :func:`repro.ctable.pruning.pruned_dominator_scan` decides every
-    object (certain answer / alpha-pruned / open with its exact
-    dominator set) while testing only the pairs that survive the
-    sort-filter bounds.  Emission then reuses the per-object machinery
-    of the requested backend verbatim, so the resulting conditions are
-    identical to the unpruned build -- including the Algorithm 2 line-8
-    certain-false check for fully-observed objects.
-    """
-    n = dataset.n_objects
-    limit = alpha * n
-    scan = pruned_dominator_scan(
-        dataset, limit, n_jobs=n_jobs, cancel_check=cancel_check
-    )
-    counts = scan.dominator_counts.tolist()
-    values = dataset.values
-    mask = dataset.mask
-    complete_object = ~mask.any(axis=1)
-    conditions: Dict[int, Condition] = {}
-    pruned = set()
-    interned: Dict[tuple, Expression] = {}
-
-    for o in range(n):
-        if cancel_check is not None:
-            cancel_check()
-        count = counts[o]
-        if count == 0:
-            conditions[o] = Condition.true()
-            continue
-        if count > limit:
-            conditions[o] = Condition.false()
-            pruned.add(o)
-            continue
-        dominators = scan.open_sets[o]
-        if backend == "numpy":
-            if complete_object[o]:
-                complete_doms = dominators[complete_object[dominators]]
-                if complete_doms.size and bool(
-                    (values[complete_doms] != values[o]).any()
-                ):
-                    conditions[o] = Condition.false()
-                    continue
-            conditions[o] = _build_condition_bulk(o, dominators, values, mask, interned)
-        else:
-            conditions[o] = _build_condition(
-                dataset, o, dominators, values, mask, complete_object
-            )
-    stats = _count_stats(conditions, pruned)
-    stats.update(scan.stats)
-    return CTable(
-        dataset=dataset,
-        conditions=conditions,
-        pruned=frozenset(pruned),
-        inference_mode=inference_mode,
-        build_stats=stats,
-    )
-
-
-def _build_ctable_numpy(
-    dataset: IncompleteDataset,
-    alpha: float,
-    inference_mode: str,
-    dominator_method: str = "fast",
-    cancel_check=None,
-) -> CTable:
-    """Bulk path: dominance, alpha-pruning and clause layout via arrays.
-
-    Dominator discovery follows ``dominator_method``: the default
-    ``"fast"`` derivation (selectivity-sorted per-object filters) is
-    usually the cheapest, while ``"numpy"`` materializes the whole
-    possible-dominator relation block by block as a boolean ``(block, n)``
-    matrix.  Either way, membership counts (alpha-pruning, certain
-    answers) and the fully-observed-dominance check (Algorithm 2, line 8)
-    are array reductions, and Python objects are only created for the
-    expressions that actually survive into clauses.
-    """
-    n = dataset.n_objects
-    limit = alpha * n
-    values = dataset.values
-    mask = dataset.mask
-    complete_object = ~mask.any(axis=1)
-    conditions: Dict[int, Condition] = {}
-    pruned = set()
-    #: expression intern table shared across the whole build; disjuncts
-    #: repeat heavily (small domains, shared dominators), so reusing the
-    #: instance skips hash/key recomputation and speeds clause sorting.
-    interned: Dict[tuple, Expression] = {}
-
-    if dominator_method != "numpy":
-        sets = dominator_sets(dataset, method=dominator_method)
-        for o in range(n):
-            if cancel_check is not None:
-                cancel_check()
-            dominators = sets[o]
-            if dominators.size == 0:
-                conditions[o] = Condition.true()
-                continue
-            if dominators.size > limit:
-                conditions[o] = Condition.false()
-                pruned.add(o)
-                continue
-            if complete_object[o]:
-                # Line 8, vectorized over D(o): membership guarantees
-                # p >= o on every attribute for complete pairs, so any
-                # difference means strict domination.
-                complete_doms = dominators[complete_object[dominators]]
-                if complete_doms.size and bool(
-                    (values[complete_doms] != values[o]).any()
-                ):
-                    conditions[o] = Condition.false()
-                    continue
-            conditions[o] = _build_condition_bulk(o, dominators, values, mask, interned)
-        return CTable(
-            dataset=dataset,
-            conditions=conditions,
-            pruned=frozenset(pruned),
-            inference_mode=inference_mode,
-            build_stats=_count_stats(conditions, pruned),
-        )
-
-    for start, possible in possible_dominator_blocks(dataset):
-        if cancel_check is not None:
-            cancel_check()
-        counts = possible.sum(axis=1)
-        block_rows = np.arange(possible.shape[0])
-        block_objs = block_rows + start
-
-        # Bulk line 8: a fully-observed o is certainly dominated when some
-        # fully-observed possible dominator differs from it somewhere
-        # (membership already guarantees >= on every attribute).
-        block_complete = complete_object[block_objs]
-        certain_false = np.zeros(possible.shape[0], dtype=bool)
-        if block_complete.any():
-            rows = block_rows[block_complete]
-            eq_all = (
-                values[None, :, :] == values[block_objs[rows], None, :]
-            ).all(axis=2)
-            strict = possible[rows] & complete_object[None, :] & ~eq_all
-            certain_false[rows] = strict.any(axis=1)
-
-        for b in block_rows.tolist():
-            o = start + b
-            if counts[b] == 0:
-                conditions[o] = Condition.true()
-                continue
-            if counts[b] > limit:
-                conditions[o] = Condition.false()
-                pruned.add(o)
-                continue
-            if certain_false[b]:
-                conditions[o] = Condition.false()
-                continue
-            dominators = np.nonzero(possible[b])[0]
-            conditions[o] = _build_condition_bulk(o, dominators, values, mask, interned)
-    return CTable(
-        dataset=dataset,
-        conditions=conditions,
-        pruned=frozenset(pruned),
-        inference_mode=inference_mode,
-        build_stats=_count_stats(conditions, pruned),
-    )
+def _count_stats(conditions: Dict[int, Condition], pruned) -> Dict[str, float]:
+    return {
+        "certain_true": sum(1 for c in conditions.values() if c.is_true),
+        "certain_false": sum(1 for c in conditions.values() if c.is_false),
+        "alpha_pruned": len(pruned),
+        "open_conditions": sum(1 for c in conditions.values() if not c.is_constant),
+    }
 
 
 def _build_condition_bulk(
+    cells: _Cells,
     o: int,
     dominators: np.ndarray,
-    values: np.ndarray,
-    mask: np.ndarray,
     interned: Dict[tuple, Expression],
 ) -> Condition:
-    """Clause construction with the disjunct layout computed as arrays.
+    """Steps 4-5 of Algorithm 2 for one object, laid out as arrays.
 
     For every ``(pair, attribute)`` cell the disjunct kind follows from
-    the two missing bits alone, so Python objects are only created for
-    the expressions that survive into clauses -- and through ``interned``
-    only once per distinct disjunct of the whole build.  Both-observed
-    cells never contribute (dominator membership guarantees ``p >= o``
-    there), and a pair with no disjunct is a fully-observed exact
-    duplicate, which does not dominate under Definition 1.
+    the two missing bits, and whether the domain decides it from the
+    cell's value, so Python objects are only created for the expressions
+    that survive into clauses -- and through ``interned`` only once per
+    distinct disjunct of the whole build.  Both-observed cells never
+    contribute (dominator membership guarantees ``p >= o`` there).
 
     Expressions are emitted directly in canonical order -- const-left
     disjuncts sorted by ``(value, attribute)`` via one column
@@ -408,22 +211,30 @@ def _build_condition_bulk(
     :meth:`Condition.of` would normalize them, so the raw constructor
     applies.
     """
-    mo = mask[o]  # (d,)
-    mp = mask[dominators]  # (m, d)
-    vp = values[dominators]
+    dataset, complete, top, live = cells
+    values = dataset.values
     vo = values[o]
+    if complete[o]:
+        # Line 8, vectorized over D(o): membership guarantees p >= o on
+        # every attribute for complete pairs, so any difference means
+        # strict domination.
+        complete_doms = dominators[complete[dominators]]
+        if complete_doms.size and bool((values[complete_doms] != vo).any()):
+            return Condition.false()
+    mo = dataset.mask[o]  # (d,)
+    live_o = live[o]
+    mp = dataset.mask[dominators]  # (m, d)
     m = len(dominators)
     doms = dominators.tolist()
-
-    miss = np.nonzero(mo)[0]
-    obs = np.nonzero(~mo)[0]
 
     clauses: List[List[Expression]] = [[] for __ in range(m)]
     keys: List[List[tuple]] = [[] for __ in range(m)]
 
-    # Const(vo[k]) > Var(p, k): canonical order is (value, attribute), and
-    # within one clause p is fixed -- permuting the observed columns by
-    # (value, attribute) makes row-major nonzero yield that order.
+    # Const(vo[k]) > Var(p, k) for vo[k] > 0: canonical order is (value,
+    # attribute), and within one clause p is fixed -- permuting those
+    # columns by (value, attribute) makes row-major nonzero yield that
+    # order.
+    obs = np.nonzero(live_o & ~mo)[0]
     if obs.size:
         const_order = obs[np.lexsort((obs, vo[obs]))]
         sub = mp[:, const_order]
@@ -440,38 +251,46 @@ def _build_condition_bulk(
             clauses[i].append(expression)
             keys[i].append(expression._key)
 
-    # Var(o, k) > ...: canonical order is ascending k, and every pair has
-    # exactly one var-left disjunct per missing attribute of o (variable
-    # right operand when p misses k too, constant otherwise).
+    # Var(o, k) > ...: canonical order is ascending k.  Columns are
+    # visited in that order, each appending to every clause it keeps a
+    # disjunct for: a variable right operand when p misses k too, a
+    # constant below top_k otherwise.
+    variables = set()
+    miss = np.nonzero(live_o & mo)[0]
     if miss.size:
         miss_l = miss.tolist()
-        mp_miss = mp[:, miss].tolist()
-        vp_miss = vp[:, miss].tolist()
-        local: Dict[tuple, Expression] = {}  # Var(o, .) > c: scoped to o
-        for i in range(m):
-            row_missing = mp_miss[i]
-            row_values = vp_miss[i]
-            clause = clauses[i]
-            key_list = keys[i]
-            p = doms[i]
-            for j, k in enumerate(miss_l):
-                if row_missing[j]:
+        tops = top[miss].tolist()
+        mp_miss = mp[:, miss].T.tolist()
+        vp_miss = values[dominators][:, miss].T.tolist()
+        for k, top_k, col_missing, col_values in zip(miss_l, tops, mp_miss, vp_miss):
+            local: Dict[int, Expression] = {}  # Var(o, k) > c, scoped to o
+            used = False
+            for i, p in enumerate(doms):
+                if col_missing[i]:
                     # unique to this pair, nothing to intern
                     expression = Expression(Var(o, k), Var(p, k))
                 else:
-                    lk = (k, row_values[j])
-                    expression = local.get(lk)
+                    c = col_values[i]
+                    if c == top_k:
+                        continue
+                    expression = local.get(c)
                     if expression is None:
-                        expression = Expression(Var(o, k), Const(lk[1]))
-                        local[lk] = expression
-                clause.append(expression)
-                key_list.append(expression._key)
+                        expression = Expression(Var(o, k), Const(c))
+                        local[c] = expression
+                clauses[i].append(expression)
+                keys[i].append(expression._key)
+                used = True
+            if used:
+                variables.add((o, k))
 
     normalized = []
     seen = set()
-    for clause, key_list in zip(clauses, keys):
+    for i, (clause, key_list) in enumerate(zip(clauses, keys)):
         if not clause:
-            continue
+            if not complete[o] or not complete[doms[i]]:
+                # every disjunct of this pair is false in every valuation
+                return Condition.false()
+            continue  # a fully-observed exact duplicate does not dominate
         ktup = tuple(key_list)
         if ktup in seen:
             continue
@@ -481,48 +300,77 @@ def _build_condition_bulk(
         return Condition.true()
     normalized.sort(key=itemgetter(0))
     condition = Condition(clauses=tuple(c for __, c in normalized))
-    # The variable set is known from the masks alone: every missing attr
-    # of o appears in every kept clause, and every missing cell of a
-    # dominator appears in that dominator's (never-deduped) clause.
-    # Seeding the memo makes CTable's variable-index build cheap.
-    variables = set((o, k) for k in miss.tolist())
-    nz_p, nz_k = np.nonzero(mp)
+    # The variable set is known without reading the clauses: o's columns
+    # that kept a disjunct, and every dominator's missing cell in a live
+    # column (that dominator's clause, never deduped, holds it).  Seeding
+    # the memo makes CTable's variable-index build cheap.
+    nz_p, nz_k = np.nonzero(mp & live_o)
     for i, k in zip(nz_p.tolist(), nz_k.tolist()):
         variables.add((doms[i], k))
     condition._vars = frozenset(variables)
     return condition
 
 
-def _count_stats(conditions: Dict[int, Condition], pruned) -> Dict[str, float]:
-    return {
-        "certain_true": sum(1 for c in conditions.values() if c.is_true),
-        "certain_false": sum(1 for c in conditions.values() if c.is_false),
-        "alpha_pruned": len(pruned),
-        "open_conditions": sum(1 for c in conditions.values() if not c.is_constant),
-    }
+def _clause_for_pair(
+    dataset: IncompleteDataset, o: int, p: int
+) -> Optional[List[Expression]]:
+    """The disjunction encoding ``p`` does not dominate ``o``.
+
+    Returns ``None`` when the clause is trivially true (droppable) and an
+    empty list when it is trivially false (``p`` certainly dominates ``o``,
+    or every disjunct over a missing cell is false in every valuation).
+    """
+    values = dataset.values
+    mask = dataset.mask
+    sizes = dataset.domain_sizes
+    clause: List[Expression] = []
+    strictly_better_somewhere = False  # p > o on some fully-observed attribute
+    touches_missing = False
+    for k in range(values.shape[1]):
+        o_missing = bool(mask[o, k])
+        p_missing = bool(mask[p, k])
+        if not o_missing and not p_missing:
+            if values[o, k] > values[p, k]:
+                return None  # o certainly beats p here: p can never dominate
+            if values[p, k] > values[o, k]:
+                strictly_better_somewhere = True
+            continue  # false disjunct: drop it
+        touches_missing = True
+        if o_missing and p_missing:
+            if sizes[k] > 1:
+                clause.append(Expression(Var(o, k), Var(p, k)))
+        elif o_missing:
+            if values[p, k] < sizes[k] - 1:
+                clause.append(Expression(Var(o, k), Const(int(values[p, k]))))
+        elif values[o, k] > 0:
+            clause.append(Expression(Const(int(values[o, k])), Var(p, k)))
+    if not clause and not touches_missing and not strictly_better_somewhere:
+        # Fully comparable pair with p == o everywhere: all-equal rows do
+        # not dominate (Definition 1).
+        return None
+    return clause
 
 
 def _build_condition(
-    dataset: IncompleteDataset,
-    o: int,
-    dominators: np.ndarray,
-    values: np.ndarray,
-    mask: np.ndarray,
-    complete_object: np.ndarray,
+    cells: _Cells, o: int, dominators: np.ndarray, interned=None
 ) -> Condition:
-    """Steps 4-5 of Algorithm 2 for one object."""
+    """Steps 4-5 of Algorithm 2 for one object, pair by pair.
+
+    Takes the bulk emitter's arguments; ``interned`` goes unused.
+    """
+    values, complete = cells.dataset.values, cells.complete
     # Line 8: a fully-observed dominator beating a fully-observed o decides
     # the condition immediately, without building any clause.
-    if complete_object[o]:
+    if complete[o]:
         for p in dominators.tolist():
-            if not complete_object[p]:
+            if not complete[p]:
                 continue
             if (values[p] >= values[o]).all() and (values[p] > values[o]).any():
                 return Condition.false()
 
     clauses: List[List[Expression]] = []
     for p in dominators.tolist():
-        clause = _clause_for_pair(dataset, o, p)
+        clause = _clause_for_pair(cells.dataset, o, p)
         if clause is None:
             continue  # p can never dominate o
         if not clause:

@@ -11,11 +11,12 @@ reports the variables the answer touched; an expression's truth under the
 store changes only when one of its variables is touched.  So the *decided
 set* of an answer is the open expressions over those variables that now
 resolve, each resolved once, and a condition changes only in the clauses
-holding one of them.  The one exception is an expression the fresh store
-already decides from the domain alone (``0 > Var(o, a)``; ``Var(o, a) > 5``
-when 5 is the top of the domain).  The build keeps those, and a condition
-sheds them at its first touch: on that touch its statically decided
-expressions join the decided set too.
+holding one of them.  That is exact because of the class invariant: no
+condition holds an expression the store decides.  The build emits no
+expression the domain alone decides (``0 > Var(o, a)``; ``Var(o, a) > 5``
+when 5 is the top of the domain), each answer drops what it decides, and
+:meth:`CTable.set_condition` simplifies a condition against the store
+when it is stored.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class CTable:
     _expr_index: Counter = field(init=False)
     #: the open expressions over each variable (the keys of ``_expr_index``)
     _var_exprs: Dict[Variable, Set[Expression]] = field(init=False)
-    #: expressions that may resolve without an answer touching their
-    #: variables: those the fresh store decides, plus every expression
-    #: :meth:`set_condition` put in
-    _static: Set[Expression] = field(init=False)
-    #: objects holding an expression of ``_static`` and not touched since
-    _untouched: Set[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if set(self.conditions) != set(range(self.dataset.n_objects)):
@@ -68,18 +63,9 @@ class CTable:
             for variable in condition.variables():
                 self._var_index.setdefault(variable, set()).add(obj)
             self._expr_index.update(condition.expression_counts())
-        resolve = self.constraints.resolve
-        self._static = set()
         for expression in self._expr_index:
             for variable in expression.variables():
                 self._var_exprs.setdefault(variable, set()).add(expression)
-            if resolve(expression) is not None:
-                self._static.add(expression)
-        self._untouched = set()
-        if self._static:
-            for obj, condition in self.conditions.items():
-                if not self._static.isdisjoint(condition.expression_counts()):
-                    self._untouched.add(obj)
 
     # ------------------------------------------------------------------
     # views
@@ -144,10 +130,8 @@ class CTable:
         inference can resolve expressions anywhere inside it.  Each open
         expression over a touched variable is resolved once; those now
         true or false form the decided set.  An affected condition is
-        rewritten in the clauses holding a decided expression, plus, at
-        its first touch, the clauses holding an expression the fresh store
-        already decided.  A condition with neither keeps its ``Condition``
-        object.
+        rewritten in the clauses holding a decided expression; one holding
+        none keeps its ``Condition`` object.
 
         Returns every affected object, changed or not, so callers can
         re-rank incrementally: a touched variable's pmf may have narrowed
@@ -170,12 +154,6 @@ class CTable:
             old = self.conditions[obj]
             counts = old.expression_counts()
             hits = {e: decided[e] for e in decided.keys() & counts.keys()}
-            if obj in self._untouched:
-                self._untouched.discard(obj)
-                for candidate in self._static.intersection(counts):
-                    truth = resolve(candidate)
-                    if truth is not None:
-                        hits[candidate] = truth
             if hits:
                 self._replace(obj, old, old.simplify_with(hits))
         return frozenset(affected)
@@ -218,16 +196,14 @@ class CTable:
     def set_condition(self, obj: int, condition: Condition) -> None:
         """Replace one object's condition (used by tests and extensions).
 
-        The condition is stored as given.  Its expressions join
-        ``_static``, so the object's next touch re-resolves them all and
-        drops those earlier answers already decide.
+        The condition is stored simplified against the current store, so
+        the expressions earlier answers (or the domain) decide drop now.
         """
+        condition = condition.simplify_with(self.constraints.resolve)
         self._replace(obj, self.conditions[obj], condition)
         for expression in condition.expression_counts():
             for variable in expression.variables():
                 self._var_exprs.setdefault(variable, set()).add(expression)
-            self._static.add(expression)
-        self._untouched.add(obj)
 
     # ------------------------------------------------------------------
     # result inference

@@ -8,35 +8,24 @@
 
 Two derivations are provided, matching the paper's Figure 2 comparison:
 
-Three derivations are provided:
-
 * :func:`dominator_sets_baseline` -- "simple pairwise comparisons between
   objects", pure Python, quadratic with per-pair attribute scans.
 * :func:`dominator_sets_fast` -- the Get-CTable derivation, which orders
   attributes by selectivity and intersects candidate sets with vectorized
   (bitwise) boolean operations over numpy arrays, shrinking the candidate
   index set attribute by attribute (one Python iteration per object).
-* :func:`dominator_sets_numpy` -- full NumPy broadcasting over the
-  ``(n, d)`` value matrix and missing-value mask: the possible-dominator
-  relation of a whole block of objects is materialized as one boolean
-  ``(block, n)`` matrix, so dominance tests, membership counts and
-  alpha-pruning all become bulk array operations.  This is the engine
-  behind ``build_ctable(backend="numpy")``.
 
-All three produce identical (sorted) dominator sets.
+Both produce identical (sorted) dominator sets, as does the pruning scan
+of :mod:`repro.ctable.pruning` for the objects it leaves open.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
 from ..datasets.dataset import IncompleteDataset
-
-#: Target element count of one broadcast block (block * n * d bools);
-#: keeps peak intermediate memory around tens of megabytes.
-_BLOCK_ELEMENTS = 1 << 24
 
 
 def dominator_sets_baseline(dataset: IncompleteDataset) -> List[np.ndarray]:
@@ -109,61 +98,19 @@ def dominator_sets_fast(dataset: IncompleteDataset) -> List[np.ndarray]:
     return result
 
 
-def _block_size(n: int, d: int, block_size: Optional[int]) -> int:
-    if block_size is not None:
-        return max(1, int(block_size))
-    return max(1, _BLOCK_ELEMENTS // max(1, n * max(1, d)))
-
-
-def possible_dominator_blocks(
-    dataset: IncompleteDataset, block_size: Optional[int] = None
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(start, possible)`` blocks of the possible-dominator relation.
-
-    ``possible[b, p]`` is True when object ``p`` possibly dominates object
-    ``start + b`` (Eq. 1), with the diagonal (``p == start + b``) cleared.
-    Blocks are sized so one broadcast intermediate stays small enough to
-    live in cache-friendly memory regardless of ``n``.
-    """
-    values = dataset.values
-    mask = dataset.mask
-    n = dataset.n_objects
-    step = _block_size(n, dataset.n_attributes, block_size)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        vo = values[start:stop, None, :]  # (B, 1, d)
-        mo = mask[start:stop, None, :]
-        # D_i membership per cell: o misses i (no constraint), p misses i,
-        # or p is at least as good on i.
-        ok = mo | mask[None, :, :] | (values[None, :, :] >= vo)
-        possible = ok.all(axis=2)
-        possible[np.arange(stop - start), np.arange(start, stop)] = False
-        yield start, possible
-
-
-def dominator_sets_numpy(
-    dataset: IncompleteDataset, block_size: Optional[int] = None
-) -> List[np.ndarray]:
-    """Bulk NumPy-broadcast derivation of every dominator set."""
-    result: List[np.ndarray] = []
-    for __, possible in possible_dominator_blocks(dataset, block_size):
-        for row in possible:
-            result.append(np.nonzero(row)[0].astype(np.int64))
-    return result
-
-
 #: Available derivations, in preference order.
-DOMINATOR_METHODS = ("numpy", "fast", "baseline")
+DOMINATOR_METHODS = ("fast", "baseline")
 
 
 def dominator_sets(
     dataset: IncompleteDataset, method: str = "fast"
 ) -> List[np.ndarray]:
-    """Dispatch between the derivations (all produce identical sets)."""
-    if method == "numpy":
-        return dominator_sets_numpy(dataset)
+    """Dispatch between the derivations (both produce identical sets)."""
     if method == "fast":
         return dominator_sets_fast(dataset)
     if method == "baseline":
         return dominator_sets_baseline(dataset)
-    raise ValueError("unknown dominator-set method %r" % method)
+    raise ValueError(
+        "unknown dominator-set method %r; expected one of %r"
+        % (method, DOMINATOR_METHODS)
+    )

@@ -41,6 +41,7 @@ class TestValidation:
             {"circuit_cache_size": True},
             {"probability_backend": "forest", "probability_method": "naive"},
             {"probability_backend": "compiled"},
+            {"dominator_method": "numpy"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -19,6 +19,7 @@ from repro.ctable import (
     var_greater_const,
 )
 from repro.ctable.constraints import INFERENCE_MODES, VariableConstraints
+from repro.ctable.dominators import DOMINATOR_METHODS, dominator_sets_baseline
 from repro.datasets import MISSING, IncompleteDataset, generate_nba, generate_synthetic
 from repro.probability import DistributionStore
 from repro.probability.adpll import ADPLL
@@ -240,15 +241,17 @@ def assert_indexes_recounted(ctable):
     assert ctable._var_exprs == var_exprs
 
 
-def statically_decided(ctable):
-    fresh = VariableConstraints(ctable.dataset.domain_sizes, mode=ctable.inference_mode)
+def domain_decided(ctable):
+    """The c-table's expressions a fresh full-mode store decides."""
+    fresh = VariableConstraints(ctable.dataset.domain_sizes, mode="full")
     return {e for e in ctable.expression_frequencies() if fresh.resolve(e) is not None}
 
 
 @st.composite
 def small_datasets(draw):
     """Tiny incomplete datasets.  Cells favour the domain's ends, where the
-    build emits statically decided expressions (``0 > Var``, ``Var > top``).
+    domain decides disjuncts (``0 > Var``, ``Var > top``) the build must
+    not emit.
     """
     n = draw(st.integers(3, 7))
     sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
@@ -306,25 +309,93 @@ class TestDecidedSetParity:
             assert_same_conditions(ctable, conditions)
             assert_indexes_recounted(ctable)
 
-    def test_generated_datasets_emit_static_expressions(self):
-        """The strategy above reaches the first-touch rule."""
-        found = []
 
-        @given(small_datasets())
-        @settings(max_examples=60, deadline=None)
-        def collect(dataset):
-            found.append(bool(statically_decided(build_ctable(dataset, alpha=1.0))))
+def oracle_conditions(dataset, alpha):
+    """Get-CTable written from its definition, as the reference build.
 
-        collect()
-        assert sum(found) >= 10
+    Each pair of :func:`dominator_sets_baseline` gives its full disjunct
+    list, domain-decided disjuncts included, and :meth:`Condition.of`
+    normalises the clauses before a fresh full-mode store simplifies them.
+    Membership guarantees ``p >= o`` where both cells are observed, so
+    those disjuncts are false and left out.
+    """
+    fresh = VariableConstraints(dataset.domain_sizes, mode="full")
+    values, mask = dataset.values, dataset.mask
+    conditions = {}
+    for o, dominators in enumerate(dominator_sets_baseline(dataset)):
+        if dominators.size > alpha * dataset.n_objects:
+            conditions[o] = Condition.false()
+            continue
+        clauses = []
+        for p in dominators.tolist():
+            clause = []
+            for k in range(dataset.n_attributes):
+                if mask[o, k] and mask[p, k]:
+                    clause.append(Expression(Var(o, k), Var(p, k)))
+                elif mask[o, k]:
+                    clause.append(var_greater_const(o, k, int(values[p, k])))
+                elif mask[p, k]:
+                    clause.append(const_greater_var(int(values[o, k]), p, k))
+            if clause or (values[p] != values[o]).any():
+                clauses.append(clause)  # an empty clause: p dominates o
+        conditions[o] = Condition.of(clauses).simplify_with(fresh.resolve)
+    return conditions
+
+
+class TestOpenEmission:
+    """The build emits only expressions the domain leaves open."""
+
+    @given(
+        small_datasets(),
+        st.sampled_from(("numpy", "python")),
+        st.sampled_from(("on", "off")),
+        st.sampled_from(DOMINATOR_METHODS),
+        st.sampled_from(INFERENCE_MODES),
+        st.sampled_from((0.3, 1.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_build_matches_simplified_oracle(
+        self, dataset, backend, prune, method, mode, alpha
+    ):
+        ctable = build_ctable(
+            dataset,
+            alpha=alpha,
+            dominator_method=method,
+            inference_mode=mode,
+            backend=backend,
+            prune=prune,
+        )
+        assert not domain_decided(ctable)
+        assert_same_conditions(ctable, oracle_conditions(dataset, alpha))
+        for condition in ctable.conditions.values():
+            # the bulk emitter seeds the variable memo without reading
+            # the clauses
+            assert condition.variables() == {
+                v for e in condition.expressions() for v in e.variables()
+            }
+        assert_indexes_recounted(ctable)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_one_value_domain_emits_no_disjunct(self, backend):
+        """Over a one-value domain even ``Var > Var`` is false."""
+        values = np.array([[MISSING, 1], [MISSING, MISSING], [0, 0]], dtype=np.int64)
+        dataset = IncompleteDataset(values=values, domain_sizes=[1, 2])
+        ctable = build_ctable(dataset, alpha=1.0, backend=backend)
+        assert ctable.conditions == oracle_conditions(dataset, 1.0)
+        assert not domain_decided(ctable)
+        # o2 misses both cells: its a1 disjuncts are all false, and
+        # against o1 nothing else is left
+        assert ctable.condition(1).is_false
+        assert ctable.condition(0) == Condition.of([[const_greater_var(1, 1, 1)]])
 
 
 def first_touch_ctable():
     """Five objects over two 0..3 attributes.
 
-    phi(o2) = [0 > Var(o4, a2)] ∧ [3 > Var(o5, a1)]: the first clause is
-    false for every value.  phi(o5) holds ``Var(o5, a1) > 3``, also false
-    for every value; phi(o3) holds neither kind.
+    Against its one dominator o4, o2 has only ``0 > Var(o4, a2)``, false
+    for every value, so phi(o2) is built false.  phi(o5) would hold
+    ``Var(o5, a1) > 3``, also false for every value, and the build leaves
+    it out.
     """
     values = np.array(
         [[0, MISSING], [3, 0], [1, 1], [3, MISSING], [MISSING, 1]], dtype=np.int64
@@ -334,27 +405,25 @@ def first_touch_ctable():
 
 
 class TestFirstTouch:
-    def test_static_expressions_drop_at_first_touch(self):
+    """A built c-table needs no extra work at an object's first touch."""
+
+    def test_domain_decided_disjuncts_are_not_emitted(self):
         ct = first_touch_ctable()
-        never_touched = ct.condition(1)
-        static = var_greater_const(4, 0, 3)
-        assert static in ct.condition(4).distinct_expressions()
-        # Var(o1, a2) is mentioned by phi(o1) and phi(o5) only, and
-        # Var(o1, a2) < 3 decides nothing in phi(o5): only the first-touch
-        # rule drops its statically false expression.
-        answer = var_greater_const(0, 1, 2)
-        assert ct.apply_answer(answer, Relation.LESS) == frozenset({0, 4})
-        assert static not in ct.condition(4).distinct_expressions()
-        assert ct.condition(4) == Condition.of(
+        assert ct.condition(1).is_false
+        assert not domain_decided(ct)
+        phi5 = Condition.of(
             [
                 [const_greater_var(1, 0, 1), var_greater_const(4, 0, 0)],
                 [const_greater_var(1, 3, 1)],
                 [var_greater_const(4, 0, 1)],
             ]
         )
-        # phi(o2) was not touched: it keeps its statically false clause.
-        assert ct.condition(1) is never_touched
-        assert const_greater_var(0, 3, 1) in never_touched.distinct_expressions()
+        assert ct.condition(4) == phi5
+        # Var(o1, a2) is mentioned by phi(o1) and phi(o5) only, and
+        # Var(o1, a2) < 3 decides nothing in phi(o5).
+        answer = var_greater_const(0, 1, 2)
+        assert ct.apply_answer(answer, Relation.LESS) == frozenset({0, 4})
+        assert ct.condition(4) == phi5
 
     def test_first_touch_matches_reference(self):
         ct = first_touch_ctable()
@@ -373,21 +442,18 @@ class TestFirstTouch:
     def test_affected_object_without_hit_keeps_condition(self):
         ct = first_touch_ctable()
         before = ct.condition(2)
-        # Var(o5, a1) < 3 leaves phi(o3)'s "1 > Var(o5, a1)" open, and
-        # phi(o3) holds no statically decided expression.
+        # Var(o5, a1) < 3 leaves phi(o3)'s "1 > Var(o5, a1)" open.
         affected = ct.apply_answer(var_greater_const(4, 0, 2), Relation.LESS)
         assert 2 in affected
         assert ct.condition(2) is before
 
-    def test_set_condition_drops_decided_expressions_at_next_touch(self):
+    def test_set_condition_drops_decided_expressions(self):
         ct = first_touch_ctable()
         ct.apply_answer(var_greater_const(4, 0, 2), Relation.LESS)
         decided = var_greater_const(4, 0, 2)  # false since Var(o5, a1) < 3
+        domain_false = var_greater_const(3, 1, 3)  # Var(o4, a2) > top
         still_open = const_greater_var(1, 3, 1)
-        ct.set_condition(2, Condition.of([[decided, still_open]]))
-        assert ct.condition(2) == Condition.of([[decided, still_open]])
-        # An answer on Var(o4, a2) alone, deciding nothing in phi(o3).
-        ct.apply_answer(var_greater_const(3, 1, 2), Relation.LESS)
+        ct.set_condition(2, Condition.of([[decided, domain_false, still_open]]))
         assert ct.condition(2) == Condition.of([[still_open]])
         assert_indexes_recounted(ct)
 

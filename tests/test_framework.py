@@ -12,6 +12,7 @@ from repro import (
     skyline,
 )
 from repro.core.framework import learn_distributions
+from repro.ctable import VariableConstraints
 from repro.crowd import SimulatedCrowdPlatform
 from repro.datasets import example_distributions, sample_dataset
 
@@ -195,6 +196,27 @@ class TestPlatformIntegration:
         bc = BayesCrowd(blind, config)
         with pytest.raises(RuntimeError):
             bc.run()
+
+    def test_no_task_on_a_domain_decided_expression(self):
+        """The crowd is never paid to answer what the domain decides
+        (``0 > Var``, ``Var > top``): the c-table never holds it."""
+        nba = generate_nba(n_objects=300, missing_rate=0.1, seed=1)
+        config = BayesCrowdConfig(
+            alpha=0.02, strategy="fbs", budget=20, latency=2, seed=1
+        )
+        bc = BayesCrowd(nba, config)
+        posted = []
+        post_batch = bc.platform.post_batch
+
+        def record(tasks):
+            posted.extend(task.expression for task in tasks)
+            return post_batch(tasks)
+
+        bc.platform.post_batch = record
+        bc.run()
+        assert len(posted) == 20
+        fresh = VariableConstraints(nba.domain_sizes, mode="full")
+        assert [e for e in posted if fresh.resolve(e) is not None] == []
 
 
 class TestResultEnrichment:

@@ -434,15 +434,19 @@ class TestServerBasics:
         assert "trace_path" in body["error"]
 
     def test_removed_compiled_backend_is_400(self, server):
+        """Removed values (the ``compiled`` backend, the ``numpy``
+        dominator method) are rejected with the surviving choices."""
         _make_dataset(server, "d1", n=40)
-        status, body, _, _ = server.request(
-            "POST",
-            "/v1/sessions",
-            {"dataset_id": "d1", "config": {"probability_backend": "compiled"}},
-        )
-        assert status == 400
-        assert "'compiled'" in body["error"]
-        assert "('adpll', 'forest')" in body["error"]
+        for config, removed, choices in (
+            ({"probability_backend": "compiled"}, "'compiled'", "('adpll', 'forest')"),
+            ({"dominator_method": "numpy"}, "'numpy'", "('fast', 'baseline')"),
+        ):
+            status, body, _, _ = server.request(
+                "POST", "/v1/sessions", {"dataset_id": "d1", "config": config}
+            )
+            assert status == 400
+            assert removed in body["error"]
+            assert choices in body["error"]
 
 
 # ----------------------------------------------------------------------
@@ -681,8 +685,9 @@ class TestDrainAndRecovery:
 
     def test_stored_session_with_removed_backend_fails_alone(self, tmp_path):
         """A persisted config the server can no longer build (here the
-        removed ``compiled`` backend) marks that one session FAILED at
-        restart; the server still starts and recovers its siblings."""
+        removed ``compiled`` backend or ``numpy`` dominator method) marks
+        that one session FAILED at restart; the server still starts and
+        recovers its siblings."""
         handle = ServerHandle(_settings(tmp_path))
         data_dir = handle.settings.data_dir
         try:
@@ -692,6 +697,7 @@ class TestDrainAndRecovery:
         store = ServiceStore(data_dir)
         for session_id, config in (
             ("bad", {"budget": 4, "latency": 2, "probability_backend": "compiled"}),
+            ("bad-dominator", {"budget": 4, "latency": 2, "dominator_method": "numpy"}),
             ("good", {"budget": 4, "latency": 2, "seed": 3}),
         ):
             store.create_session(
@@ -705,10 +711,14 @@ class TestDrainAndRecovery:
             assert status == 200
             view = restarted.wait_state("good", ("DONE", "DEGRADED"))
             assert view["state"] == "DONE"
-            meta = ServiceStore(data_dir).session_meta("bad")
-            assert meta["state"] == "FAILED"
-            assert meta["error"].startswith("unrecoverable:")
-            assert "'compiled'" in meta["error"]
+            for session_id, removed in (
+                ("bad", "'compiled'"),
+                ("bad-dominator", "'numpy'"),
+            ):
+                meta = ServiceStore(data_dir).session_meta(session_id)
+                assert meta["state"] == "FAILED"
+                assert meta["error"].startswith("unrecoverable:")
+                assert removed in meta["error"]
         finally:
             restarted.stop()
         remaining = {m["session_id"] for m in ServiceStore(data_dir).recoverable_sessions()}

@@ -18,6 +18,7 @@ Standalone mode benchmarks scaling directly (no pytest needed) and emits
 """
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -99,78 +100,88 @@ def run_standalone(
     rows = []
     reference = None
     reference_ctable = None
-    for method in methods:
-        seconds = None
-        for __ in range(max(1, repeats)):
-            with tracer.span("ctable[%s]" % method, phase="ctable") as span:
-                ctable = _build(dataset, method, alpha=alpha, n_jobs=n_jobs)
-            elapsed = span.seconds
-            if seconds is None or elapsed < seconds:
-                seconds = elapsed
-        if reference is None:
-            reference = seconds
-        parity_ok = None
-        if verify:
-            if reference_ctable is None:
-                reference_ctable = ctable
-                parity_ok = True
-            else:
-                parity_ok = (
-                    ctable.conditions == reference_ctable.conditions
-                    and ctable.pruned == reference_ctable.pruned
-                )
-                if not parity_ok:
-                    raise AssertionError(
-                        "method %r built a different c-table than %r"
-                        % (method, methods[0])
+    try:
+        for method in methods:
+            seconds = None
+            for __ in range(max(1, repeats)):
+                # Release the previous build first: the collector would scan
+                # its objects during this timed build.
+                ctable = None
+                with tracer.span("ctable[%s]" % method, phase="ctable") as span:
+                    ctable = _build(dataset, method, alpha=alpha, n_jobs=n_jobs)
+                elapsed = span.seconds
+                if seconds is None or elapsed < seconds:
+                    seconds = elapsed
+            if reference is None:
+                reference = seconds
+            parity_ok = None
+            if verify:
+                if reference_ctable is None:
+                    reference_ctable = ctable
+                    parity_ok = True
+                    # Move the kept reference out of the collector's reach,
+                    # so it skews no later timed build.
+                    gc.collect()
+                    gc.freeze()
+                else:
+                    parity_ok = (
+                        ctable.conditions == reference_ctable.conditions
+                        and ctable.pruned == reference_ctable.pruned
                     )
-        stats = ctable.build_stats
-        registry.absorb(stats, prefix="ctable_%s_" % method)
-        extra = {
-            "method": method,
-            "backend": stats["backend"],
-            "n_objects": n,
-            "missing_rate": missing_rate,
-            "alpha": alpha,
-            "pairs_tested": stats["pairs_tested"],
-            "pairs_pruned": stats["pairs_pruned"],
-            "pair_universe": stats["pair_universe"],
-            "pairs_reduction": (
-                round(stats["pair_universe"] / stats["pairs_tested"], 2)
-                if stats["pairs_tested"]
-                else 0.0
-            ),
-            "pairs_per_sec": round(stats["pairs_tested"] / seconds) if seconds else 0,
-            "open_conditions": stats["open_conditions"],
-            "repeats": max(1, repeats),
-            "speedup_vs_first": round(reference / seconds, 2) if seconds else 0.0,
-        }
-        if parity_ok is not None:
-            extra["parity_vs_first"] = parity_ok
-        if stats.get("prune_enabled"):
-            extra["scan_seconds"] = round(stats["scan_seconds"], 3)
-            extra["scan_workers"] = stats["scan_workers"]
-            extra["scan_decision"] = stats["scan_decision"]
-            extra["blocks_sharded"] = stats["blocks_sharded"]
-        rows.append(
-            {
-                "name": "ctable[n=%d,%s]" % (n, method),
-                "fullname": "bench_fig02_ctable.py::standalone",
-                "stats": {"mean": seconds},
-                "extra_info": extra,
+                    if not parity_ok:
+                        raise AssertionError(
+                            "method %r built a different c-table than %r"
+                            % (method, methods[0])
+                        )
+            stats = ctable.build_stats
+            registry.absorb(stats, prefix="ctable_%s_" % method)
+            extra = {
+                "method": method,
+                "backend": stats["backend"],
+                "n_objects": n,
+                "missing_rate": missing_rate,
+                "alpha": alpha,
+                "pairs_tested": stats["pairs_tested"],
+                "pairs_pruned": stats["pairs_pruned"],
+                "pair_universe": stats["pair_universe"],
+                "pairs_reduction": (
+                    round(stats["pair_universe"] / stats["pairs_tested"], 2)
+                    if stats["pairs_tested"]
+                    else 0.0
+                ),
+                "pairs_per_sec": round(stats["pairs_tested"] / seconds) if seconds else 0,
+                "open_conditions": stats["open_conditions"],
+                "repeats": max(1, repeats),
+                "speedup_vs_first": round(reference / seconds, 2) if seconds else 0.0,
             }
-        )
-        print(
-            "%-16s %8.3fs  %12s pairs/s  %6.2fx pairs pruned  (%.2fx vs %s)"
-            % (
-                method,
-                seconds,
-                extra["pairs_per_sec"],
-                extra["pairs_reduction"],
-                extra["speedup_vs_first"],
-                methods[0],
+            if parity_ok is not None:
+                extra["parity_vs_first"] = parity_ok
+            if stats.get("prune_enabled"):
+                extra["scan_seconds"] = round(stats["scan_seconds"], 3)
+                extra["scan_workers"] = stats["scan_workers"]
+                extra["scan_decision"] = stats["scan_decision"]
+                extra["blocks_sharded"] = stats["blocks_sharded"]
+            rows.append(
+                {
+                    "name": "ctable[n=%d,%s]" % (n, method),
+                    "fullname": "bench_fig02_ctable.py::standalone",
+                    "stats": {"mean": seconds},
+                    "extra_info": extra,
+                }
             )
-        )
+            print(
+                "%-16s %8.3fs  %12s pairs/s  %6.2fx pairs pruned  (%.2fx vs %s)"
+                % (
+                    method,
+                    seconds,
+                    extra["pairs_per_sec"],
+                    extra["pairs_reduction"],
+                    extra["speedup_vs_first"],
+                    methods[0],
+                )
+            )
+    finally:
+        gc.unfreeze()
     payload = {"benchmarks": rows, "metrics": registry.snapshot()}
     path = Path(out_path)
     if append and path.exists():

@@ -2,16 +2,20 @@
 
 Not paper figures; they track the fixed costs every query pays: dominator
 derivation, skyline ground truth, Bayesian-network learning and exact
-inference, and the crowd platform's answer pipeline.
+inference, the check and normalisation of the posterior pmfs, and the
+crowd platform's answer pipeline.
 """
 
 import numpy as np
 import pytest
 
 from repro.bayesnet import BayesianNetwork, MissingValuePosteriors, hill_climb
+from repro.core import BayesCrowdConfig
+from repro.core.framework import learn_distributions
 from repro.crowd import ComparisonTask, SimulatedCrowdPlatform
 from repro.ctable import dominator_sets_baseline, dominator_sets_fast, var_greater_const
 from repro.datasets import generate_nba, generate_synthetic
+from repro.probability import DistributionStore
 from repro.skyline import skyline, skyline_layers
 
 
@@ -80,6 +84,14 @@ def test_bn_posterior_precompute(benchmark, once):
         lambda: MissingValuePosteriors(network, dataset).precompute_all(),
     )
     benchmark.extra_info["cells"] = len(variables)
+
+
+def test_distribution_store_build(benchmark, once):
+    """Check and normalise one query's posterior pmfs (NBA n=3000)."""
+    dataset = generate_nba(n_objects=3000, missing_rate=0.1, seed=1)
+    posteriors = learn_distributions(dataset, BayesCrowdConfig(seed=1))
+    store = once(benchmark, lambda: DistributionStore(posteriors, None))
+    benchmark.extra_info["pmfs"] = len(store.variables())
 
 
 def test_crowd_platform_round_trip(benchmark, once):

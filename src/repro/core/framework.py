@@ -468,45 +468,47 @@ class BayesCrowd:
                     worker=worker,
                 )
         modeling_seconds = time.perf_counter() - start
-        store = DistributionStore(self.distributions, ctable.constraints)
-        engine = ProbabilityEngine(
-            store,
-            method=config.probability_method,
-            rng=self._rng,
-            cache_size=config.cache_size,
-            n_jobs=config.n_jobs,
-            node_budget=config.adpll_node_budget,
-            deadline_s=config.adpll_deadline_s,
-            backend=config.probability_backend,
-            compile_node_budget=config.compile_node_budget,
-            circuit_cache_size=config.circuit_cache_size,
-        )
-        engine.attach_cancellation(cancel)
-        self.ctable = ctable
-        self.engine = engine
-        # Answer integrity: the ledger shares the c-table's constraint
-        # store, so its contradiction checks see exactly the accepted
-        # answers (including everything a checkpoint replays below).
-        ledger = AnswerLedger(constraints=ctable.constraints)
-        reliability = WorkerReliability(prior=config.reliability_prior)
-        self.ledger = ledger
-        self.reliability = reliability
-        # Batched utility scorer: one deduplicated probability batch per
-        # round plus a cross-round gain cache, instead of per-candidate
-        # serial ADPLL calls.  FBS never scores utilities, so it skips the
-        # engine entirely; config.selection_batch=False keeps the scalar
-        # path for ablation (both select identical expressions).
-        utility_engine: Optional[UtilityEngine] = None
-        if config.selection_batch and config.strategy.lower() != "fbs":
-            utility_engine = UtilityEngine(
-                engine,
-                mode=config.utility_mode,
-                cache_size=config.utility_cache_size,
-            )
-        self.utility_engine = utility_engine
-        # Warm the engine's cache in one batch so the initial result set
-        # and the first round's ranking reuse every probability.
+        # The store build checks and normalises every posterior pmf; it and
+        # the engine set-up below count as initial probability work.
         with tracer.span("probability", stage="initial"):
+            store = DistributionStore(self.distributions, ctable.constraints)
+            engine = ProbabilityEngine(
+                store,
+                method=config.probability_method,
+                rng=self._rng,
+                cache_size=config.cache_size,
+                n_jobs=config.n_jobs,
+                node_budget=config.adpll_node_budget,
+                deadline_s=config.adpll_deadline_s,
+                backend=config.probability_backend,
+                compile_node_budget=config.compile_node_budget,
+                circuit_cache_size=config.circuit_cache_size,
+            )
+            engine.attach_cancellation(cancel)
+            self.ctable = ctable
+            self.engine = engine
+            # Answer integrity: the ledger shares the c-table's constraint
+            # store, so its contradiction checks see exactly the accepted
+            # answers (including everything a checkpoint replays below).
+            ledger = AnswerLedger(constraints=ctable.constraints)
+            reliability = WorkerReliability(prior=config.reliability_prior)
+            self.ledger = ledger
+            self.reliability = reliability
+            # Batched utility scorer: one deduplicated probability batch per
+            # round plus a cross-round gain cache, instead of per-candidate
+            # serial ADPLL calls.  FBS never scores utilities, so it skips the
+            # engine entirely; config.selection_batch=False keeps the scalar
+            # path for ablation (both select identical expressions).
+            utility_engine: Optional[UtilityEngine] = None
+            if config.selection_batch and config.strategy.lower() != "fbs":
+                utility_engine = UtilityEngine(
+                    engine,
+                    mode=config.utility_mode,
+                    cache_size=config.utility_cache_size,
+                )
+            self.utility_engine = utility_engine
+            # Warm the engine's cache in one batch so the initial result set
+            # and the first round's ranking reuse every probability.
             undecided = ctable.undecided()
             engine.probability_many(
                 [ctable.condition(o) for o in undecided], objects=undecided

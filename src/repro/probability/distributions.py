@@ -37,17 +37,45 @@ class DistributionStore:
         base: Mapping[Variable, np.ndarray],
         constraints: Optional[VariableConstraints] = None,
     ) -> None:
-        self._base: Dict[Variable, np.ndarray] = {}
-        for variable, pmf in base.items():
+        # One Python pass groups the pmfs by domain size; each group is then
+        # checked and normalised as one matrix.  A shape error ends the pass,
+        # so any value error found in the groups comes before it, and the
+        # error raised always names the first bad variable in input order.
+        variables: List[Variable] = []
+        groups: "defaultdict[int, Tuple[List[int], List[np.ndarray]]]" = (
+            defaultdict(lambda: ([], []))
+        )
+        first_bad: Optional[Tuple[int, str]] = None
+        for position, (variable, pmf) in enumerate(base.items()):
+            variables.append(variable)
             pmf = np.asarray(pmf, dtype=np.float64)
             if pmf.ndim != 1 or pmf.size == 0:
-                raise ValueError("pmf of %s must be a non-empty vector" % (variable,))
-            if (pmf < 0).any():
-                raise ValueError("pmf of %s has negative entries" % (variable,))
-            total = pmf.sum()
-            if not np.isclose(total, 1.0, atol=1e-6):
-                raise ValueError("pmf of %s sums to %r, not 1" % (variable, total))
-            self._base[variable] = pmf / total
+                first_bad = (position, "must be a non-empty vector")
+                break
+            positions, pmfs = groups[pmf.size]
+            positions.append(position)
+            pmfs.append(pmf)
+        rows: List[np.ndarray] = [None] * len(variables)  # type: ignore[list-item]
+        for positions, pmfs in groups.values():
+            # np.stack copies: no row shares memory with the caller's arrays
+            matrix = np.stack(pmfs)
+            negative = (matrix < 0).any(axis=1)
+            totals = matrix.sum(axis=1)
+            bad = np.flatnonzero(negative | ~np.isclose(totals, 1.0, atol=1e-6))
+            if bad.size and (first_bad is None or positions[bad[0]] < first_bad[0]):
+                row = bad[0]
+                first_bad = (
+                    positions[row],
+                    "has negative entries"
+                    if negative[row]
+                    else "sums to %r, not 1" % (totals[row],),
+                )
+            for position, pmf in zip(positions, matrix / totals[:, None]):
+                rows[position] = pmf
+        if first_bad is not None:
+            position, message = first_bad
+            raise ValueError("pmf of %s %s" % (variables[position], message))
+        self._base: Dict[Variable, np.ndarray] = dict(zip(variables, rows))
         self._constraints = constraints
         # Hot-path caches, validated against per-variable constraint versions:
         # leaf expressions repeat heavily across ADPLL branches.

@@ -11,10 +11,12 @@ from repro import (
     run_bayescrowd,
     skyline,
 )
+from repro.core import framework
 from repro.core.framework import learn_distributions
 from repro.ctable import VariableConstraints
 from repro.crowd import SimulatedCrowdPlatform
 from repro.datasets import example_distributions, sample_dataset
+from repro.probability import DistributionStore
 
 
 def movie_query(budget=6, latency=3, strategy="hhs", m=2, **kwargs):
@@ -217,6 +219,21 @@ class TestPlatformIntegration:
         assert len(posted) == 20
         fresh = VariableConstraints(nba.domain_sizes, mode="full")
         assert [e for e in posted if fresh.resolve(e) is not None] == []
+
+    def test_store_is_built_inside_the_initial_probability_span(self, monkeypatch):
+        """Validating the posterior pmfs is traced work, not a gap between
+        the ``ctable`` and ``probability`` spans."""
+        bc = movie_query(budget=2, latency=1)
+        open_spans = []
+
+        def recording_store(*args, **kwargs):
+            span = bc.tracer._stack[-1]
+            open_spans.append((span.name, span.attrs))
+            return DistributionStore(*args, **kwargs)
+
+        monkeypatch.setattr(framework, "DistributionStore", recording_store)
+        bc.run()
+        assert open_spans == [("probability", {"stage": "initial"})]
 
 
 class TestResultEnrichment:

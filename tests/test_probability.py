@@ -51,6 +51,87 @@ class TestDistributionStore:
         with pytest.raises(ValueError):
             DistributionStore({V: np.array([1.5, -0.5])})
 
+    @pytest.mark.parametrize(
+        "pmf, message",
+        [
+            (np.array([]), "must be a non-empty vector"),
+            (np.full((2, 2), 0.25), "must be a non-empty vector"),
+            (np.array([0.5, np.nan, 0.5]), "sums to np.float64(nan), not 1"),
+        ],
+        ids=["empty", "2d", "nan"],
+    )
+    def test_rejects_malformed(self, pmf, message):
+        with pytest.raises(ValueError) as raised:
+            DistributionStore({W: np.full(3, 1 / 3), V: pmf})
+        assert str(raised.value) == "pmf of %s %s" % (V, message)
+
+    def test_error_names_first_bad_variable_in_input_order(self):
+        good = np.full(4, 0.25)
+        negative = np.array([0.5, 0.7, -0.2])  # sums to 1
+        unnormalized = np.full(5, 0.3)
+        with pytest.raises(ValueError) as raised:
+            DistributionStore({V: good, W: negative, U: unnormalized})
+        assert str(raised.value) == "pmf of %s has negative entries" % (W,)
+        with pytest.raises(ValueError) as raised:
+            DistributionStore({V: good, U: unnormalized, W: negative})
+        assert str(raised.value) == "pmf of %s sums to %r, not 1" % (
+            U, unnormalized.sum(),
+        )
+        # a shape error raises only when no earlier pmf is bad
+        with pytest.raises(ValueError) as raised:
+            DistributionStore({U: unnormalized, V: np.array([]), W: negative})
+        assert str(raised.value) == "pmf of %s sums to %r, not 1" % (
+            U, unnormalized.sum(),
+        )
+        with pytest.raises(ValueError) as raised:
+            DistributionStore({V: np.array([]), U: unnormalized})
+        assert str(raised.value) == "pmf of %s must be a non-empty vector" % (V,)
+
+    def test_negative_check_precedes_sum_check(self):
+        with pytest.raises(ValueError, match="negative entries"):
+            DistributionStore({V: np.array([0.9, -0.5])})
+
+    def test_accepts_lists_and_integers(self):
+        store = DistributionStore({V: [0.25, 0.75], W: [0, 1, 0], U: np.array([1])})
+        assert store.pmf(V).tolist() == [0.25, 0.75]
+        assert store.pmf(W).tolist() == [0.0, 1.0, 0.0]
+        assert store.pmf(U).tolist() == [1.0]
+        assert all(store.pmf(v).dtype == np.float64 for v in (V, W, U))
+
+    def test_variables_keep_input_order(self):
+        order = [(5, 1), V, (3, 2), W, (9, 0), U]
+        sizes = [4, 2, 4, 3, 2, 5]
+        store = DistributionStore(
+            {v: np.full(size, 1 / size) for v, size in zip(order, sizes)}
+        )
+        assert list(store.variables()) == order
+
+    def test_store_shares_no_array_with_the_caller(self):
+        base = {V: np.full(4, 0.25), W: np.full(4, 0.25), U: np.array([0.5, 0.5])}
+        store = DistributionStore(base)
+        for pmf in base.values():
+            pmf[:] = 7.0
+        assert store.pmf(V).tolist() == [0.25] * 4
+        assert store.pmf(W).tolist() == [0.25] * 4
+        assert store.pmf(U).tolist() == [0.5, 0.5]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_base_pmfs_match_scalar_normalisation_bit_for_bit(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=12))
+        base = {}
+        for index, size in enumerate(sizes):
+            weights = np.array(
+                data.draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+            )
+            scale = data.draw(st.floats(1 - 1e-7, 1 + 1e-7))
+            base[(index, index % 3)] = weights / weights.sum() * scale
+        store = DistributionStore(base)
+        for variable, pmf in base.items():
+            expected = pmf / pmf.sum()
+            assert store.pmf(variable).dtype == np.float64
+            assert np.array_equal(store.pmf(variable), expected)
+
     def test_pmf_lookup(self):
         store = uniform_store()
         assert store.pmf(V) == pytest.approx([0.25] * 4)

@@ -426,13 +426,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         stats = result.engine_stats
         print(
             "perf: ctable %s backend, %.0f pairs/s | engine %.0f probs/s, "
-            "cache hit rate %.1f%%, %d rescored across %d rankings"
+            "cache hit rate %.1f%%, %d rescored and %d bounded across %d rankings"
             % (
                 stats.get("ctable_backend", "?"),
                 stats.get("ctable_pairs_per_sec", 0.0),
                 stats.get("probabilities_per_sec", 0.0),
                 100.0 * stats.get("cache_hit_rate", 0.0),
                 stats.get("objects_rescored", 0),
+                stats.get("objects_bounded", 0),
                 stats.get("rankings", 0),
             )
         )

@@ -79,7 +79,7 @@ from ..session.recovery import (
 )
 from .config import BayesCrowdConfig
 from .result import QueryResult, RoundRecord
-from .selection import IncrementalRanker
+from .selection import IncrementalRanker, bounded_result_set
 from .strategies import SelectionContext, expression_frequencies, make_strategy
 from .utility_engine import UtilityEngine
 
@@ -507,11 +507,10 @@ class BayesCrowd:
                     cache_size=config.utility_cache_size,
                 )
             self.utility_engine = utility_engine
-            # Warm the engine's cache in one batch so the initial result set
-            # and the first round's ranking reuse every probability.
-            undecided = ctable.undecided()
-            engine.probability_many(
-                [ctable.condition(o) for o in undecided], objects=undecided
+            # Each open object is decided from its bracket; only brackets
+            # straddling the threshold are solved, in one batch.
+            initial_answers, initial_bounded = bounded_result_set(
+                ctable, engine, config.answer_threshold
             )
             for worker, seconds in enumerate(engine.parallel_worker_seconds):
                 tracer.record(
@@ -520,9 +519,6 @@ class BayesCrowd:
                     phase="probability",
                     worker=worker,
                 )
-            initial_answers = ctable.result_set(
-                engine.probability, config.answer_threshold
-            )
 
         # --- crowdsourcing phase --------------------------------------
         # Durable write-ahead journal: every accepted answer, quarantine
@@ -631,13 +627,12 @@ class BayesCrowd:
                     break
                 self._execute_round(plan, run)
 
-        # One last batch pass so the final result set reads from cache.
+        # One last bracket pass; the straddling objects and the answers are
+        # solved in one batch, so the reported probabilities read from cache.
         with tracer.span("probability", stage="final"):
-            undecided = ctable.undecided()
-            engine.probability_many(
-                [ctable.condition(o) for o in undecided], objects=undecided
+            answers, final_bounded = bounded_result_set(
+                ctable, engine, config.answer_threshold, solve_answers=True
             )
-            answers = ctable.result_set(engine.probability, config.answer_threshold)
             probabilities: Dict[int, float] = {}
             probability_exact: Dict[int, bool] = {}
             probability_error_bounds: Dict[int, float] = {}
@@ -654,7 +649,9 @@ class BayesCrowd:
                     probability_error_bounds[obj] = detail.error_bound
         total_seconds = time.perf_counter() - start - run.crowd_wait
         engine_stats = engine.stats()
+        objects_bounded = initial_bounded + ranker.n_bounded + final_bounded
         engine_stats["objects_rescored"] = ranker.n_rescored
+        engine_stats["objects_bounded"] = objects_bounded
         engine_stats["rankings"] = ranker.n_rankings
         for key, value in ctable.build_stats.items():
             engine_stats["ctable_%s" % key] = value
@@ -697,6 +694,7 @@ class BayesCrowd:
         registry.counter("posterior_inference_calls")
         registry.absorb(self.preprocess_stats, prefix="posterior_")
         registry.counter("ranker_objects_rescored").inc(ranker.n_rescored)
+        registry.counter("ranker_objects_bounded").inc(objects_bounded)
         registry.counter("ranker_rankings").inc(ranker.n_rankings)
         tasks_posted_total = sum(r.tasks_posted for r in run.history)
         tasks_answered_total = sum(r.tasks_answered for r in run.history)

@@ -49,6 +49,8 @@ class CTable:
     _expr_index: Counter = field(init=False)
     #: the open expressions over each variable (the keys of ``_expr_index``)
     _var_exprs: Dict[Variable, Set[Expression]] = field(init=False)
+    #: objects whose condition is symbolic, kept in sync by ``_replace``
+    _open: Set[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if set(self.conditions) != set(range(self.dataset.n_objects)):
@@ -59,7 +61,11 @@ class CTable:
         self._var_index = {}
         self._expr_index = Counter()
         self._var_exprs = {}
+        self._open = set()
         for obj, condition in self.conditions.items():
+            if condition.is_constant:
+                continue
+            self._open.add(obj)
             for variable in condition.variables():
                 self._var_index.setdefault(variable, set()).add(obj)
             self._expr_index.update(condition.expression_counts())
@@ -82,11 +88,11 @@ class CTable:
 
     def undecided(self) -> List[int]:
         """Objects with a symbolic condition (candidates for crowdsourcing)."""
-        return sorted(o for o, c in self.conditions.items() if not c.is_constant)
+        return sorted(self._open)
 
     def has_open_expressions(self) -> bool:
         """True while any condition still contains an expression."""
-        return any(not c.is_constant for c in self.conditions.values())
+        return bool(self._open)
 
     def open_expressions(self) -> Iterator[Tuple[int, Expression]]:
         """All ``(object, expression)`` pairs still present in conditions."""
@@ -111,9 +117,7 @@ class CTable:
 
     def n_open_expressions(self) -> int:
         return sum(
-            len(c.distinct_expressions())
-            for c in self.conditions.values()
-            if not c.is_constant
+            len(self.conditions[obj].distinct_expressions()) for obj in self._open
         )
 
     # ------------------------------------------------------------------
@@ -161,6 +165,10 @@ class CTable:
     def _replace(self, obj: int, old: Condition, new: Condition) -> None:
         """Swap one object's condition and bring the indexes in line."""
         self.conditions[obj] = new
+        if new.is_constant:
+            self._open.discard(obj)
+        else:
+            self._open.add(obj)
         self._update_expr_index(old, new)
         new_vars = new.variables()
         for variable in new_vars - old.variables():

@@ -19,6 +19,7 @@ instead of being pickled into every chunk payload.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -72,6 +73,45 @@ MIN_CONDITIONS_PER_WORKER = 8
 #: fig03 sequential row used to report the pre-init placeholder).
 _DECISION_SCALAR = PoolDecision(1, "sequential: scalar per-condition path")
 _DECISION_ALL_CACHED = PoolDecision(1, "sequential: batch fully served from cache")
+
+
+#: Widening of :meth:`ProbabilityEngine.bounds_many` brackets: far above
+#: the float rounding of any exact solve, far below any decision margin.
+BOUND_SLACK = 1e-9
+
+
+def _brackets(
+    conditions: Sequence[Condition], probabilities: Dict[Expression, float]
+) -> List[Tuple[float, float]]:
+    """Boole/Frechet brackets of symbolic CNF conditions, in one numpy pass.
+
+    Every occurrence's leaf probability is laid out clause after clause;
+    ``reduceat`` then takes each clause's sum and max and each
+    condition's min and sum over its clauses.  Symbolic conditions hold
+    no empty clause, so no segment is empty.
+    """
+    clauses = [clause for condition in conditions for clause in condition.clauses]
+    lengths = np.fromiter(map(len, clauses), dtype=np.intp, count=len(clauses))
+    values = np.fromiter(
+        map(probabilities.__getitem__, itertools.chain.from_iterable(clauses)),
+        dtype=np.float64,
+        count=int(lengths.sum()),
+    )
+    clause_starts = np.zeros(len(clauses), dtype=np.intp)
+    np.cumsum(lengths[:-1], out=clause_starts[1:])
+    counts = np.fromiter(
+        (len(condition.clauses) for condition in conditions),
+        dtype=np.intp,
+        count=len(conditions),
+    )
+    condition_starts = np.zeros(len(conditions), dtype=np.intp)
+    np.cumsum(counts[:-1], out=condition_starts[1:])
+    totals = np.add.reduceat(values, clause_starts)
+    best = np.maximum.reduceat(values, clause_starts)
+    hi = np.minimum.reduceat(np.minimum(totals, 1.0), condition_starts)
+    missing = np.add.reduceat(1.0 - best, condition_starts)
+    lo = np.maximum(0.0, 1.0 - missing) - BOUND_SLACK
+    return list(zip(lo.tolist(), (hi + BOUND_SLACK).tolist()))
 
 
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
@@ -362,6 +402,49 @@ class ProbabilityEngine:
         self.n_batch_conditions += len(conditions)
         self.batch_seconds += time.perf_counter() - start
         return [results[condition] for condition in conditions]
+
+    def bounds_many(self, conditions: Sequence[Condition]) -> List[Tuple[float, float]]:
+        """Sound ``(lo, hi)`` brackets of ``Pr(condition)``, one per condition.
+
+        For ``phi = AND_i C_i`` with clauses ``C_i = OR_e e``, Boole and
+        Frechet give ``hi = min_i min(1, sum_e Pr(e))`` and
+        ``lo = max(0, 1 - sum_i (1 - max_e Pr(e)))`` whatever the
+        dependence between expressions; both are then widened by
+        :data:`BOUND_SLACK` so float rounding in the exact solvers (which
+        can return ``1.0000000000000002``) stays inside.  The leaf
+        probabilities come from one ``prob_expressions_bulk`` gather,
+        which also warms the leaves of any later exact solve.  A cached exact value collapses its pair
+        to ``(p, p)``.  An engine whose values are not exact (``approx``,
+        or the resource guard active) answers ``(0, 1)`` for every
+        symbolic condition, so bound-first callers solve everything.
+        """
+        out: List[Tuple[float, float]] = []
+        exact = self.method != "approx" and not self.guard_active
+        version = self.store.version
+        unsolved: List[int] = []
+        for index, condition in enumerate(conditions):
+            if condition.is_constant:
+                value = 1.0 if condition.is_true else 0.0
+                out.append((value, value))
+                continue
+            if exact and self._use_cache:
+                value = self._cached(condition, version)
+                if value is not None:
+                    out.append((value, value))
+                    continue
+            out.append((0.0, 1.0))
+            if exact:
+                unsolved.append(index)
+        if unsolved:
+            pending = [conditions[index] for index in unsolved]
+            leaves = set()
+            for condition in pending:
+                for clause in condition.clauses:
+                    leaves.update(clause)
+            probabilities = self.store.prob_expressions_bulk(leaves)
+            for index, bracket in zip(unsolved, _brackets(pending, probabilities)):
+                out[index] = bracket
+        return out
 
     def _compute_batch(
         self,

@@ -174,6 +174,14 @@ class TestExpressionFrequencyIndex:
         # Zeroed entries are dropped, not kept at zero.
         assert expression not in ct.expression_frequencies()
 
+    def test_open_set_follows_set_condition(self, movies_ctable):
+        ct = movies_ctable
+        ct.set_condition(0, Condition.false())
+        assert ct.undecided() == [3, 4]
+        ct.set_condition(1, Condition.of([[var_greater_const(4, 1, 5)]]))
+        assert ct.undecided() == [1, 3, 4]
+        assert_indexes_recounted(ct)
+
     def test_counts_repeats_within_a_condition(self, movies_ctable):
         ct = movies_ctable
         expression = var_greater_const(4, 1, 5)
@@ -239,6 +247,11 @@ def assert_indexes_recounted(ctable):
     assert dict(ctable._expr_index) == dict(expressions)
     assert ctable._var_index == var_index
     assert ctable._var_exprs == var_exprs
+    open_objects = sorted(
+        obj for obj, condition in ctable.conditions.items() if not condition.is_constant
+    )
+    assert ctable.undecided() == open_objects
+    assert ctable.has_open_expressions() == bool(open_objects)
 
 
 def domain_decided(ctable):

@@ -8,6 +8,7 @@ from repro import (
     BayesCrowdConfig,
     f1_score,
     generate_nba,
+    generate_synthetic,
     run_bayescrowd,
     skyline,
 )
@@ -16,7 +17,7 @@ from repro.core.framework import learn_distributions
 from repro.ctable import VariableConstraints
 from repro.crowd import SimulatedCrowdPlatform
 from repro.datasets import example_distributions, sample_dataset
-from repro.probability import DistributionStore
+from repro.probability import DistributionStore, ProbabilityEngine
 
 
 def movie_query(budget=6, latency=3, strategy="hhs", m=2, **kwargs):
@@ -311,3 +312,87 @@ class TestEarlyStopping:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             BayesCrowdConfig(entropy_epsilon=1.5)
+
+
+def _observed(result):
+    """The QueryResult fields bracket-first probabilities must not move."""
+    return dict(
+        answers=result.answers,
+        initial_answers=result.initial_answers,
+        rounds=[record.objects for record in result.history],
+        answer_probabilities=result.answer_probabilities,
+        probability_exact=result.probability_exact,
+        tasks_posted=result.tasks_posted,
+    )
+
+
+def _open_brackets(monkeypatch):
+    """Make every bracket ``(0, 1)``: the ranking and both result sets then
+    solve every open object, as the eager passes did."""
+    monkeypatch.setattr(
+        ProbabilityEngine,
+        "bounds_many",
+        lambda self, conditions: [(0.0, 1.0)] * len(conditions),
+    )
+
+
+def _differential_query(seed, n=240, **overrides):
+    dataset = generate_synthetic(n_objects=n, missing_rate=0.15, seed=seed)
+    fields = dict(alpha=0.05, budget=24, latency=4, strategy="hhs", m=4, seed=seed)
+    fields.update(overrides)
+    return dataset, BayesCrowdConfig(**fields)
+
+
+class TestBracketFirstDifferential:
+    """Bracket-first probabilities against the eager, solve-everything run."""
+
+    @pytest.mark.parametrize(
+        "seed, overrides",
+        [
+            (40, {"strategy": "fbs"}),
+            (41, {"strategy": "ubs"}),
+            (42, {"strategy": "hhs"}),
+            # sampling is slow: a smaller FBS query keeps this case short
+            (43, {"strategy": "fbs", "probability_method": "approx", "n": 80,
+                  "budget": 8, "latency": 2}),
+            (44, {"strategy": "hhs", "adpll_node_budget": 10**6}),
+        ],
+    )
+    def test_query_matches_the_eager_run(self, monkeypatch, seed, overrides):
+        dataset, config = _differential_query(seed, **overrides)
+        bounded = BayesCrowd(dataset, config).run()
+        with monkeypatch.context() as patch:
+            _open_brackets(patch)
+            eager = BayesCrowd(dataset, config).run()
+        assert _observed(bounded) == _observed(eager)
+        assert eager.engine_stats["objects_bounded"] == 0
+        if overrides.get("probability_method", "adpll") == "adpll" and (
+            "adpll_node_budget" not in overrides
+        ):
+            assert bounded.engine_stats["objects_bounded"] > 0
+        else:
+            # an inexact engine brackets nothing: the run is the eager one
+            assert bounded.engine_stats["objects_bounded"] == 0
+
+    def test_journal_resume_at_a_round_boundary(self, monkeypatch, tmp_path):
+        from repro.session import read_journal
+
+        dataset, config = _differential_query(45, strategy="ubs")
+        journal = tmp_path / "full.journal.jsonl"
+        with monkeypatch.context() as patch:
+            _open_brackets(patch)
+            eager = BayesCrowd(dataset, config).run()
+        BayesCrowd(dataset, config).run(journal_path=journal)
+        lines = [line for line in journal.read_text().split("\n") if line]
+        commits = [
+            index
+            for index, record in enumerate(read_journal(journal))
+            if record.kind == "round_commit"
+        ]
+        assert len(commits) >= 2
+        cut = commits[int(np.random.default_rng(45).integers(len(commits) - 1))]
+        truncated = tmp_path / "cut.journal.jsonl"
+        truncated.write_text("\n".join(lines[: cut + 1]) + "\n")
+        resumed = BayesCrowd(dataset, config).run(journal_path=truncated, resume=True)
+        assert resumed.resumed
+        assert _observed(resumed) == _observed(eager)

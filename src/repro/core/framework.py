@@ -22,8 +22,8 @@ gracefully with ``QueryResult.degraded`` set instead of crashing.  With a
 ``checkpoint_path`` the run snapshots its answer state after every round
 and can resume (``resume=True``) without re-spending crowd budget.
 
-Every run is observable: phase-scoped tracing spans (``preprocess``,
-``ctable``, ``probability``, ``round[i]``) feed wall-time histograms in a
+Every run is observable, and its span tree is its only clock: the layer
+spans of :data:`repro.obs.PIPELINE_PHASES` feed wall-time histograms in a
 :class:`repro.obs.MetricsRegistry` that also unifies the perf counters of
 the probability engine, the incremental ranker, c-table construction and
 the crowd fault accounting; per-round decisions (tasks issued, answers
@@ -67,7 +67,7 @@ from ..errors import (
     TaskExpiredError,
 )
 from ..ctable.expression import Expression, Relation
-from ..obs import PIPELINE_PHASES, EventLog, MetricsRegistry, Tracer
+from ..obs import PIPELINE_PHASES, EventLog, MetricsRegistry, Span, Tracer
 from ..probability.distributions import DistributionStore
 from ..probability.engine import ProbabilityEngine
 from ..session.context import SessionContext
@@ -118,8 +118,8 @@ class _RoundPlan:
     #: quarantined task id -> journaled ``reask`` payload
     reasks: Dict[int, dict] = field(default_factory=dict)
     recovered: bool = False
-    #: perf-counter timestamp planning started (round wall time)
-    started_at: float = 0.0
+    #: the round's ``round[i]`` span, opened before planning
+    span: Optional[Span] = None
 
 
 @dataclass
@@ -143,8 +143,8 @@ class _CrowdRunState:
     reasks_issued: int = 0
     issued_this_run: int = 0
     answered_this_run: int = 0
-    crowd_wait: float = 0.0
-    selection_seconds: float = 0.0
+    #: objects the initial and final passes decided from their brackets
+    objects_bounded: int = 0
     utility_evaluations: int = 0
     utility_skipped: int = 0
     probability_requests: int = 0
@@ -294,19 +294,17 @@ class BayesCrowd:
         if platform is None:
             platform = build_default_platform(dataset, self.config)
         self.platform = platform
-        preprocess_start = time.perf_counter()
         #: posterior-precompute grouping counters (empty unless the BN
         #: posterior path ran); absorbed into the run metrics
         self.preprocess_stats: Dict[str, int] = {}
-        if distributions is None:
-            distributions = learn_distributions(
-                dataset, self.config, network=network, stats=self.preprocess_stats
-            )
-            #: wall time of the preprocessing phase (distribution learning);
-            #: 0 when precomputed distributions were supplied
-            self.preprocess_seconds = time.perf_counter() - preprocess_start
-        else:
-            self.preprocess_seconds = 0.0
+        #: learning happens here, before any run; every run's tracer
+        #: continues this clock, so its trace opens with ``bayesnet.learn``
+        self._clock = Tracer()
+        with self._clock.span("bayesnet.learn"):
+            if distributions is None:
+                distributions = learn_distributions(
+                    dataset, self.config, network=network, stats=self.preprocess_stats
+                )
         self.distributions = distributions
         self._strategy = make_strategy(self.config.strategy, m=self.config.m)
         #: populated by :meth:`run`
@@ -354,8 +352,9 @@ class BayesCrowd:
         honoured at phase boundaries with a typed
         ``SessionCancelledError`` -- journaled state survives for resume.
 
-        Every run is traced: spans for each pipeline phase land in
-        ``phase_seconds_*`` histograms, per-round decisions in the event
+        Every run is traced, and its spans are its only clock (see
+        :meth:`_report`): they land in ``phase_seconds_*`` histograms,
+        per-round decisions in the event
         log (written to ``config.trace_path`` as JSONL when set), and the
         unified perf counters in a :class:`repro.obs.MetricsRegistry`
         whose snapshot is returned on :attr:`QueryResult.metrics` (and
@@ -363,16 +362,12 @@ class BayesCrowd:
         """
         config = self.config
         registry = MetricsRegistry()
-        events = EventLog(path=config.trace_path)
-        tracer = Tracer(registry=registry, event_log=events)
-        # Exposed for live inspection; pre-registering the pipeline-phase
-        # histograms keeps the exported schema complete even for runs that
-        # never reach the crowdsourcing loop (e.g. budget 0).
-        self.metrics = registry
-        self.tracer = tracer
-        self.events = events
+        # Pre-registering the layer histograms keeps the exported schema
+        # complete even for runs that never reach the crowdsourcing loop
+        # (e.g. budget 0).
         for phase in PIPELINE_PHASES:
             registry.histogram("phase_seconds_%s" % phase)
+        events = EventLog(path=config.trace_path)
         events.emit(
             "run_start",
             dataset=self.dataset.name,
@@ -384,12 +379,17 @@ class BayesCrowd:
             resume=bool(resume),
             session=self.session.session_id,
         )
+        tracer = self._clock.fork(registry=registry, event_log=events)
+        # Exposed for live inspection.
+        self.metrics = registry
+        self.tracer = tracer
+        self.events = events
         if config.session_deadline_s:
             self.session.cancellation.set_deadline(config.session_deadline_s)
         try:
             with self.session.activate():
-                with tracer.span("run"):
-                    result = self._run_phases(
+                with tracer.span("run") as run_span:
+                    result, run = self._run_phases(
                         config,
                         registry,
                         events,
@@ -399,6 +399,7 @@ class BayesCrowd:
                         journal_path,
                         journal_crash_after,
                     )
+                self._report(result, run, run_span)
             result.metrics = registry.snapshot()
             result.trace = tracer.to_dicts()
             if config.metrics_path is not None:
@@ -409,6 +410,104 @@ class BayesCrowd:
                 self._journal.close()
                 self._journal = None
             events.close()
+
+    def _report(self, result: QueryResult, run: _CrowdRunState, run_span: Span) -> None:
+        """Fill the result's stats and timings once ``run`` has closed.
+
+        ``seconds`` excludes the ``crowd.ask`` spans, as the paper
+        excludes the workers' answering time."""
+        registry = self.metrics
+        tracer = self.tracer
+        ctable = self.ctable
+        ranker = self._ranker
+        engine_stats = self.engine.stats()
+        objects_bounded = run.objects_bounded + ranker.n_bounded
+        engine_stats["objects_rescored"] = ranker.n_rescored
+        engine_stats["objects_bounded"] = objects_bounded
+        engine_stats["rankings"] = ranker.n_rankings
+        for key, value in ctable.build_stats.items():
+            engine_stats["ctable_%s" % key] = value
+        # Selection-phase counters: the batched scorer's own, or the
+        # context-accumulated equivalents for the scalar/FBS paths -- same
+        # schema either way, so the obs verifier's invariant
+        # (evals == candidates - cache hits - skipped) always checks out.
+        if self.utility_engine is not None:
+            selection_stats = self.utility_engine.stats()
+        else:
+            selection_stats = {
+                "utility_candidates_total": (
+                    run.utility_evaluations + run.utility_skipped
+                ),
+                "utility_evals_total": run.utility_evaluations,
+                "residual_cache_hits": 0,
+                "utility_skipped_total": run.utility_skipped,
+                "utility_batches": 0,
+                "utility_probability_requests": run.probability_requests,
+                "utility_probability_submitted": run.probability_requests,
+                "utility_probability_computed": run.probability_computed,
+                "utility_precompiled_total": 0,
+                "utility_batch_dedup_ratio": 0.0,
+                "utility_gain_cache_size": 0,
+                "utility_residual_cache_size": 0,
+                "utility_batch_seconds": 0.0,
+            }
+        selection_stats["selection_seconds"] = tracer.total("core.select")
+        engine_stats.update(selection_stats)
+        for key, value in self.preprocess_stats.items():
+            engine_stats["posterior_%s" % key] = value
+
+        # --- unified metrics ------------------------------------------
+        # The scattered PR-2 perf counters, readable from one registry.
+        registry.absorb(self.engine.stats(), prefix="engine_")
+        registry.absorb(ctable.build_stats, prefix="ctable_")
+        registry.absorb(selection_stats)
+        registry.counter("posterior_signature_groups")
+        registry.counter("posterior_cells")
+        registry.counter("posterior_inference_calls")
+        registry.absorb(self.preprocess_stats, prefix="posterior_")
+        registry.counter("ranker_objects_rescored").inc(ranker.n_rescored)
+        registry.counter("ranker_objects_bounded").inc(objects_bounded)
+        registry.counter("ranker_rankings").inc(ranker.n_rankings)
+        registry.counter("crowd_rounds").inc(len(run.history))
+        registry.counter("crowd_tasks_posted").inc(result.tasks_posted)
+        registry.counter("crowd_tasks_answered").inc(result.tasks_answered)
+        registry.counter("crowd_retries").inc(sum(r.retries for r in run.history))
+        for key, value in run.fault_totals.items():
+            registry.counter("crowd_fault_%s" % key).inc(value)
+        # Integrity accounting: always exported (strict or not), so the
+        # obs verifier's invariant answers_quarantined + answers_applied
+        # == answers_aggregated is checkable on every run.
+        registry.absorb(self.ledger.summary())
+        if self._journal is not None:
+            registry.absorb(self._journal.stats())
+        registry.gauge("reliability_workers_tracked").set(self.reliability.n_workers())
+        registry.counter("reasks_issued").inc(run.reasks_issued)
+        registry.gauge("probability_approx_objects").set(
+            sum(1 for exact in result.probability_exact.values() if not exact)
+        )
+        registry.gauge("crowd_budget_left").set(run.budget)
+        registry.gauge("run_degraded").set(1.0 if run.degraded else 0.0)
+        registry.gauge("run_resumed").set(1.0 if run.resumed else 0.0)
+        registry.gauge("answers_total").set(len(result.answers))
+        registry.gauge("answers_certain").set(len(result.certain_answers))
+        result.engine_stats = engine_stats
+
+        result.seconds = run_span.seconds - tracer.total("crowd.ask")
+        result.modeling_seconds = tracer.total("ctable.build")
+        registry.gauge("modeling_seconds").set(result.modeling_seconds)
+        registry.gauge("preprocess_seconds").set(tracer.total("bayesnet.learn"))
+        registry.gauge("total_seconds").set(result.seconds)
+        self.events.emit(
+            "run_end",
+            rounds=result.rounds,
+            # trace-scoped totals: a resumed run's replayed rounds are in
+            # the history counts but never in this trace's tasks_issued
+            tasks_posted=run.issued_this_run,
+            tasks_answered=run.answered_this_run,
+            answers=len(result.answers),
+            degraded=result.degraded,
+            seconds=result.seconds,
+        )
 
     @staticmethod
     def _write_metrics(path, registry: MetricsRegistry) -> None:
@@ -434,18 +533,13 @@ class BayesCrowd:
         resume: bool,
         journal_path: Optional[Union[str, Path]] = None,
         journal_crash_after: Optional[int] = None,
-    ) -> QueryResult:
-        """The pipeline proper; every phase runs inside a tracing span."""
-        start = time.perf_counter()
+    ) -> Tuple[QueryResult, _CrowdRunState]:
+        """The pipeline, one layer span per phase; :meth:`_report` adds stats."""
         cancel = self.session.cancellation
-        # Preprocessing happened in __init__ (distributions may be shared
-        # across runs); record it as a back-dated span so the phase still
-        # shows up in this run's histograms and trace.
-        tracer.record("preprocess", self.preprocess_seconds)
         cancel.check("preprocess")
 
         # --- modeling phase -------------------------------------------
-        with tracer.span("ctable"):
+        with tracer.span("ctable.build"):
             ctable = build_ctable(
                 self.dataset,
                 alpha=config.alpha,
@@ -456,21 +550,9 @@ class BayesCrowd:
                 n_jobs=config.n_jobs,
                 cancel_check=lambda: cancel.check("ctable"),
             )
-            # Per-worker spans of the pruning scan (back-dated: the work
-            # was timed inside the scan itself, possibly in a pool).
-            for worker, seconds in enumerate(
-                ctable.build_stats.get("scan_worker_seconds", ())
-            ):
-                tracer.record(
-                    "ctable_scan_worker_%d" % worker,
-                    seconds,
-                    phase="ctable",
-                    worker=worker,
-                )
-        modeling_seconds = time.perf_counter() - start
         # The store build checks and normalises every posterior pmf; it and
         # the engine set-up below count as initial probability work.
-        with tracer.span("probability", stage="initial"):
+        with tracer.span("probability.initial"):
             store = DistributionStore(self.distributions, ctable.constraints)
             engine = ProbabilityEngine(
                 store,
@@ -512,66 +594,59 @@ class BayesCrowd:
             initial_answers, initial_bounded = bounded_result_set(
                 ctable, engine, config.answer_threshold
             )
-            for worker, seconds in enumerate(engine.parallel_worker_seconds):
-                tracer.record(
-                    "probability_pool_worker_%d" % worker,
-                    seconds,
-                    phase="probability",
-                    worker=worker,
-                )
 
         # --- crowdsourcing phase --------------------------------------
-        # Durable write-ahead journal: every accepted answer, quarantine
-        # verdict and budget charge is appended (and fsync-ed) *before*
-        # the corresponding engine state mutates, so a crash at any
-        # instant loses nothing that was paid for.
-        journal_records = None
-        journal_target = (
-            journal_path if journal_path is not None else config.journal_path
-        )
-        if journal_target is not None:
-            journal_target = Path(journal_target)
-            if journal_target.exists():
-                if resume:
-                    journal_records = read_journal(journal_target)
-                else:
-                    journal_target.unlink()
-            self._journal = AnswerJournal(
-                journal_target,
-                fsync=config.journal_fsync,
-                crash_after=journal_crash_after,
+        # Recovery replays a resumed run's journaled and checkpointed
+        # answers into the c-table: answer-application time.
+        with tracer.span("ctable.apply"):
+            # Durable write-ahead journal: every accepted answer, quarantine
+            # verdict and budget charge is appended (and fsync-ed) *before*
+            # the corresponding engine state mutates, so a crash at any
+            # instant loses nothing that was paid for.
+            journal_records = None
+            journal_target = (
+                journal_path if journal_path is not None else config.journal_path
             )
-            if self._journal.last_seq == 0:
-                self._journal.append(
-                    "open",
-                    {
-                        "version": JOURNAL_VERSION,
-                        "fingerprint": self._fingerprint(),
-                        "session": self.session.session_id,
-                    },
+            if journal_target is not None:
+                journal_target = Path(journal_target)
+                if journal_target.exists():
+                    if resume:
+                        journal_records = read_journal(journal_target)
+                    else:
+                        journal_target.unlink()
+                self._journal = AnswerJournal(
+                    journal_target,
+                    fsync=config.journal_fsync,
+                    crash_after=journal_crash_after,
                 )
-        checkpoint = None
-        if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
-            from ..persistence import load_checkpoint
+                if self._journal.last_seq == 0:
+                    self._journal.append(
+                        "open",
+                        {
+                            "version": JOURNAL_VERSION,
+                            "fingerprint": self._fingerprint(),
+                            "session": self.session.session_id,
+                        },
+                    )
+            checkpoint = None
+            if (
+                resume
+                and checkpoint_path is not None
+                and Path(checkpoint_path).exists()
+            ):
+                from ..persistence import load_checkpoint
 
-            checkpoint = load_checkpoint(checkpoint_path)
-        recovered = recover_run_state(
-            ctable,
-            ledger,
-            reliability,
-            self._fingerprint(),
-            config.budget,
-            checkpoint=checkpoint,
-            journal_records=journal_records,
-        )
-        if recovered.rng_state is not None:
-            self._rng.bit_generator.state = recovered.rng_state
-        if recovered.platform_state is not None and hasattr(
-            self.platform, "load_state_dict"
-        ):
-            self.platform.load_state_dict(recovered.platform_state)
-        if recovered.task_ids_state is not None:
-            self.session.task_ids.load_state_dict(recovered.task_ids_state)
+                checkpoint = load_checkpoint(checkpoint_path)
+            recovered = recover_run_state(
+                ctable,
+                ledger,
+                reliability,
+                self._fingerprint(),
+                config.budget,
+                checkpoint=checkpoint,
+                journal_records=journal_records,
+            )
+            self._restore_snapshots(recovered)
         run = _CrowdRunState(
             budget=recovered.budget_left,
             reask_budget_total=int(config.reask_budget_frac * config.budget),
@@ -582,6 +657,7 @@ class BayesCrowd:
             degraded=recovered.degraded,
             resumed=recovered.resumed,
             reasks_issued=ledger.answers_reasked,
+            objects_bounded=initial_bounded,
         )
         registry.counter("journal_replayed_answers").inc(recovered.replayed_answers)
         registry.counter("journal_deduped_answers").inc(recovered.deduped_answers)
@@ -622,14 +698,20 @@ class BayesCrowd:
                 and not run.fatal
             ):
                 cancel.check("selection")
-                plan = self._plan_round(run)
-                if plan is None:
+                # Requeued tasks that other answers already decided are
+                # moot: drop them instead of paying the crowd for known
+                # relations.
+                run.pending = [
+                    t for t in run.pending if self._task_still_open(ctable, t)
+                ]
+                if not run.pending and not ctable.has_open_expressions():
                     break
-                self._execute_round(plan, run)
+                if not self._run_round(run):
+                    break
 
         # One last bracket pass; the straddling objects and the answers are
         # solved in one batch, so the reported probabilities read from cache.
-        with tracer.span("probability", stage="final"):
+        with tracer.span("probability.final"):
             answers, final_bounded = bounded_result_set(
                 ctable, engine, config.answer_threshold, solve_answers=True
             )
@@ -647,106 +729,17 @@ class BayesCrowd:
                     probabilities[obj] = detail.value
                     probability_exact[obj] = detail.exact
                     probability_error_bounds[obj] = detail.error_bound
-        total_seconds = time.perf_counter() - start - run.crowd_wait
-        engine_stats = engine.stats()
-        objects_bounded = initial_bounded + ranker.n_bounded + final_bounded
-        engine_stats["objects_rescored"] = ranker.n_rescored
-        engine_stats["objects_bounded"] = objects_bounded
-        engine_stats["rankings"] = ranker.n_rankings
-        for key, value in ctable.build_stats.items():
-            engine_stats["ctable_%s" % key] = value
-        # Selection-phase counters: the batched scorer's own, or the
-        # context-accumulated equivalents for the scalar/FBS paths -- same
-        # schema either way, so the obs verifier's invariant
-        # (evals == candidates - cache hits - skipped) always checks out.
-        if utility_engine is not None:
-            selection_stats = utility_engine.stats()
-        else:
-            selection_stats = {
-                "utility_candidates_total": (
-                    run.utility_evaluations + run.utility_skipped
-                ),
-                "utility_evals_total": run.utility_evaluations,
-                "residual_cache_hits": 0,
-                "utility_skipped_total": run.utility_skipped,
-                "utility_batches": 0,
-                "utility_probability_requests": run.probability_requests,
-                "utility_probability_submitted": run.probability_requests,
-                "utility_probability_computed": run.probability_computed,
-                "utility_precompiled_total": 0,
-                "utility_batch_dedup_ratio": 0.0,
-                "utility_gain_cache_size": 0,
-                "utility_residual_cache_size": 0,
-                "utility_batch_seconds": 0.0,
-            }
-        selection_stats["selection_seconds"] = float(run.selection_seconds)
-        engine_stats.update(selection_stats)
-        for key, value in self.preprocess_stats.items():
-            engine_stats["posterior_%s" % key] = value
-
-        # --- unified metrics ------------------------------------------
-        # The scattered PR-2 perf counters, readable from one registry.
-        registry.absorb(engine.stats(), prefix="engine_")
-        registry.absorb(ctable.build_stats, prefix="ctable_")
-        registry.absorb(selection_stats)
-        registry.counter("posterior_signature_groups")
-        registry.counter("posterior_cells")
-        registry.counter("posterior_inference_calls")
-        registry.absorb(self.preprocess_stats, prefix="posterior_")
-        registry.counter("ranker_objects_rescored").inc(ranker.n_rescored)
-        registry.counter("ranker_objects_bounded").inc(objects_bounded)
-        registry.counter("ranker_rankings").inc(ranker.n_rankings)
-        tasks_posted_total = sum(r.tasks_posted for r in run.history)
-        tasks_answered_total = sum(r.tasks_answered for r in run.history)
-        registry.counter("crowd_rounds").inc(len(run.history))
-        registry.counter("crowd_tasks_posted").inc(tasks_posted_total)
-        registry.counter("crowd_tasks_answered").inc(tasks_answered_total)
-        registry.counter("crowd_retries").inc(sum(r.retries for r in run.history))
-        for key, value in run.fault_totals.items():
-            registry.counter("crowd_fault_%s" % key).inc(value)
-        # Integrity accounting: always exported (strict or not), so the
-        # obs verifier's invariant answers_quarantined + answers_applied
-        # == answers_aggregated is checkable on every run.
-        registry.absorb(ledger.summary())
-        if self._journal is not None:
-            registry.absorb(self._journal.stats())
-        registry.gauge("reliability_workers_tracked").set(reliability.n_workers())
-        registry.counter("reasks_issued").inc(run.reasks_issued)
-        registry.gauge("probability_approx_objects").set(
-            sum(1 for exact in probability_exact.values() if not exact)
-        )
-        registry.gauge("crowd_budget_left").set(run.budget)
-        registry.gauge("run_degraded").set(1.0 if run.degraded else 0.0)
-        registry.gauge("run_resumed").set(1.0 if run.resumed else 0.0)
-        registry.gauge("answers_total").set(len(answers))
-        registry.gauge("answers_certain").set(len(ctable.certain_answers()))
-        registry.gauge("modeling_seconds").set(modeling_seconds)
-        registry.gauge("preprocess_seconds").set(self.preprocess_seconds)
-        registry.gauge("total_seconds").set(total_seconds)
-
-        events.emit(
-            "run_end",
-            rounds=len(run.history),
-            # trace-scoped totals: a resumed run's replayed rounds are in
-            # the history counts but never in this trace's tasks_issued
-            tasks_posted=run.issued_this_run,
-            tasks_answered=run.answered_this_run,
-            answers=len(answers),
-            degraded=run.degraded,
-            seconds=total_seconds,
-        )
-        return QueryResult(
+        run.objects_bounded += final_bounded
+        result = QueryResult(
             answers=answers,
             certain_answers=ctable.certain_answers(),
-            tasks_posted=tasks_posted_total,
+            tasks_posted=sum(r.tasks_posted for r in run.history),
             rounds=len(run.history),
-            seconds=total_seconds,
-            tasks_answered=tasks_answered_total,
-            modeling_seconds=modeling_seconds,
+            seconds=0.0,
+            tasks_answered=sum(r.tasks_answered for r in run.history),
             history=run.history,
             initial_answers=initial_answers,
             answer_probabilities=probabilities,
-            engine_stats=engine_stats,
             degraded=run.degraded,
             fault_counts=run.fault_totals,
             resumed=run.resumed,
@@ -755,6 +748,7 @@ class BayesCrowd:
             probability_exact=probability_exact,
             probability_error_bounds=probability_error_bounds,
         )
+        return result, run
 
     # ------------------------------------------------------------------
     # fault handling
@@ -832,25 +826,41 @@ class BayesCrowd:
     # ------------------------------------------------------------------
     # round planning / execution
     # ------------------------------------------------------------------
+    def _run_round(
+        self, run: _CrowdRunState, plan: Optional[_RoundPlan] = None
+    ) -> bool:
+        """Plan (unless recovered) and execute one round under ``round[i]``.
+
+        Execution's time outside ``crowd.ask`` and ``ctable.apply`` is
+        ``crowd.integrity``; both sums are recorded once per round.
+        Returns False, leaving a span but no record, if nothing was asked.
+        """
+        tracer = self.tracer
+        index = plan.round_index if plan is not None else len(run.history) + 1
+        with tracer.span("round[%d]" % index, phase="round") as span:
+            plan = plan or self._plan_round(run)
+            if plan is not None:
+                plan.span = span
+                with tracer.summing("crowd.integrity"):
+                    self._execute_round(plan, run)
+                tracer.record_sums("crowd.integrity", "ctable.apply")
+        if plan is None:
+            return False
+        # journaled before the span closed; the record keeps its full length
+        run.history[-1].seconds = span.seconds
+        return True
+
     def _plan_round(self, run: _CrowdRunState) -> Optional[_RoundPlan]:
         """Select the next round's conflict-free batch (Section 6).
 
-        Returns ``None`` when the loop should stop: every expression is
-        decided, the entropy early-stop fired, or selection found no
-        postable task.
+        Returns ``None`` when the loop should stop: the entropy
+        early-stop fired, or selection found no postable task.
         """
         config = self.config
         ctable = self.ctable
         events = self.events
-        started_at = time.perf_counter()
+        tracer = self.tracer
         round_index = len(run.history) + 1
-        # Requeued tasks that other answers already decided are moot:
-        # drop them instead of paying the crowd for known relations.
-        run.pending = [
-            t for t in run.pending if self._task_still_open(ctable, t)
-        ]
-        if not run.pending and not ctable.has_open_expressions():
-            return None
         k = min(run.budget, config.tasks_per_round())
         tasks: List[ComparisonTask] = list(run.pending[:k])
         leftover_pending = run.pending[k:]
@@ -859,60 +869,60 @@ class BayesCrowd:
         for task in tasks:
             banned.update(task.variables())
             objects.append(task.for_object)
-        ranked = self._ranker.rank()
-        if (
-            not tasks
-            and ranked
-            and config.entropy_epsilon > 0.0
-            and ranked[0].entropy < config.entropy_epsilon
-        ):
-            # Every undecided object is already near-certain; further
-            # tasks would buy negligible information.
-            logger.debug(
-                "early stop: max entropy %.4f below epsilon %.4f",
-                ranked[0].entropy,
-                config.entropy_epsilon,
-            )
-            events.emit(
-                "early_stop",
-                round=round_index,
-                max_entropy=ranked[0].entropy,
-                epsilon=config.entropy_epsilon,
-            )
-            return None
-        if ranked and len(tasks) < k:
-            selection_start = time.perf_counter()
-            # Expression frequencies are counted over the chosen top-k
-            # objects' conditions (Section 6.2, step two).
-            chosen = [ctable.condition(r.obj) for r in ranked[:k]]
-            context = SelectionContext(
-                engine=self.engine,
-                frequencies=expression_frequencies(chosen),
-                utility_mode=config.utility_mode,
-                utility_engine=self.utility_engine,
-            )
-            # One deduplicated gain batch for the whole round; the
-            # per-object walk below is then served from its cache.
-            self._strategy.prefetch_round(chosen, context, banned)
-            # Walk the full ranking so a conflict-skipped slot is
-            # refilled by the next most uncertain object, keeping
-            # rounds at size k.
-            for r in ranked:
-                if len(tasks) >= k:
-                    break
-                expression = self._strategy.select_expression(
-                    ctable.condition(r.obj), context, banned
+        with tracer.span("core.rank"):
+            ranked = self._ranker.rank()
+        with tracer.span("core.select"):
+            if (
+                not tasks
+                and ranked
+                and config.entropy_epsilon > 0.0
+                and ranked[0].entropy < config.entropy_epsilon
+            ):
+                # Every undecided object is already near-certain; further
+                # tasks would buy negligible information.
+                logger.debug(
+                    "early stop: max entropy %.4f below epsilon %.4f",
+                    ranked[0].entropy,
+                    config.entropy_epsilon,
                 )
-                if expression is None:
-                    continue
-                banned.update(expression.variables())
-                tasks.append(ComparisonTask(expression, for_object=r.obj))
-                objects.append(r.obj)
-            run.utility_evaluations += context.utility_evaluations
-            run.utility_skipped += context.utility_skipped
-            run.probability_requests += context.probability_requests
-            run.probability_computed += context.probability_computed
-            run.selection_seconds += time.perf_counter() - selection_start
+                events.emit(
+                    "early_stop",
+                    round=round_index,
+                    max_entropy=ranked[0].entropy,
+                    epsilon=config.entropy_epsilon,
+                )
+                return None
+            if ranked and len(tasks) < k:
+                # Expression frequencies are counted over the chosen top-k
+                # objects' conditions (Section 6.2, step two).
+                chosen = [ctable.condition(r.obj) for r in ranked[:k]]
+                context = SelectionContext(
+                    engine=self.engine,
+                    frequencies=expression_frequencies(chosen),
+                    utility_mode=config.utility_mode,
+                    utility_engine=self.utility_engine,
+                )
+                # One deduplicated gain batch for the whole round; the
+                # per-object walk below is then served from its cache.
+                self._strategy.prefetch_round(chosen, context, banned)
+                # Walk the full ranking so a conflict-skipped slot is
+                # refilled by the next most uncertain object, keeping
+                # rounds at size k.
+                for r in ranked:
+                    if len(tasks) >= k:
+                        break
+                    expression = self._strategy.select_expression(
+                        ctable.condition(r.obj), context, banned
+                    )
+                    if expression is None:
+                        continue
+                    banned.update(expression.variables())
+                    tasks.append(ComparisonTask(expression, for_object=r.obj))
+                    objects.append(r.obj)
+                run.utility_evaluations += context.utility_evaluations
+                run.utility_skipped += context.utility_skipped
+                run.probability_requests += context.probability_requests
+                run.probability_computed += context.probability_computed
         if not tasks:
             return None
         if self.platform is None:
@@ -925,7 +935,6 @@ class BayesCrowd:
             tasks=tasks,
             leftover_pending=leftover_pending,
             objects=objects,
-            started_at=started_at,
         )
 
     def _finish_interrupted_round(
@@ -941,14 +950,7 @@ class BayesCrowd:
         crash interrupted.  Journaled re-ask ids are reserved first so
         fresh allocations never collide with them.
         """
-        if interrupted.rng_state is not None:
-            self._rng.bit_generator.state = interrupted.rng_state
-        if interrupted.platform_state is not None and hasattr(
-            self.platform, "load_state_dict"
-        ):
-            self.platform.load_state_dict(interrupted.platform_state)
-        if interrupted.task_ids_state is not None:
-            self.session.task_ids.load_state_dict(interrupted.task_ids_state)
+        self._restore_snapshots(interrupted)
         for payload in interrupted.reasks.values():
             self.session.task_ids.reserve(int(payload["task_id"]))
         plan = _RoundPlan(
@@ -960,9 +962,8 @@ class BayesCrowd:
             journaled=interrupted.journaled,
             reasks=interrupted.reasks,
             recovered=True,
-            started_at=time.perf_counter(),
         )
-        self._execute_round(plan, run)
+        self._run_round(run, plan)
 
     def _execute_round(self, plan: _RoundPlan, run: _CrowdRunState) -> None:
         """Post one planned batch and durably fold its answers back.
@@ -1021,9 +1022,10 @@ class BayesCrowd:
                     "task_ids": self.session.task_ids.state_dict(),
                 },
             )
-        post_start = time.perf_counter()
-        answers, round_faults, fatal, abandoned = self._post_with_retries(tasks)
-        run.crowd_wait += time.perf_counter() - post_start
+        with self.tracer.span("crowd.ask"):
+            answers, round_faults, fatal, abandoned = self._post_with_retries(
+                tasks
+            )
         run.fatal = fatal
 
         platform_votes = dict(getattr(self.platform, "last_votes", None) or {})
@@ -1101,9 +1103,10 @@ class BayesCrowd:
             # charge is durable (journaled) before any state mutates.
             run.budget -= 1
             if status == "applied":
-                self._ranker.mark_dirty(
-                    ctable.apply_answer(task.expression, relation)
-                )
+                with self.tracer.summing("ctable.apply"):
+                    self._ranker.mark_dirty(
+                        ctable.apply_answer(task.expression, relation)
+                    )
                 run.answer_log.append((task.expression, relation))
                 reliability.observe_votes(votes, relation)
                 applied_count += 1
@@ -1162,7 +1165,7 @@ class BayesCrowd:
             open_after,
             run.budget,
         )
-        round_seconds = time.perf_counter() - plan.started_at
+        round_seconds = self.tracer.elapsed(plan.span)
         record = RoundRecord(
             round_index=round_index,
             tasks_posted=len(tasks),
@@ -1175,13 +1178,7 @@ class BayesCrowd:
             faults=dict(round_faults),
         )
         run.history.append(record)
-        self.tracer.record(
-            "round[%d]" % round_index,
-            round_seconds,
-            phase="round",
-            tasks_posted=len(tasks),
-            tasks_answered=len(answers),
-        )
+        plan.span.attrs.update(tasks_posted=len(tasks), tasks_answered=len(answers))
         events.emit(
             "round_end",
             round=round_index,
@@ -1287,6 +1284,17 @@ class BayesCrowd:
     # ------------------------------------------------------------------
     # checkpoint / resume
     # ------------------------------------------------------------------
+    def _restore_snapshots(self, state) -> None:
+        """Load the RNG, platform and task-id snapshots a recovery carries."""
+        if state.rng_state is not None:
+            self._rng.bit_generator.state = state.rng_state
+        if state.platform_state is not None and hasattr(
+            self.platform, "load_state_dict"
+        ):
+            self.platform.load_state_dict(state.platform_state)
+        if state.task_ids_state is not None:
+            self.session.task_ids.load_state_dict(state.task_ids_state)
+
     def _platform_state(self) -> Optional[dict]:
         """The platform's JSON snapshot, when it supports one."""
         state_fn = getattr(self.platform, "state_dict", None)

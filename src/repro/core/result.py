@@ -65,7 +65,7 @@ class QueryResult:
     engine_stats: Dict[str, float] = field(default_factory=dict)
     #: unified observability snapshot (repro.obs.MetricsRegistry.snapshot():
     #: counters/gauges/histograms incl. phase_seconds_* wall-time
-    #: histograms for preprocess/ctable/probability/round)
+    #: histograms for the layer spans and run/crowd/round)
     metrics: Dict[str, object] = field(default_factory=dict)
     #: completed tracing spans (repro.obs.Tracer.to_dicts()): name, phase,
     #: parent, depth, start/end offsets, seconds

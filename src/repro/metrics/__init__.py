@@ -1,6 +1,5 @@
-"""Evaluation metrics: F1 accuracy against ground truth, timing helpers."""
+"""Evaluation metrics: F1 accuracy against ground truth."""
 
 from .accuracy import AccuracyReport, accuracy_report, f1_score
-from .timing import Stopwatch, time_call
 
-__all__ = ["AccuracyReport", "accuracy_report", "f1_score", "Stopwatch", "time_call"]
+__all__ = ["AccuracyReport", "accuracy_report", "f1_score"]

@@ -2,13 +2,13 @@
 
 Usage::
 
-    python -m repro.obs metrics.json [--trace trace.jsonl] \
-        [--phases preprocess ctable probability round]
+    python -m repro.obs metrics.json [--trace trace.jsonl] [--journal PATH] \
+        [--selection] [--integrity] [--ctable] [--probability]
 
 Exit status 0 means the metrics snapshot registers a ``phase_seconds_*``
-histogram for every required pipeline phase and (when ``--trace`` is
-given) the JSONL event log parses line by line with every applied answer
-accounted for by an issued task.
+histogram for every layer and (with ``--trace``) the JSONL event log
+parses, accounts for every applied answer by an issued task, and holds
+a whole span tree (see :func:`verify_spans`).
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .events import read_events
 from .metrics import PIPELINE_PHASES, check_phases
+
+#: Share of each ``run`` span its layer spans must account for.
+MIN_LAYER_COVERAGE = 0.95
 
 #: Selection-phase counters every BayesCrowd run exports (batched or not).
 SELECTION_COUNTERS = (
@@ -55,6 +58,22 @@ PROBABILITY_COUNTERS = (
 )
 
 
+def _absent(
+    snapshot: dict, names: Tuple[str, ...], label: str, require: bool
+) -> Optional[List[str]]:
+    """None when every named counter is present, else the verdict.
+
+    Snapshots that predate a counter family (or come from non-query
+    runs) pass vacuously; ``require`` makes the absence an error.
+    """
+    missing = [name for name in names if name not in snapshot.get("counters", {})]
+    if not missing:
+        return None
+    if not require:
+        return []
+    return ["%s counter(s) missing: %s" % (label, ", ".join(missing))]
+
+
 def verify_probability(snapshot: dict, require: bool = False) -> List[str]:
     """Problems with the forest backend's circuit accounting (empty = ok).
 
@@ -62,16 +81,12 @@ def verify_probability(snapshot: dict, require: bool = False) -> List[str]:
     is "adpll"); invariants: all non-negative, every recompile is a
     compile (``recompiles <= circuits_compiled``), and any compiled
     circuit has at least one node (``circuit_nodes >= circuits_compiled``
-    whenever anything compiled).  With ``require=False`` snapshots that
-    predate the counters pass vacuously; ``require=True`` makes their
-    absence an error.
+    whenever anything compiled).
     """
-    counters = snapshot.get("counters", {})
-    missing = [name for name in PROBABILITY_COUNTERS if name not in counters]
-    if missing:
-        if require:
-            return ["probability counter(s) missing: %s" % ", ".join(missing)]
-        return []
+    absent = _absent(snapshot, PROBABILITY_COUNTERS, "probability", require)
+    if absent is not None:
+        return absent
+    counters = snapshot["counters"]
     problems: List[str] = []
     if any(counters[name] < 0 for name in PROBABILITY_COUNTERS):
         problems.append("probability circuit counters must be non-negative")
@@ -106,16 +121,12 @@ def verify_ctable(snapshot: dict, require: bool = False) -> List[str]:
 
     Checks the pruning pre-pass invariant: every ordered object pair is
     either dominance-tested or pruned in bulk, i.e. ``pairs_tested +
-    pairs_pruned == pair_universe == n * (n - 1)``.  With
-    ``require=False`` snapshots that predate the counters pass vacuously;
-    ``require=True`` makes their absence an error.
+    pairs_pruned == pair_universe == n * (n - 1)``.
     """
-    counters = snapshot.get("counters", {})
-    missing = [name for name in CTABLE_COUNTERS if name not in counters]
-    if missing:
-        if require:
-            return ["ctable counter(s) missing: %s" % ", ".join(missing)]
-        return []
+    absent = _absent(snapshot, CTABLE_COUNTERS, "ctable", require)
+    if absent is not None:
+        return absent
+    counters = snapshot["counters"]
     problems: List[str] = []
     tested = counters["ctable_pairs_tested"]
     pruned = counters["ctable_pairs_pruned"]
@@ -149,15 +160,11 @@ def verify_integrity(snapshot: dict, require: bool = False) -> List[str]:
     Checks the ledger's accounting invariant: every aggregated answer is
     either applied to the c-table or quarantined, i.e.
     ``answers_quarantined + answers_applied == answers_aggregated``.
-    With ``require=False`` snapshots that predate the ledger pass
-    vacuously; ``require=True`` makes their absence an error.
     """
-    counters = snapshot.get("counters", {})
-    missing = [name for name in INTEGRITY_COUNTERS if name not in counters]
-    if missing:
-        if require:
-            return ["integrity counter(s) missing: %s" % ", ".join(missing)]
-        return []
+    absent = _absent(snapshot, INTEGRITY_COUNTERS, "integrity", require)
+    if absent is not None:
+        return absent
+    counters = snapshot["counters"]
     problems: List[str] = []
     aggregated = counters["answers_aggregated"]
     applied = counters["answers_applied"]
@@ -185,16 +192,12 @@ def verify_selection(snapshot: dict, require: bool = False) -> List[str]:
     candidate gain request is either freshly evaluated, served by the
     dedup/cross-round cache, or skipped at zero entropy, so
     ``utility_evals_total == utility_candidates_total -
-    residual_cache_hits - utility_skipped_total``.  With ``require=False``
-    snapshots that predate the counters (or come from non-query runs) pass
-    vacuously; ``require=True`` makes their absence an error.
+    residual_cache_hits - utility_skipped_total``.
     """
-    counters = snapshot.get("counters", {})
-    missing = [name for name in SELECTION_COUNTERS if name not in counters]
-    if missing:
-        if require:
-            return ["selection counter(s) missing: %s" % ", ".join(missing)]
-        return []
+    absent = _absent(snapshot, SELECTION_COUNTERS, "selection", require)
+    if absent is not None:
+        return absent
+    counters = snapshot["counters"]
     problems: List[str] = []
     expected = (
         counters["utility_candidates_total"]
@@ -220,6 +223,60 @@ def verify_selection(snapshot: dict, require: bool = False) -> List[str]:
     return problems
 
 
+def verify_spans(events: List[dict]) -> List[str]:
+    """Problems with a trace's span tree (empty = whole).
+
+    Span events arrive in completion order, so a span's parent is the
+    first later span with the parent's name one level up; a parent that
+    never arrives was left open.  A child must lie within its parent,
+    and under each ``run`` span the layer spans (:data:`PIPELINE_PHASES`)
+    must sum to :data:`MIN_LAYER_COVERAGE` of it.
+    """
+    spans = [event for event in events if event.get("event") == "span"]
+    if any(span.get("start") is None or span.get("end") is None for span in spans):
+        return ["span events lack start/end offsets"]
+    parent_of: Dict[int, int] = {}
+    waiting: Dict[Tuple[str, int], List[int]] = {}
+    for index, span in enumerate(spans):
+        for child in waiting.pop((span["name"], span["depth"]), ()):
+            parent_of[child] = index
+        if span["parent"] is not None:
+            waiting.setdefault((span["parent"], span["depth"] - 1), []).append(index)
+    problems = ["span %r never closed" % name for name, _ in waiting]
+    for child, parent in parent_of.items():
+        inner, outer = spans[child], spans[parent]
+        if inner["start"] < outer["start"] or inner["end"] > outer["end"]:
+            problems.append(
+                "span %r is not inside its parent %r" % (inner["name"], outer["name"])
+            )
+    covered = {i: 0.0 for i, span in enumerate(spans) if span["name"] == "run"}
+    if not covered:
+        problems.append("trace has no closed 'run' span")
+    for index, span in enumerate(spans):
+        ancestor = parent_of.get(index)
+        while ancestor is not None and ancestor not in covered:
+            ancestor = parent_of.get(ancestor)
+        if ancestor is not None and span["name"] in PIPELINE_PHASES:
+            covered[ancestor] += span["end"] - span["start"]
+    for index, layers in covered.items():
+        total = spans[index]["end"] - spans[index]["start"]
+        if layers < MIN_LAYER_COVERAGE * total:
+            problems.append(
+                "layer spans cover %.3f of the run span (at least %.2f required)"
+                % (layers / total, MIN_LAYER_COVERAGE)
+            )
+    return problems
+
+
+#: (flag, verifier, invariant) of each counter family
+COUNTER_CHECKS = (
+    ("selection", verify_selection, "evals == candidates - cache hits - skipped"),
+    ("integrity", verify_integrity, "quarantined + applied == aggregated"),
+    ("ctable", verify_ctable, "pairs_tested + pairs_pruned == pair_universe"),
+    ("probability", verify_probability, "recompiles <= circuits_compiled"),
+)
+
+
 def verify_trace(path: str) -> List[str]:
     """Problems found in a JSONL trace (empty = consistent)."""
     problems: List[str] = []
@@ -233,7 +290,7 @@ def verify_trace(path: str) -> List[str]:
     for required in ("run_start", "run_end"):
         if required not in kinds:
             problems.append("trace has no %r event" % required)
-    issued_ids = set()
+    issued_ids, answered_ids = set(), set()
     issued_count = 0
     for event in events:
         if event.get("event") == "tasks_issued":
@@ -245,9 +302,7 @@ def verify_trace(path: str) -> List[str]:
                     "tasks_issued event %s count %r != %d listed tasks"
                     % (event.get("seq"), event.get("count"), len(tasks))
                 )
-    answered_ids = set()
-    for event in events:
-        if event.get("event") == "answers_applied":
+        elif event.get("event") == "answers_applied":
             answered_ids.update(event.get("task_ids", []))
     unaccounted = answered_ids - issued_ids
     if unaccounted:
@@ -263,50 +318,26 @@ def verify_trace(path: str) -> List[str]:
                     "run_end reports %r tasks posted but %d were issued"
                     % (posted, issued_count)
                 )
+    problems.extend(verify_spans(events))
     return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.obs",
-        description="Verify a metrics snapshot (and optional JSONL trace).",
+        description="Verify a metrics snapshot (and optional JSONL trace). "
+        "Each counter invariant is checked whenever its counters are "
+        "present; its flag makes them required.",
     )
     parser.add_argument("metrics", help="metrics snapshot JSON path")
     parser.add_argument(
         "--trace", default=None, help="JSONL event log to cross-check"
     )
-    parser.add_argument(
-        "--phases", nargs="+", default=list(PIPELINE_PHASES),
-        help="pipeline phases the snapshot must register",
-    )
-    parser.add_argument(
-        "--selection", action="store_true",
-        help="require the selection-phase utility counters and check "
-        "their accounting invariant (evals = candidates - cache hits - "
-        "skipped); without this flag the invariant is still checked "
-        "whenever the counters are present",
-    )
-    parser.add_argument(
-        "--integrity", action="store_true",
-        help="require the answer-integrity ledger counters and check "
-        "their accounting invariant (quarantined + applied == "
-        "aggregated); without this flag the invariant is still checked "
-        "whenever the counters are present",
-    )
-    parser.add_argument(
-        "--ctable", action="store_true",
-        help="require the c-table pair-accounting counters and check "
-        "their invariant (pairs_tested + pairs_pruned == pair_universe "
-        "== n*(n-1)); without this flag the invariant is still checked "
-        "whenever the counters are present",
-    )
-    parser.add_argument(
-        "--probability", action="store_true",
-        help="require the forest backend's circuit counters and check "
-        "their accounting invariants (recompiles <= circuits_compiled, "
-        "circuit_nodes >= circuits_compiled); without this flag the "
-        "invariants are still checked whenever the counters are present",
-    )
+    for label, _, invariant in COUNTER_CHECKS:
+        parser.add_argument(
+            "--" + label, action="store_true",
+            help="require the %s counters (%s)" % (label, invariant),
+        )
     parser.add_argument(
         "--journal", default=None, metavar="PATH",
         help="verify a write-ahead answer journal: per-record checksums "
@@ -322,7 +353,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, json.JSONDecodeError) as err:
         print("cannot read metrics snapshot: %s" % err, file=sys.stderr)
         return 2
-    missing = check_phases(snapshot, args.phases)
+    missing = check_phases(snapshot)
     if missing:
         print(
             "metrics schema is missing phase histogram(s): %s"
@@ -330,60 +361,42 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    selection_problems = verify_selection(snapshot, require=args.selection)
-    if selection_problems:
-        for problem in selection_problems:
-            print("selection problem: %s" % problem, file=sys.stderr)
-        return 2
-    integrity_problems = verify_integrity(snapshot, require=args.integrity)
-    if integrity_problems:
-        for problem in integrity_problems:
-            print("integrity problem: %s" % problem, file=sys.stderr)
-        return 2
-    ctable_problems = verify_ctable(snapshot, require=args.ctable)
-    if ctable_problems:
-        for problem in ctable_problems:
-            print("ctable problem: %s" % problem, file=sys.stderr)
-        return 2
-    probability_problems = verify_probability(snapshot, require=args.probability)
-    if probability_problems:
-        for problem in probability_problems:
-            print("probability problem: %s" % problem, file=sys.stderr)
-        return 2
+    for label, verify, _ in COUNTER_CHECKS:
+        if _report(label, verify(snapshot, require=getattr(args, label))):
+            return 2
     print(
         "metrics ok: %d counters, %d gauges, %d histograms (phases: %s)"
         % (
             len(snapshot.get("counters", {})),
             len(snapshot.get("gauges", {})),
             len(snapshot.get("histograms", {})),
-            ", ".join(args.phases),
+            ", ".join(PIPELINE_PHASES),
         )
     )
-    if args.selection:
-        print("selection ok: utility counter accounting adds up")
-    if args.integrity:
-        print("integrity ok: quarantined + applied == aggregated")
-    if args.ctable:
-        print("ctable ok: pairs_tested + pairs_pruned == pair_universe")
-    if args.probability:
-        print("probability ok: circuit compile/propagate accounting adds up")
+    for label, _, invariant in COUNTER_CHECKS:
+        if getattr(args, label):
+            print("%s ok: %s" % (label, invariant))
     if args.trace is not None:
-        problems = verify_trace(args.trace)
-        if problems:
-            for problem in problems:
-                print("trace problem: %s" % problem, file=sys.stderr)
+        if _report("trace", verify_trace(args.trace)):
             return 2
-        print("trace ok: %s parses and accounts for every issued task" % args.trace)
+        print(
+            "trace ok: %s parses, accounts for every issued task, and its "
+            "span tree is whole" % args.trace
+        )
     if args.journal is not None:
         from ..session.journal import journal_problems
 
-        problems = journal_problems(args.journal)
-        if problems:
-            for problem in problems:
-                print("journal problem: %s" % problem, file=sys.stderr)
+        if _report("journal", journal_problems(args.journal)):
             return 2
         print("journal ok: %s verifies and replays consistently" % args.journal)
     return 0
+
+
+def _report(label: str, problems: List[str]) -> bool:
+    """Print each problem to stderr; True when there were any."""
+    for problem in problems:
+        print("%s problem: %s" % (label, problem), file=sys.stderr)
+    return bool(problems)
 
 
 if __name__ == "__main__":  # pragma: no cover

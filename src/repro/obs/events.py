@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 __all__ = ["EventLog", "read_events"]
 
@@ -65,12 +65,6 @@ class EventLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[Dict]:
-        return iter(self.events)
 
     def of_kind(self, event: str) -> List[Dict]:
         """All recorded events of one kind, in emission order."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -45,9 +45,13 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-#: The pipeline phases every full :meth:`BayesCrowd.run` must cover; the
-#: schema verifier (``python -m repro.obs``) checks their histograms.
-PIPELINE_PHASES: Tuple[str, ...] = ("preprocess", "ctable", "probability", "round")
+#: The layer spans of a :meth:`BayesCrowd.run` trace, in pipeline order;
+#: the schema verifier (``python -m repro.obs``) checks their histograms.
+PIPELINE_PHASES: Tuple[str, ...] = (
+    "bayesnet.learn", "ctable.build", "probability.initial",
+    "core.rank", "core.select", "crowd.ask", "crowd.integrity", "ctable.apply",
+    "probability.final",
+)
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -186,12 +190,6 @@ class MetricsRegistry:
             return metric.mean()
         return metric.value
 
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
@@ -271,7 +269,7 @@ class MetricsRegistry:
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (counters, gauges, histograms)."""
         lines: List[str] = []
-        for name in self.names():
+        for name in sorted(self._metrics):
             metric = self._metrics[name]
             pname = _prom_name(name)
             if metric.description:
@@ -296,16 +294,11 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def check_phases(
-    snapshot: Mapping[str, object],
-    phases: Iterable[str] = PIPELINE_PHASES,
-) -> List[str]:
-    """Phases whose ``phase_seconds_*`` histogram is missing from a snapshot.
+def check_phases(snapshot: Mapping[str, object]) -> List[str]:
+    """Layers whose ``phase_seconds_*`` histogram a snapshot lacks.
 
-    An empty return value means the metrics schema covers every required
-    pipeline phase (the CI bench-smoke gate).
+    An empty return value means the metrics schema covers every layer of
+    :data:`PIPELINE_PHASES` (the CI bench-smoke gate).
     """
     histograms = snapshot.get("histograms", {})
-    return [
-        phase for phase in phases if "phase_seconds_%s" % phase not in histograms
-    ]
+    return [p for p in PIPELINE_PHASES if "phase_seconds_%s" % p not in histograms]

@@ -13,6 +13,7 @@ suite fast -- the first appends (open/round_begin), answers inside early
 and late rounds, and the final commit.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import BayesCrowd, BayesCrowdConfig, generate_nba
+from repro.obs.__main__ import verify_trace
 from repro.session import journal_problems, read_journal
 
 #: Child: run the quarantine/re-ask exercising query until the journal
@@ -157,6 +159,26 @@ class TestCrashMatrix:
         )
         assert _norm(resumed) == base_norm
         assert journal_problems(journal) == []
+
+    def test_resumed_run_trace_is_a_whole_tree(self, tmp_path, baseline):
+        """A run resumed mid-round traces the recovered round once, plus
+        every later round, under a span tree the obs verifier accepts."""
+        base_norm, _, records = baseline
+        first_commit = next(r.seq for r in records if r.kind == "round_commit")
+        crash_after = next(
+            r.seq for r in records if r.seq > first_commit and r.kind == "answer"
+        )
+        journal = tmp_path / "run.journal.jsonl"
+        proc = _crash_child(journal, None, crash_after)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        trace = tmp_path / "trace.jsonl"
+        config = dataclasses.replace(_config(), trace_path=trace)
+        resumed = BayesCrowd(_dataset(), config).run(journal_path=journal, resume=True)
+        assert resumed.metrics["counters"]["recovered_rounds"] == 1
+        assert _norm(resumed) == base_norm
+        assert verify_trace(str(trace)) == []
+        rounds = [s["name"] for s in resumed.trace if s["phase"] == "round"]
+        assert rounds == ["round[%d]" % i for i in range(2, resumed.rounds + 1)]
 
 
 class TestMidRoundCheckpointDedupe:

@@ -234,7 +234,7 @@ class TestPlatformIntegration:
 
         monkeypatch.setattr(framework, "DistributionStore", recording_store)
         bc.run()
-        assert open_spans == [("probability", {"stage": "initial"})]
+        assert open_spans == [("probability.initial", {})]
 
 
 class TestResultEnrichment:

@@ -1,12 +1,10 @@
-"""Unit tests for accuracy metrics and timing helpers."""
-
-import time
+"""Unit tests for accuracy metrics."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import Stopwatch, accuracy_report, f1_score, time_call
+from repro.metrics import accuracy_report, f1_score
 
 
 class TestAccuracy:
@@ -60,24 +58,3 @@ class TestAccuracy:
         if p + r > 0:
             assert report.f1 == pytest.approx(2 * p * r / (p + r))
 
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch.section("a"):
-            time.sleep(0.01)
-        with watch.section("a"):
-            pass
-        assert watch.total("a") >= 0.01
-        assert watch.count("a") == 2
-        assert watch.labels() == ["a"]
-
-    def test_stopwatch_unknown_label(self):
-        watch = Stopwatch()
-        assert watch.total("missing") == 0.0
-        assert watch.count("missing") == 0
-
-    def test_time_call(self):
-        result, seconds = time_call(lambda x: x + 1, 41)
-        assert result == 42
-        assert seconds >= 0.0

@@ -5,7 +5,6 @@ import pytest
 
 from repro.bayesnet import CPT, BayesianNetwork, dag_from_edges
 from repro.ctable import Condition, var_greater_const
-from repro.metrics import Stopwatch
 
 
 class TestNetworkEdgeCases:
@@ -37,16 +36,6 @@ class TestNetworkEdgeCases:
         net = BayesianNetwork(dag, [2], [CPT(0, (), np.array([0.5, 0.5]))])
         with pytest.raises(ValueError):
             net.joint_probability([0, 1])
-
-
-class TestStopwatchSummary:
-    def test_summary_dict(self):
-        watch = Stopwatch()
-        with watch.section("x"):
-            pass
-        summary = watch.summary()
-        assert "x" in summary
-        assert summary["x"] >= 0.0
 
 
 class TestStringRepresentations:

@@ -1,11 +1,16 @@
 """Tests for the observability layer: metrics, tracing, event log."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import BayesCrowd, BayesCrowdConfig
+from repro import BayesCrowd, BayesCrowdConfig, generate_synthetic
 from repro.cli import main as cli_main
 from repro.datasets import example_distributions, sample_dataset
 from repro.obs import (
@@ -18,7 +23,9 @@ from repro.obs import (
     read_events,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.__main__ import verify_selection
+from repro.obs.__main__ import verify_selection, verify_spans
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def movie_query(**kwargs):
@@ -103,10 +110,10 @@ class TestRegistry:
 
     def test_check_phases_reports_missing(self):
         registry = MetricsRegistry()
-        registry.histogram("phase_seconds_ctable")
+        registry.histogram("phase_seconds_ctable.build")
         missing = check_phases(registry.snapshot())
-        assert "ctable" not in missing
-        assert set(missing) == set(PIPELINE_PHASES) - {"ctable"}
+        assert "ctable.build" not in missing
+        assert set(missing) == set(PIPELINE_PHASES) - {"ctable.build"}
 
     def test_default_buckets_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
@@ -148,6 +155,54 @@ class TestTracer:
         (event,) = events.of_kind("span")
         assert event["name"] == "ctable"
         assert event["seconds"] >= 0.0
+        assert event["end"] - event["start"] == pytest.approx(event["seconds"])
+
+    def test_nested_spans_are_reported_when_the_outermost_closes(self):
+        events = EventLog()
+        tracer = Tracer(event_log=events)
+        with tracer.span("run"):
+            with tracer.span("inner"):
+                pass
+            assert tracer.find("inner") and not events.of_kind("span")
+            assert "phase_seconds_inner" not in tracer.registry
+        assert [e["name"] for e in events.of_kind("span")] == ["inner", "run"]
+        assert tracer.registry.get("phase_seconds_inner").count == 1
+
+    def test_summing_counts_only_its_own_time(self):
+        tracer = Tracer()
+        with tracer.span("round[1]", phase="round") as round_span:
+            with tracer.summing("outer"):
+                with tracer.span("ask"):
+                    time.sleep(0.002)
+                with tracer.summing("inner"):
+                    time.sleep(0.002)
+            with tracer.summing("inner"):
+                time.sleep(0.001)
+            tracer.record_sums("outer", "inner", "never")
+        outer, inner, never = (tracer.find(name)[0] for name in ("outer", "inner", "never"))
+        assert inner.seconds >= 0.003
+        assert outer.seconds < 0.002
+        assert never.seconds == 0.0
+        ask = tracer.find("ask")[0]
+        total = outer.seconds + inner.seconds + ask.seconds
+        assert total <= round_span.seconds + 1e-9
+        for span in (outer, inner, never):
+            assert span.parent == "round[1]"
+            assert round_span.start <= span.start and span.end <= round_span.end
+
+    def test_fork_continues_the_clock_with_earlier_spans(self):
+        clock = Tracer()
+        with clock.span("learn"):
+            pass
+        events = EventLog()
+        forked = clock.fork(registry=MetricsRegistry(), event_log=events)
+        with forked.span("run"):
+            pass
+        learn, run = forked.spans
+        assert learn.name == "learn" and learn.end <= run.start
+        assert [e["name"] for e in events.of_kind("span")] == ["learn", "run"]
+        assert forked.registry.get("phase_seconds_learn").count == 1
+        assert clock.spans == [learn]
 
 
 class TestEventLog:
@@ -192,10 +247,11 @@ class TestTracedRun:
     def test_span_nesting_matches_pipeline(self, traced):
         _, result, __, ___ = traced
         parents = {span["name"]: span["parent"] for span in result.trace}
-        assert parents["preprocess"] == "run"
-        assert parents["ctable"] == "run"
+        assert parents["bayesnet.learn"] is None
+        assert parents["ctable.build"] == "run"
         assert parents["crowd"] == "run"
         assert parents["round[1]"] == "crowd"
+        assert parents["core.rank"].startswith("round[")
         assert parents["run"] is None
 
     def test_event_log_accounts_for_every_task(self, traced):
@@ -288,6 +344,158 @@ class TestSelectionVerifier:
         metrics_path.write_text(json.dumps(snapshot))
         assert obs_main([str(metrics_path)]) == 2
         assert "selection problem" in capsys.readouterr().err
+
+
+class TestLayerSpans:
+    """A learned run's span tree is its clock, under the benchmark's names."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        trace_path = tmp_path_factory.mktemp("layers") / "trace.jsonl"
+        dataset = generate_synthetic(n_objects=300, missing_rate=0.1, seed=0)
+        config = BayesCrowdConfig(
+            alpha=0.05, budget=20, latency=4, seed=0, trace_path=trace_path
+        )
+        result = BayesCrowd(dataset, config).run()
+        return result, read_events(trace_path)
+
+    def test_trace_holds_the_layers_and_the_tree_spans(self, traced):
+        result, _ = traced
+        names = {span["name"] for span in result.trace}
+        rounds = {"round[%d]" % (i + 1) for i in range(result.rounds)}
+        assert result.rounds > 0
+        assert names == set(PIPELINE_PHASES) | {"run", "crowd"} | rounds
+
+    def test_layer_names_match_the_benchmark(self):
+        declared = json.loads((REPO / "BENCHMARK.json").read_text())
+        timed = [
+            metric["name"][: -len("_s")]
+            for metric in declared["per_layer"]
+            if metric["name"].endswith("_s")
+            and not metric["name"].startswith(("session.", "service."))
+        ]
+        assert tuple(timed) == PIPELINE_PHASES
+
+    def test_each_layer_histogram_counts_its_spans(self, traced):
+        result, _ = traced
+        histograms = result.metrics["histograms"]
+        for phase in PIPELINE_PHASES + ("run", "crowd", "round"):
+            spans = [s for s in result.trace if s["phase"] == phase]
+            assert histograms["phase_seconds_%s" % phase]["count"] == len(spans)
+            assert histograms["phase_seconds_%s" % phase]["sum"] == pytest.approx(
+                sum(s["seconds"] for s in spans)
+            )
+
+    def test_timing_fields_read_from_spans(self, traced):
+        result, _ = traced
+
+        def total(phase):
+            return sum(s["seconds"] for s in result.trace if s["phase"] == phase)
+
+        (run,) = [s for s in result.trace if s["name"] == "run"]
+        gauges = result.metrics["gauges"]
+        assert result.seconds == run["seconds"] - total("crowd.ask")
+        assert gauges["total_seconds"] == result.seconds
+        assert result.modeling_seconds == total("ctable.build")
+        assert gauges["modeling_seconds"] == result.modeling_seconds
+        assert gauges["preprocess_seconds"] == total("bayesnet.learn") > 0.0
+        assert result.engine_stats["selection_seconds"] == total("core.select")
+        for record in result.history:
+            (span,) = [
+                s for s in result.trace if s["name"] == "round[%d]" % record.round_index
+            ]
+            assert record.seconds == span["seconds"]
+
+    def test_learning_precedes_the_run(self, traced):
+        result, _ = traced
+        (learn,) = [s for s in result.trace if s["name"] == "bayesnet.learn"]
+        (run,) = [s for s in result.trace if s["name"] == "run"]
+        assert 0.0 <= learn["start"] <= learn["end"] <= run["start"]
+
+    def test_exported_trace_passes_the_span_tree_check(self, traced):
+        _, events = traced
+        assert verify_spans(events) == []
+
+
+def span_event(name, start, end, parent=None, depth=0, phase=None):
+    return {
+        "event": "span",
+        "name": name,
+        "phase": phase or name,
+        "start": start,
+        "end": end,
+        "seconds": end - start,
+        "parent": parent,
+        "depth": depth,
+    }
+
+
+def whole_tree():
+    """A minimal run in completion order: layers cover 0.96 of ``run``."""
+    return [
+        span_event("ctable.build", 0.0, 0.5, "run", 1),
+        span_event("core.rank", 0.5, 0.7, "round[1]", 3),
+        span_event("crowd.ask", 0.7, 0.96, "round[1]", 3),
+        span_event("round[1]", 0.5, 1.0, "crowd", 2, phase="round"),
+        span_event("crowd", 0.5, 1.0, "run", 1),
+        span_event("run", 0.0, 1.0),
+    ]
+
+
+class TestSpanTreeVerifier:
+    def test_whole_tree_passes(self):
+        assert verify_spans(whole_tree()) == []
+
+    def test_child_ending_after_its_parent(self):
+        events = whole_tree()
+        events[1] = span_event("core.rank", 0.5, 1.2, "round[1]", 3)
+        (problem,) = verify_spans(events)
+        assert "'core.rank'" in problem and "not inside its parent 'round[1]'" in problem
+
+    def test_child_starting_before_its_parent(self):
+        events = whole_tree()
+        events[2] = span_event("crowd.ask", 0.4, 0.96, "round[1]", 3)
+        assert any("not inside" in p for p in verify_spans(events))
+
+    def test_unclosed_span(self):
+        events = [e for e in whole_tree() if e["name"] != "round[1]"]
+        problems = verify_spans(events)
+        assert any("'round[1]' never closed" in p for p in problems)
+
+    def test_layer_coverage_below_the_floor(self):
+        events = whole_tree()
+        events[2] = span_event("crowd.ask", 0.7, 0.9, "round[1]", 3)
+        (problem,) = verify_spans(events)
+        assert "cover 0.900 of the run span" in problem
+
+    def test_missing_run_span(self):
+        assert verify_spans([]) == ["trace has no closed 'run' span"]
+
+    def test_cli_exits_nonzero_on_a_broken_span(self, tmp_path):
+        metrics_path = tmp_path / "m.json"
+        registry = MetricsRegistry()
+        for phase in PIPELINE_PHASES:
+            registry.histogram("phase_seconds_%s" % phase)
+        metrics_path.write_text(registry.to_json())
+        trace_path = tmp_path / "t.jsonl"
+        events = [{"event": "run_start"}] + whole_tree() + [{"event": "run_end"}]
+        events[2] = span_event("core.rank", 0.5, 1.2, "round[1]", 3)
+        trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+
+        def verify(path):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.obs", str(metrics_path), "--trace", str(path)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        broken = verify(trace_path)
+        assert broken.returncode != 0
+        assert "not inside its parent" in broken.stderr
+        events[2] = span_event("core.rank", 0.5, 0.7, "round[1]", 3)
+        trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        assert verify(trace_path).returncode == 0
 
 
 class TestCLIFlags:

@@ -11,16 +11,18 @@ from repro.bayesnet.posteriors import empirical_distributions
 from repro.ctable import build_ctable
 from repro.datasets import generate_nba
 from repro.experiments.data import dataset_with_distributions
-from repro.metrics import time_call
+from repro.obs import Tracer
 from repro.probability import ADPLL, DistributionStore, naive_probability
 
 
 class TestFig2Shape:
     def test_get_ctable_beats_baseline(self):
         dataset = generate_nba(n_objects=250, missing_rate=0.1, seed=1)
-        __, fast = time_call(build_ctable, dataset, 0.05, "fast")
-        __, slow = time_call(build_ctable, dataset, 0.05, "baseline")
-        assert fast < slow
+        tracer = Tracer()
+        for method in ("fast", "baseline"):
+            with tracer.span(method):
+                build_ctable(dataset, 0.05, method)
+        assert tracer.total("fast") < tracer.total("baseline")
 
 
 class TestFig3Shape:
@@ -40,11 +42,12 @@ class TestFig3Shape:
                 conditions.append(condition)
         assert conditions, "need at least one enumerable condition"
         solver = ADPLL(store)
-        __, adpll_s = time_call(lambda: [solver.probability(c) for c in conditions])
-        __, naive_s = time_call(
-            lambda: [naive_probability(c, store) for c in conditions]
-        )
-        assert adpll_s < naive_s
+        tracer = Tracer()
+        with tracer.span("adpll"):
+            [solver.probability(c) for c in conditions]
+        with tracer.span("naive"):
+            [naive_probability(c, store) for c in conditions]
+        assert tracer.total("adpll") < tracer.total("naive")
 
 
 class TestFig4Shape:

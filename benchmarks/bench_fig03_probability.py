@@ -7,14 +7,9 @@ in ``extra_info``).  Expected shape: ADPLL faster than Naive everywhere,
 the gap widening with the missing rate; ``batch`` (the engine's
 ``probability_many`` with bulk leaf warming) at or below plain ADPLL.
 
-Standalone mode times the batch engine sequentially, with a worker
-pool, and under the forest backend (``compiled_kernel``: store-scoped
-circuit sharing plus the numpy array kernel; ``forest_fallback``: the
-same backend under a starved node budget), plus per-round re-weighting
-for ADPLL and the forest (``adpll_rounds`` / ``kernel_rounds``), and
-emits
-``BENCH_fig03_probability.json`` in pytest-benchmark shape (render with
-``python -m repro.benchreport``)::
+Standalone mode times the batch engine sequentially, batched and with a
+worker pool, and emits ``BENCH_fig03_probability.json`` in
+pytest-benchmark shape (render with ``python -m repro.benchreport``)::
 
     python benchmarks/bench_fig03_probability.py --n-jobs 4
 """
@@ -28,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.bayesnet.posteriors import empirical_distributions
-from repro.ctable import Relation, build_ctable, var_greater_const
+from repro.ctable import build_ctable
 from repro.experiments.data import nba_dataset, synthetic_dataset
 from repro.obs import MetricsRegistry, Tracer
 from repro.probability import (
@@ -115,8 +110,6 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
         ("sequential", dict(n_jobs=1), False),
         ("batch", dict(n_jobs=1), True),
         ("batch_pool", dict(n_jobs=n_jobs), True),
-        # forest sharing + the numpy structure-of-arrays kernel
-        ("compiled_kernel", dict(n_jobs=1, backend="forest"), True),
     ]
     baseline_values = None
     for name, engine_kwargs, batched in variants:
@@ -159,13 +152,6 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
         }
         if name != "sequential":
             extra["parity_max_drift"] = drift
-        if engine_kwargs.get("backend") == "forest":
-            extra["circuits_compiled"] = stats["circuits_compiled"]
-            extra["circuit_nodes"] = stats["circuit_nodes"]
-            extra["compile_fallbacks"] = stats["compile_fallbacks"]
-            extra["forest_nodes"] = stats["forest_nodes"]
-            extra["nodes_shared"] = stats["nodes_shared"]
-            extra["shared_fraction"] = round(stats["shared_fraction"], 4)
         rows.append(
             {
                 "name": "probability[%s,n=%d,%s]" % (kind, n, name),
@@ -184,178 +170,12 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
                 extra["parallel_chunks"],
             )
         )
-    rows.append(_fallback_row(kind, n, conditions, store, baseline_values, tracer))
-    rows.extend(run_rounds(kind, n, missing_rate, alpha, tracer, registry))
     Path(out_path).write_text(
         json.dumps(
             {"benchmarks": rows, "metrics": registry.snapshot()}, indent=2
         )
     )
     print("wrote %s" % out_path)
-
-
-def _fallback_row(kind, n, conditions, store, baseline_values, tracer):
-    """Forest backend under a starved node budget: the fallback ladder.
-
-    Every non-trivial condition trips the compile budget, the compile
-    breaker opens, and ADPLL answers instead -- values must stay exact.
-    """
-    engine = ProbabilityEngine(
-        store.snapshot(), backend="forest", compile_node_budget=8
-    )
-    with tracer.span("probability[forest_fallback]", phase="probability") as span:
-        values = engine.probability_many(conditions)
-    drift = max(
-        (abs(a - b) for a, b in zip(baseline_values, values)), default=0.0
-    )
-    assert drift < 1e-9, "fallback path drifted by %g" % drift
-    stats = engine.stats()
-    assert stats["compile_fallbacks"] > 0, "budget of 8 nodes never tripped"
-    extra = {
-        "variant": "forest_fallback",
-        "conditions": len(conditions),
-        "forced_budget_trip": True,
-        "compile_node_budget": 8,
-        "compile_fallbacks": stats["compile_fallbacks"],
-        "circuits_compiled": stats["circuits_compiled"],
-        "compile_breaker_state": stats["compile_breaker_state"],
-        "parity_max_drift": drift,
-    }
-    print(
-        "%-11s %8.3fs  (%d fallbacks, breaker %s)"
-        % (
-            "fallback",
-            span.seconds,
-            stats["compile_fallbacks"],
-            stats["compile_breaker_state"],
-        )
-    )
-    return {
-        "name": "probability[%s,n=%d,forest_fallback]" % (kind, n),
-        "fullname": "bench_fig03_probability.py::standalone",
-        "stats": {"mean": span.seconds},
-        "extra_info": extra,
-    }
-
-
-#: Per-round engines: independent stores, identical answer sequences.
-ROUND_ENGINES = (
-    ("adpll", {}),
-    # the forest with its numpy array kernel
-    ("kernel", dict(backend="forest")),
-)
-
-
-def run_rounds(kind, n, missing_rate, alpha, tracer, registry, rounds=5):
-    """Per-round re-weighting: ADPLL recompute vs circuit re-propagation.
-
-    Independent constraint sets receive the same deterministic answer
-    sequence (``Var > 0`` facts applied straight to the constraints, so
-    conditions never simplify -- a pure weight-change workload).  Each
-    round every engine recomputes every condition; the forest must
-    re-propagate leaf weights without a single recompilation.
-    """
-    setups = {}
-    reference_conditions = None
-    for name, kwargs in ROUND_ENGINES:
-        conditions, store, __ = _feasible_conditions(
-            kind, missing_rate, n=n, alpha=alpha, cap=None
-        )
-        if reference_conditions is None:
-            reference_conditions = conditions
-        else:
-            assert conditions == reference_conditions, (
-                "dataset generation is not deterministic"
-            )
-        engine = ProbabilityEngine(store, **kwargs)
-        # warm-up: compile every circuit / fill every cache before timing
-        engine.probability_many(conditions)
-        setups[name] = (engine, store, conditions)
-    answered = sorted({v for c in reference_conditions for v in c.variables()})
-    per_round = max(1, min(32, len(answered) // rounds))
-    seconds = {name: 0.0 for name, __ in ROUND_ENGINES}
-    played = 0
-    for r in range(rounds):
-        batch = answered[r * per_round : (r + 1) * per_round]
-        if not batch:
-            break
-        for variable in batch:
-            answer = var_greater_const(variable[0], variable[1], 0)
-            for __, store, ___ in setups.values():
-                store.constraints.apply_answer(answer, Relation.GREATER)
-        played += len(batch)
-        round_values = {}
-        for name, (engine, __, conditions) in setups.items():
-            with tracer.span("round[%s,%d]" % (name, r), phase="probability") as span:
-                round_values[name] = engine.probability_many(conditions)
-            seconds[name] += span.seconds
-        for name in seconds:
-            if name == "adpll":
-                continue
-            drift = max(
-                (
-                    abs(a - b)
-                    for a, b in zip(round_values["adpll"], round_values[name])
-                ),
-                default=0.0,
-            )
-            assert drift < 1e-9, "round %d %s drifted by %g" % (r, name, drift)
-    rows = []
-    common = {
-        "conditions": len(reference_conditions),
-        "rounds": rounds,
-        "answers_played": played,
-        "weight_only": True,
-    }
-    for name, (engine, __, ___) in setups.items():
-        stats = engine.stats()
-        elapsed = seconds[name]
-        extra = dict(common, variant="%s_rounds" % name)
-        if name != "adpll":
-            assert stats["recompiles"] == 0, (
-                "weight-only answers recompiled %d circuits in %s"
-                % (stats["recompiles"], name)
-            )
-            registry.absorb(stats, prefix="engine_rounds_%s_" % name)
-            extra.update(
-                recompiles=stats["recompiles"],
-                propagations=stats["propagations"],
-                propagations_per_sec=round(
-                    stats["propagations"] / elapsed if elapsed else 0.0
-                ),
-                circuits_compiled=stats["circuits_compiled"],
-                speedup_vs_adpll=round(
-                    seconds["adpll"] / elapsed if elapsed else 0.0, 2
-                ),
-            )
-        else:
-            extra["recompiles"] = 0
-        if name == "kernel":
-            extra.update(
-                shared_fraction=round(stats["shared_fraction"], 4),
-                forest_nodes=stats["forest_nodes"],
-                nodes_shared=stats["nodes_shared"],
-            )
-        rows.append(
-            {
-                "name": "probability[%s,n=%d,%s_rounds]" % (kind, n, name),
-                "fullname": "bench_fig03_probability.py::standalone",
-                "stats": {"mean": elapsed},
-                "extra_info": extra,
-            }
-        )
-        print(
-            "rounds[%-8s] %8.3fs  (%.2fx vs adpll, %d propagations, "
-            "%d recompiles)"
-            % (
-                name,
-                elapsed,
-                seconds["adpll"] / elapsed if elapsed else 0.0,
-                stats.get("propagations", 0),
-                stats.get("recompiles", 0),
-            )
-        )
-    return rows
 
 
 def main(argv=None):

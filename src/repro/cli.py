@@ -85,26 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = unbounded; default %d)" % BayesCrowdConfig.utility_cache_size,
     )
     perf.add_argument(
-        "--probability-backend", choices=["adpll", "forest"],
-        default="adpll",
-        help="exact-probability backend: 'adpll' re-solves each condition "
-        "per round; 'forest' compiles each condition once into a d-DNNF "
-        "circuit, shares subcircuits across objects and re-weights all "
-        "circuits in one array sweep per round (compilation blowups "
-        "degrade to ADPLL, then sampling)",
-    )
-    perf.add_argument(
-        "--compile-node-budget", type=int, default=None, metavar="N",
-        help="node cap for compiling one condition's circuit before "
-        "degrading to ADPLL (0 = unlimited; default %d)"
-        % BayesCrowdConfig.compile_node_budget,
-    )
-    perf.add_argument(
-        "--circuit-cache-size", type=int, default=None, metavar="N",
-        help="bound on compiled circuits kept live per store "
-        "(0 = unbounded; default %d)" % BayesCrowdConfig.circuit_cache_size,
-    )
-    perf.add_argument(
         "--perf", action="store_true",
         help="print engine/c-table perf counters after the run",
     )
@@ -277,17 +257,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             ctable_prune=args.ctable_prune,
             n_jobs=args.n_jobs,
-            probability_backend=args.probability_backend,
-            **(
-                {"compile_node_budget": args.compile_node_budget}
-                if args.compile_node_budget is not None
-                else {}
-            ),
-            **(
-                {"circuit_cache_size": args.circuit_cache_size}
-                if args.circuit_cache_size is not None
-                else {}
-            ),
             selection_batch=(args.selection == "batched"),
             **(
                 {"utility_cache_size": args.utility_cache_size}
@@ -437,30 +406,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 stats.get("rankings", 0),
             )
         )
-        if stats.get("probability_backend") == "forest":
-            print(
-                "forest: %d circuits (%d nodes), %d propagations, "
-                "%d recompiles, %d reuses, %d fallbacks"
-                % (
-                    stats.get("circuits_compiled", 0),
-                    stats.get("circuit_nodes", 0),
-                    stats.get("propagations", 0),
-                    stats.get("recompiles", 0),
-                    stats.get("circuit_reuses", 0),
-                    stats.get("compile_fallbacks", 0),
-                )
-            )
-            print(
-                "forest: %d live nodes, %d shared (%.1f%% of reachable), "
-                "%d full + %d suffix sweeps"
-                % (
-                    stats.get("forest_nodes", 0),
-                    stats.get("nodes_shared", 0),
-                    100.0 * stats.get("shared_fraction", 0.0),
-                    stats.get("forest_full_sweeps", 0),
-                    stats.get("forest_suffix_sweeps", 0),
-                )
-            )
         candidates = stats.get("utility_candidates_total", 0)
         evals = stats.get("utility_evals_total", 0)
         print(

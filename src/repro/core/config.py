@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import ClassVar, Optional, Tuple, Union
 
 from ..crowd.quality import DEFAULT_RELIABILITY_PRIOR
 from ..crowd.unreliable import FaultModel
@@ -12,11 +12,7 @@ from ..ctable.constraints import INFERENCE_MODES
 from ..ctable.construction import BACKENDS
 from ..ctable.pruning import PRUNE_MODES
 from ..ctable.dominators import DOMINATOR_METHODS
-from ..probability.engine import DEFAULT_CACHE_SIZE, METHODS, PROBABILITY_BACKENDS
-from ..probability.forest import (
-    DEFAULT_CIRCUIT_CACHE_SIZE,
-    DEFAULT_COMPILE_NODE_BUDGET,
-)
+from ..probability.engine import DEFAULT_CACHE_SIZE, INERT_KEYWORDS, METHODS
 from .utility import UTILITY_MODES
 from .utility_engine import DEFAULT_UTILITY_CACHE_SIZE
 
@@ -50,18 +46,12 @@ class BayesCrowdConfig:
     m: int = 15
     #: probability computation method: "adpll", "naive" or "approx"
     probability_method: str = "adpll"
-    #: exact-probability backend (method "adpll" only): "adpll" re-solves
-    #: each condition every round, "forest" compiles each condition once
-    #: into a d-DNNF circuit, shares subcircuits across all objects in one
-    #: store-scoped DAG and re-weights every registered circuit in a single
-    #: array sweep as answers arrive
-    probability_backend: str = "adpll"
-    #: node cap for compiling one condition's circuit before the engine
-    #: degrades to ADPLL-then-sampling (0 = unlimited)
-    compile_node_budget: int = DEFAULT_COMPILE_NODE_BUDGET
-    #: bound on compiled circuits kept live per store -- the forest
-    #: backend's root-pin LRU (0 = unbounded)
-    circuit_cache_size: int = DEFAULT_CIRCUIT_CACHE_SIZE
+    #: forest residue, not a field: drivers.replay_query reads it (ROADMAP item 1)
+    probability_backend: ClassVar[str] = INERT_KEYWORDS["backend"]
+    #: forest residue, not a field: drivers.replay_query reads it (ROADMAP item 1)
+    compile_node_budget: ClassVar[int] = INERT_KEYWORDS["compile_node_budget"]
+    #: forest residue, not a field: drivers.replay_query reads it (ROADMAP item 1)
+    circuit_cache_size: ClassVar[int] = INERT_KEYWORDS["circuit_cache_size"]
     #: objects with Pr(phi) above this are reported as answers
     answer_threshold: float = 0.5
     #: stop crowdsourcing early once every undecided object's entropy falls
@@ -169,20 +159,6 @@ class BayesCrowdConfig:
             raise ValueError("unknown strategy %r" % self.strategy)
         if self.probability_method not in METHODS:
             raise ValueError("unknown probability method %r" % self.probability_method)
-        if self.probability_backend not in PROBABILITY_BACKENDS:
-            raise ValueError(
-                "unknown probability backend %r; expected one of %r"
-                % (self.probability_backend, PROBABILITY_BACKENDS)
-            )
-        if (
-            self.probability_backend == "forest"
-            and self.probability_method != "adpll"
-        ):
-            raise ValueError(
-                "probability_backend=%r replaces the exact ADPLL "
-                "path and requires probability_method='adpll', got %r"
-                % (self.probability_backend, self.probability_method)
-            )
         if not 0.0 <= self.answer_threshold <= 1.0:
             raise ValueError("answer_threshold must lie in [0, 1]")
         if not 0.0 <= self.entropy_epsilon <= 1.0:
@@ -257,18 +233,6 @@ class BayesCrowdConfig:
             raise ConfigError("adpll_node_budget must be non-negative")
         if self.adpll_deadline_s < 0:
             raise ConfigError("adpll_deadline_s must be non-negative (0 = none)")
-        if not isinstance(self.compile_node_budget, int) or isinstance(
-            self.compile_node_budget, bool
-        ):
-            raise ConfigError("compile_node_budget must be an int (0 = unlimited)")
-        if self.compile_node_budget < 0:
-            raise ConfigError("compile_node_budget must be non-negative")
-        if not isinstance(self.circuit_cache_size, int) or isinstance(
-            self.circuit_cache_size, bool
-        ):
-            raise ConfigError("circuit_cache_size must be an int (0 = unbounded)")
-        if self.circuit_cache_size < 0:
-            raise ConfigError("circuit_cache_size must be non-negative")
         try:
             prior = tuple(float(x) for x in self.reliability_prior)
         except (TypeError, ValueError):

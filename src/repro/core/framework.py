@@ -445,7 +445,6 @@ class BayesCrowd:
                 "utility_probability_requests": run.probability_requests,
                 "utility_probability_submitted": run.probability_requests,
                 "utility_probability_computed": run.probability_computed,
-                "utility_precompiled_total": 0,
                 "utility_batch_dedup_ratio": 0.0,
                 "utility_gain_cache_size": 0,
                 "utility_residual_cache_size": 0,
@@ -562,9 +561,6 @@ class BayesCrowd:
                 n_jobs=config.n_jobs,
                 node_budget=config.adpll_node_budget,
                 deadline_s=config.adpll_deadline_s,
-                backend=config.probability_backend,
-                compile_node_budget=config.compile_node_budget,
-                circuit_cache_size=config.circuit_cache_size,
             )
             engine.attach_cancellation(cancel)
             self.ctable = ctable

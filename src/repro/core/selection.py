@@ -158,7 +158,6 @@ class IncrementalRanker:
         probabilities = self._engine.probability_many(
             [self._ctable.condition(obj) for obj in objects],
             n_jobs=self._n_jobs,
-            objects=objects,
         )
         solved = []
         for obj, p in zip(objects, probabilities):
@@ -298,7 +297,7 @@ def bounded_result_set(
             n_bounded += 1
     if to_solve:
         probabilities = engine.probability_many(
-            [ctable.condition(obj) for obj in to_solve], objects=to_solve
+            [ctable.condition(obj) for obj in to_solve]
         )
         value = dict(zip(to_solve, probabilities))
         answers.extend(obj for obj in straddling if value[obj] > threshold)

@@ -92,9 +92,6 @@ class UtilityEngine:
         #: fresh solves those submissions actually triggered (the rest
         #: were served by the engine's version-validated LRU)
         self.probability_computed = 0
-        #: conditions handed to the forest backend's round-level
-        #: :meth:`ProbabilityEngine.precompile_many` batch (0 otherwise)
-        self.precompiled_total = 0
         self.seconds = 0.0
 
     # ------------------------------------------------------------------
@@ -136,7 +133,6 @@ class UtilityEngine:
 
         if fresh:
             ordered = list(fresh)
-            self._precompile_round(ordered)
             base_probs = self.engine.probability_many(
                 [c for c, __ in ordered], n_jobs=self._n_jobs
             )
@@ -180,27 +176,6 @@ class UtilityEngine:
         return out  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _precompile_round(self, ordered: Sequence[CandidatePair]) -> None:
-        """Register the whole round's circuits in one forest batch.
-
-        Under the ``forest`` backend both ``gains`` probability stages
-        read the same shared circuit forest, so submitting the base
-        conditions *and* every pair's residual branches up front means
-        the first sweep of the round already covers the second stage's
-        nodes: one compile batch plus one array sweep per round instead
-        of two.  Residuals are syntactic rewrites served by the
-        ``_residuals`` LRU, so the eager construction here is reused
-        verbatim by :meth:`_branch_conditions`.  Other backends have no
-        batch compile step; the hook is a no-op for them.
-        """
-        if getattr(self.engine, "backend", None) != "forest":
-            return
-        conditions = [c for c, __ in ordered]
-        conditions.extend(
-            self._branch_conditions([(pair, 0.0) for pair in ordered])
-        )
-        self.precompiled_total += self.engine.precompile_many(conditions)
-
     def _kernel_branches(
         self, pending: Sequence[Tuple[CandidatePair, float]]
     ) -> Dict[CandidatePair, Tuple[float, float]]:
@@ -303,7 +278,6 @@ class UtilityEngine:
             "utility_probability_requests": self.probability_requests,
             "utility_probability_submitted": self.probability_submitted,
             "utility_probability_computed": self.probability_computed,
-            "utility_precompiled_total": self.precompiled_total,
             "utility_batch_dedup_ratio": float(self.dedup_ratio),
             "utility_gain_cache_size": len(self._gains),
             "utility_residual_cache_size": len(self._residuals),

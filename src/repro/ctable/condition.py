@@ -183,10 +183,9 @@ class Condition:
     def is_variable_disjoint(self) -> bool:
         """True when no variable occurs in more than one expression.
 
-        This is the "independent" normal form shared by ADPLL and the
-        circuit compiler: with every expression over distinct variables,
-        the probability follows from product/complement rules alone, so
-        neither solver needs to branch.  Constants are trivially disjoint.
+        This is ADPLL's "independent" normal form: with every expression
+        over distinct variables, the probability follows from
+        product/complement rules alone, so no branching is needed.  Constants are trivially disjoint.
         """
         return all(count == 1 for count in self.variable_counts().values())
 
@@ -224,8 +223,8 @@ class Condition:
         """Partition the clauses into variable-connected sub-conditions.
 
         Maximal groups of connected clauses (:meth:`clause_components`)
-        are probabilistically independent, so both ADPLL and the circuit
-        compiler solve them separately and multiply.  Returns ``[self]``
+        are probabilistically independent, so ADPLL solves them separately
+        and multiplies.  Returns ``[self]``
         for constants and single-component conditions (callers check
         ``len() > 1`` before recursing, which also guards against
         infinite recursion).

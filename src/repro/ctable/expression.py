@@ -205,28 +205,6 @@ class Expression:
             return left.value > right.value
         return Expression(left, right)
 
-    def true_values(self, domain_size: int) -> Tuple[int, ...]:
-        """Domain values of the single variable for which this holds.
-
-        The normalization hook for the circuit compiler: a var-vs-const
-        expression is exactly the event "the variable falls in this value
-        set", so it compiles to a set-literal leaf instead of a decision
-        node.  ``Var > c`` holds on ``{c+1, ..., D-1}``; ``c > Var`` holds
-        on ``{0, ..., c-1}``.  Out-of-domain constants clamp to the empty
-        or full set.  Raises :class:`ValueError` for var-vs-var
-        expressions -- a two-variable atom has no single-variable truth
-        set.
-        """
-        if len(self._vars) != 1:
-            raise ValueError("true_values needs a single-variable expression")
-        if isinstance(self.left, Var):
-            # Var > c
-            low = max(self.right.value + 1, 0)
-            return tuple(range(low, domain_size))
-        # c > Var
-        high = min(self.left.value, domain_size)
-        return tuple(range(0, high))
-
     def truth_under(self, relation: Relation) -> bool:
         """Truth of the expression given the answered operand relation."""
         return relation is Relation.GREATER

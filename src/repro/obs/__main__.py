@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.obs metrics.json [--trace trace.jsonl] [--journal PATH] \
-        [--selection] [--integrity] [--ctable] [--probability]
+        [--selection] [--integrity] [--ctable]
 
 Exit status 0 means the metrics snapshot registers a ``phase_seconds_*``
 histogram for every layer and (with ``--trace``) the JSONL event log
@@ -46,18 +46,6 @@ CTABLE_COUNTERS = (
     "ctable_pair_universe",
 )
 
-#: Circuit-accounting counters of the forest probability backend.
-PROBABILITY_COUNTERS = (
-    "engine_circuits_compiled",
-    "engine_circuit_nodes",
-    "engine_propagations",
-    "engine_recompiles",
-    "engine_compile_fallbacks",
-    "engine_forest_nodes",
-    "engine_nodes_shared",
-)
-
-
 def _absent(
     snapshot: dict, names: Tuple[str, ...], label: str, require: bool
 ) -> Optional[List[str]]:
@@ -72,48 +60,6 @@ def _absent(
     if not require:
         return []
     return ["%s counter(s) missing: %s" % (label, ", ".join(missing))]
-
-
-def verify_probability(snapshot: dict, require: bool = False) -> List[str]:
-    """Problems with the forest backend's circuit accounting (empty = ok).
-
-    The engine exports the counters on every run (zeros when the backend
-    is "adpll"); invariants: all non-negative, every recompile is a
-    compile (``recompiles <= circuits_compiled``), and any compiled
-    circuit has at least one node (``circuit_nodes >= circuits_compiled``
-    whenever anything compiled).
-    """
-    absent = _absent(snapshot, PROBABILITY_COUNTERS, "probability", require)
-    if absent is not None:
-        return absent
-    counters = snapshot["counters"]
-    problems: List[str] = []
-    if any(counters[name] < 0 for name in PROBABILITY_COUNTERS):
-        problems.append("probability circuit counters must be non-negative")
-    compiled = counters["engine_circuits_compiled"]
-    nodes = counters["engine_circuit_nodes"]
-    recompiles = counters["engine_recompiles"]
-    if recompiles > compiled:
-        problems.append(
-            "engine_recompiles %r exceeds engine_circuits_compiled %r"
-            % (recompiles, compiled)
-        )
-    if compiled > 0 and nodes < compiled:
-        problems.append(
-            "engine_circuit_nodes %r < engine_circuits_compiled %r "
-            "(every circuit has at least one node)" % (nodes, compiled)
-        )
-    shared = snapshot.get("gauges", {}).get("engine_shared_fraction")
-    if shared is not None and not 0.0 <= shared <= 1.0:
-        problems.append(
-            "gauge engine_shared_fraction %r outside [0, 1]" % (shared,)
-        )
-    if counters["engine_nodes_shared"] > 0 and counters["engine_forest_nodes"] == 0:
-        problems.append(
-            "engine_nodes_shared %r with an empty forest"
-            % (counters["engine_nodes_shared"],)
-        )
-    return problems
 
 
 def verify_ctable(snapshot: dict, require: bool = False) -> List[str]:
@@ -273,7 +219,6 @@ COUNTER_CHECKS = (
     ("selection", verify_selection, "evals == candidates - cache hits - skipped"),
     ("integrity", verify_integrity, "quarantined + applied == aggregated"),
     ("ctable", verify_ctable, "pairs_tested + pairs_pruned == pair_universe"),
-    ("probability", verify_probability, "recompiles <= circuits_compiled"),
 )
 
 

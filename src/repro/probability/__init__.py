@@ -10,16 +10,9 @@ from .distributions import DistributionStore
 from .engine import (
     DEFAULT_CACHE_SIZE,
     METHODS,
-    PROBABILITY_BACKENDS,
     ProbabilityEngine,
     resolve_n_jobs,
 )
-from .forest import (
-    DEFAULT_CIRCUIT_CACHE_SIZE,
-    DEFAULT_COMPILE_NODE_BUDGET,
-    CircuitForest,
-)
-from .kernel import ForestProgram
 from .guard import CircuitBreaker, GuardedProbability
 from .naive import EnumerationLimitExceeded, naive_probability
 
@@ -31,14 +24,9 @@ __all__ = [
     "ApproxEstimate",
     "approx_probability",
     "adaptive_approx_probability",
-    "DEFAULT_CIRCUIT_CACHE_SIZE",
-    "DEFAULT_COMPILE_NODE_BUDGET",
-    "CircuitForest",
-    "ForestProgram",
     "DistributionStore",
     "DEFAULT_CACHE_SIZE",
     "METHODS",
-    "PROBABILITY_BACKENDS",
     "ProbabilityEngine",
     "resolve_n_jobs",
     "CircuitBreaker",

@@ -78,8 +78,7 @@ from .distributions import DistributionStore
 #: table while keeping the recently hot residuals.
 DEFAULT_MEMO_SIZE = 262_144
 
-#: available branching-variable heuristics (shared with the circuit
-#: compiler, which splits on the same variable order):
+#: available branching-variable heuristics:
 #: ``frequency``  -- most occurrences in the condition (the paper's);
 #: ``min_domain`` -- smallest domain under ``domain_size`` (fail-first);
 #: ``first``      -- smallest variable id (arbitrary-but-fixed control).
@@ -369,8 +368,8 @@ class ADPLL:
     instead of a random one, for reproducibility).
     """
 
-    #: see the module-level :data:`BRANCH_HEURISTICS` (shared with the
-    #: circuit compiler); kept as a class attribute for callers
+    #: see the module-level :data:`BRANCH_HEURISTICS`; kept as a class
+    #: attribute for callers
     BRANCH_HEURISTICS = BRANCH_HEURISTICS
 
     def __init__(

@@ -113,19 +113,6 @@ class DistributionStore:
     def variables(self):
         return self._base.keys()
 
-    def domain_size(self, variable: Variable) -> int:
-        """Size of the variable's *base* domain (constraint-independent).
-
-        The circuit compiler branches over the full base domain -- not the
-        current support -- so a compiled circuit stays valid when answers
-        narrow (or, after a contradiction overwrite, re-expand) the
-        allowed value set: only leaf weights move.
-        """
-        base = self._base.get(variable)
-        if base is None:
-            raise KeyError("no distribution for variable %s" % (variable,))
-        return len(base)
-
     def pmf(self, variable: Variable) -> np.ndarray:
         """Current pmf: base distribution restricted by constraints."""
         base = self._base.get(variable)

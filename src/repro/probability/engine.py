@@ -41,25 +41,18 @@ from ..parallel import (
 from .adpll import ADPLL
 from .approxcount import adaptive_approx_probability, approx_probability
 from .distributions import DistributionStore
-from .forest import (
-    DEFAULT_CIRCUIT_CACHE_SIZE,
-    DEFAULT_COMPILE_NODE_BUDGET,
-    CircuitForest,
-)
 from .guard import CircuitBreaker, GuardedProbability
-from .kernel import ForestProgram
 from .naive import naive_probability
 
 #: Supported computation methods.
 METHODS = ("adpll", "naive", "approx")
 
-#: Exact-probability backends for ``method="adpll"``: ``adpll`` re-solves
-#: each condition per call (the paper's algorithm), ``forest`` compiles
-#: each condition once into a d-DNNF circuit inside one store-scoped,
-#: subcircuit-sharing DAG and re-weights every registered circuit in one
-#: array sweep as answers land (:mod:`repro.probability.forest` /
-#: :mod:`repro.probability.kernel`).
-PROBABILITY_BACKENDS = ("adpll", "forest")
+#: The one value each inert keyword of :class:`ProbabilityEngine` accepts.
+INERT_KEYWORDS = {
+    "backend": "adpll",
+    "compile_node_budget": 200_000,
+    "circuit_cache_size": 16_384,
+}
 
 #: Default bound on the condition-probability cache.
 DEFAULT_CACHE_SIZE = 65_536
@@ -162,34 +155,6 @@ def _compute_chunk(payload) -> List[float]:
     ]
 
 
-#: Per-process cache of forest programs rebuilt from shared memory, keyed
-#: by the bundle handle (one live program per worker is enough).
-_WORKER_PROGRAMS: Dict[tuple, Tuple[ForestProgram, np.ndarray]] = {}
-
-
-def _forest_chunk(payload) -> List[float]:
-    """Pool worker: masked kernel sweep over one chunk of circuit roots.
-
-    The payload carries only a handle to the published program arrays
-    plus the chunk's root slots -- no conditions, no store, no
-    recompilation.  The worker attaches once per bundle, copies the
-    arrays out of shared memory (the parent unlinks after the batch) and
-    sweeps the subgraph reachable from its roots.
-    """
-    handle, roots = payload
-    cached = _WORKER_PROGRAMS.get(handle.key)
-    if cached is None:
-        arrays = attach_arrays(handle)
-        program = ForestProgram.from_arrays(arrays)
-        pmf_flat = np.array(arrays["leaf_pmf_flat"], dtype=np.float64)
-        _WORKER_PROGRAMS.clear()
-        _WORKER_PROGRAMS[handle.key] = (program, pmf_flat)
-    else:
-        program, pmf_flat = cached
-    values = program.evaluate_roots(roots, pmf_flat)
-    return [float(values[root]) for root in roots]
-
-
 class ProbabilityEngine:
     """Computes and caches condition probabilities against one store."""
 
@@ -206,22 +171,26 @@ class ProbabilityEngine:
         node_budget: int = 0,
         deadline_s: float = 0.0,
         breaker_threshold: int = 3,
-        backend: str = "adpll",
-        compile_node_budget: int = DEFAULT_COMPILE_NODE_BUDGET,
-        circuit_cache_size: int = DEFAULT_CIRCUIT_CACHE_SIZE,
+        # forest residue: drivers.replay_query passes it (ROADMAP item 1)
+        backend: str = INERT_KEYWORDS["backend"],
+        # forest residue: drivers.replay_query passes it (ROADMAP item 1)
+        compile_node_budget: int = INERT_KEYWORDS["compile_node_budget"],
+        # forest residue: drivers.replay_query passes it (ROADMAP item 1)
+        circuit_cache_size: int = INERT_KEYWORDS["circuit_cache_size"],
     ) -> None:
         if method not in METHODS:
             raise ValueError("unknown method %r; expected one of %r" % (method, METHODS))
-        if backend not in PROBABILITY_BACKENDS:
-            raise ValueError(
-                "unknown backend %r; expected one of %r"
-                % (backend, PROBABILITY_BACKENDS)
-            )
-        if backend == "forest" and method != "adpll":
-            raise ValueError(
-                "the %s backend replaces the exact ADPLL path; "
-                "it requires method='adpll' (got %r)" % (backend, method)
-            )
+        given = {
+            "backend": backend,
+            "compile_node_budget": compile_node_budget,
+            "circuit_cache_size": circuit_cache_size,
+        }
+        for name, value in given.items():
+            if value != INERT_KEYWORDS[name]:
+                raise ValueError(
+                    "%s is inert and accepts only %r, got %r"
+                    % (name, INERT_KEYWORDS[name], value)
+                )
         self.store = store
         self.method = method
         self._use_cache = use_cache
@@ -245,20 +214,6 @@ class ProbabilityEngine:
         #: condition -> (exact?, error bound) for guarded computations
         self._guard_info: Dict[Condition, Tuple[bool, float]] = {}
         self.n_guard_fallbacks = 0
-        #: forest backend: the shared circuit forest + its own breaker over
-        #: the compile path (compilation blowups degrade to ADPLL, which
-        #: may itself be guarded -- the full ladder is forest -> ADPLL ->
-        #: sampler)
-        self.backend = backend
-        self._forest: Optional[CircuitForest] = None
-        self.compile_breaker: Optional[CircuitBreaker] = None
-        self.n_compile_fallbacks = 0
-        self.forest_bundle_bytes = 0
-        if backend == "forest":
-            self._forest = CircuitForest(
-                store, node_budget=compile_node_budget, capacity=circuit_cache_size
-            )
-            self.compile_breaker = CircuitBreaker(failure_threshold=breaker_threshold)
         #: default worker count for :meth:`probability_many`
         self.n_jobs = resolve_n_jobs(n_jobs)
         #: cooperative cancellation token (None = not attached); checked
@@ -308,13 +263,8 @@ class ProbabilityEngine:
             return value
         return None
 
-    def probability(self, condition: Condition, obj: Optional[int] = None) -> float:
-        """``Pr(condition)`` under the current distributions.
-
-        ``obj`` optionally names the object the condition belongs to; the
-        forest backend uses it to distinguish "same object, condition
-        simplified by an answer" recompiles from first-time compiles.
-        """
+    def probability(self, condition: Condition) -> float:
+        """``Pr(condition)`` under the current distributions."""
         if condition.is_true:
             return 1.0
         if condition.is_false:
@@ -327,7 +277,7 @@ class ProbabilityEngine:
                 self.n_cache_hits += 1
                 return value
         self._pool_decision = _DECISION_SCALAR
-        value = self._compute(condition, obj)
+        value = self._compute(condition)
         self.n_computations += 1
         if self._use_cache:
             self._cache[condition] = (value, self.store.version)
@@ -338,6 +288,7 @@ class ProbabilityEngine:
         conditions: Sequence[Condition],
         n_jobs: Optional[int] = None,
         chunk_size: Optional[int] = None,
+        # forest residue: drivers.replay_query passes it (ROADMAP item 1)
         objects: Optional[Sequence[int]] = None,
     ) -> List[float]:
         """``Pr(condition)`` for every condition, batched.
@@ -355,14 +306,6 @@ class ProbabilityEngine:
         version = self.store.version
         results: Dict[Condition, float] = {}
         pending: List[Condition] = []
-        #: owning object per distinct condition (forest recompile
-        #: attribution; first owner wins on shared conditions)
-        condition_objects: Dict[Condition, int] = {}
-        if objects is not None:
-            if len(objects) != len(conditions):
-                raise ValueError("objects must align one-to-one with conditions")
-            for condition, obj in zip(conditions, objects):
-                condition_objects.setdefault(condition, obj)
         seen = set()
         for condition in conditions:
             # Dedup up front (Condition hashes canonically): duplicates in
@@ -384,12 +327,7 @@ class ProbabilityEngine:
         self.n_batch_pending += len(pending)
         if pending:
             self._warm_leaves(pending)
-            if self._forest is not None:
-                computed = self._compute_forest_batch(
-                    pending, condition_objects, n_jobs, chunk_size
-                )
-            else:
-                computed = self._compute_batch(pending, n_jobs, chunk_size)
+            computed = self._compute_batch(pending, n_jobs, chunk_size)
             self.n_computations += len(pending)
             for condition, value in zip(pending, computed):
                 results[condition] = value
@@ -452,7 +390,7 @@ class ProbabilityEngine:
         n_jobs: int,
         chunk_size: Optional[int],
     ) -> List[float]:
-        """Non-forest batch path: pool auto-selection, then per-condition."""
+        """Pool auto-selection, then per-condition."""
         # The guard's circuit-breaker state cannot be shared across a
         # process pool, so guarded batches always run in-process;
         # everything else goes through the substrate's auto-selection
@@ -474,162 +412,6 @@ class ProbabilityEngine:
             computed.append(self._compute(condition))
         return computed
 
-    def _compute_forest_batch(
-        self,
-        pending: List[Condition],
-        condition_objects: Dict[Condition, int],
-        n_jobs: int,
-        chunk_size: Optional[int],
-    ) -> List[float]:
-        """Forest batch path: register everything, then ONE kernel sweep.
-
-        All of the batch's conditions are registered in the shared forest
-        first (the round's single compile batch -- residual conditions
-        and subcircuits unify across objects as they land), then a single
-        ``refresh`` sweep computes every value at once.  Conditions whose
-        compilation trips the node budget fall down the usual ladder
-        (ADPLL, guarded when configured), gated by the compile breaker.
-        With a pool approved, the sweep fans out instead: workers attach
-        the published program arrays and masked-sweep their chunk's
-        reachable subgraph -- no recompilation, no store rebuild.  A
-        batch larger than the forest's capacity runs in capacity-sized
-        slices, so no root is evicted before its value is read.
-        """
-        step = self._forest.capacity or len(pending)
-        values: Dict[Condition, float] = {}
-        for start in range(0, len(pending), step):
-            values.update(
-                self._sweep_forest_slice(
-                    pending[start : start + step], condition_objects, n_jobs, chunk_size
-                )
-            )
-        out: List[float] = []
-        for condition in pending:
-            value = values.get(condition)
-            out.append(self._compute_exact(condition) if value is None else value)
-        return out
-
-    def _sweep_forest_slice(
-        self,
-        pending: List[Condition],
-        condition_objects: Dict[Condition, int],
-        n_jobs: int,
-        chunk_size: Optional[int],
-    ) -> Dict[Condition, float]:
-        """Register one slice, then sweep it; budget-tripped conditions
-        are left out of the result for the caller's ADPLL fallback."""
-        forest = self._forest
-        roots: Dict[Condition, int] = {}
-        for condition in pending:
-            if self._cancellation is not None:
-                self._cancellation.check("probability")
-            root = self._register(condition, condition_objects.get(condition))
-            if root is not None:
-                roots[condition] = root
-        if self.guard_active and n_jobs > 1:
-            decision = PoolDecision(
-                1, "sequential: resource guard active, breaker state is process-local"
-            )
-        else:
-            decision = decide_workers(n_jobs, len(roots), MIN_CONDITIONS_PER_WORKER)
-        self._pool_decision = decision
-        if not roots:
-            return {}
-        if decision.parallel:
-            return self._sweep_parallel_forest(roots, decision.n_workers, chunk_size)
-        forest.refresh()
-        return {condition: forest.value(condition) for condition in roots}
-
-    def _sweep_parallel_forest(
-        self,
-        roots: Dict[Condition, int],
-        n_workers: int,
-        chunk_size: Optional[int],
-    ) -> Dict[Condition, float]:
-        """Fan the registered circuits' sweep out over the process pool.
-
-        Publishes the forest program's flat arrays plus the current pmf
-        vector to shared memory once; chunk payloads carry only the
-        handle and root slots.  Workers sweep their chunk's reachable
-        subgraph -- compiled artifacts ship, conditions don't.
-        """
-        forest = self._forest
-        program = forest.ensure_program()
-        arrays = program.to_arrays()
-        arrays["leaf_pmf_flat"] = program.gather_pmfs(self.store)
-        items = list(roots.items())
-        if chunk_size is not None:
-            n_chunks = max(1, -(-len(items) // max(1, int(chunk_size))))
-        else:
-            n_chunks = n_workers
-        chunks: List[List[int]] = [[] for __ in range(n_chunks)]
-        for position in range(len(items)):
-            chunks[position % n_chunks].append(position)
-        chunks = [chunk for chunk in chunks if chunk]
-        bundle = SharedArrayBundle.publish(arrays)
-        self.forest_bundle_bytes = bundle.nbytes
-        start = time.perf_counter()
-        try:
-            payloads = [
-                (bundle.handle, [items[i][1] for i in chunk]) for chunk in chunks
-            ]
-            run = run_sharded(_forest_chunk, payloads, n_workers)
-        finally:
-            bundle.unlink()
-            detach_all()
-            self.parallel_seconds += time.perf_counter() - start
-        self.n_parallel_chunks += len(chunks)
-        self.parallel_worker_seconds = list(run.worker_seconds)
-        values: Dict[Condition, float] = {}
-        for chunk, chunk_values in zip(chunks, run.results):
-            for i, value in zip(chunk, chunk_values):
-                values[items[i][0]] = value
-        return values
-
-    def precompile_many(
-        self, conditions: Sequence[Condition], objects: Optional[Sequence[int]] = None
-    ) -> int:
-        """Batch-register conditions in the forest ahead of evaluation.
-
-        The round-level compile hook (:class:`repro.core.utility_engine`
-        submits a round's deduplicated base + residual conditions here in
-        one batch): registration compiles missing circuits into the
-        shared forest without sweeping, so the following
-        ``probability_many`` calls find everything compiled and pay one
-        sweep each.  No-op unless the forest backend is active.
-
-        Precompiling computes no probability, so it only runs while the
-        compile breaker is closed and never spends an open breaker's
-        half-open probe.  Each compile attempt's outcome is recorded (a
-        run of budget trips opens the breaker and stops the batch); the
-        tripped conditions count no fallback here -- the evaluation path
-        re-attempts them with full fallback accounting.  Returns the
-        number of conditions registered.
-        """
-        forest = self._forest
-        if forest is None:
-            return 0
-        breaker = self.compile_breaker
-        count = 0
-        seen = set()
-        for index, condition in enumerate(conditions):
-            if condition.is_constant or condition in seen:
-                continue
-            seen.add(condition)
-            if self._cancellation is not None:
-                self._cancellation.check("precompile")
-            if breaker.state != "closed":
-                break
-            obj = objects[index] if objects is not None else None
-            try:
-                forest.register(condition, obj=obj)
-            except ResourceBudgetError:
-                breaker.record_failure()
-                continue
-            breaker.record_success()
-            count += 1
-        return count
-
     def branch_probabilities(
         self, condition: Condition, expressions: Sequence[Expression]
     ) -> Dict[Expression, Tuple[float, float]]:
@@ -637,13 +419,12 @@ class ProbabilityEngine:
 
         Serves :class:`repro.core.utility_engine.UtilityEngine` from
         :meth:`ADPLL.branch_probabilities` when probabilities are exact,
-        unguarded ADPLL (``method="adpll"``, ``backend="adpll"``, no node
-        budget or deadline).  Any other configuration, and every candidate
+        unguarded ADPLL (``method="adpll"``, no node budget or deadline).  Any other configuration, and every candidate
         the kernel does not cover, gets no entry: its caller builds the
         residual conditions and asks :meth:`probability_many` for them.
         Values are read fresh from the store; nothing is cached.
         """
-        if self.method != "adpll" or self.backend != "adpll" or self.guard_active:
+        if self.method != "adpll" or self.guard_active:
             return {}
         if self._cancellation is not None:
             self._cancellation.check("probability")
@@ -714,42 +495,14 @@ class ProbabilityEngine:
                 out[index] = value
         return out
 
-    def _compute(self, condition: Condition, obj: Optional[int] = None) -> float:
+    def _compute(self, condition: Condition) -> float:
         if self.method == "adpll":
-            if self._forest is not None and self._register(condition, obj) is not None:
-                self._forest.refresh()
-                return self._forest.value(condition)
             return self._compute_exact(condition)
         if self.method == "naive":
             return naive_probability(condition, self.store)
         return approx_probability(
             condition, self.store, n_samples=self._approx_samples, rng=self._rng
         ).probability
-
-    def _register(self, condition: Condition, obj: Optional[int]) -> Optional[int]:
-        """The condition's forest root, or None when it must fall back.
-
-        While compilation fits the node budget, the condition's value is
-        its circuit evaluation (exact; bit-compatible with ADPLL up to
-        float associativity).  A budget trip counts a
-        ``compile_fallback`` and degrades this condition to the ADPLL
-        path -- guarded, when the resource guard is configured, so the
-        full ladder is forest -> ADPLL -> adaptive sampler.  The compile
-        breaker turns repeated trips into skip-straight-to-ADPLL.
-        """
-        breaker = self.compile_breaker
-        if breaker.allow_exact():
-            try:
-                root = self._forest.register(condition, obj=obj)
-            except ResourceBudgetError:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
-                if self.guard_active:
-                    self._guard_info[condition] = (True, 0.0)
-                return root
-        self.n_compile_fallbacks += 1
-        return None
 
     def _compute_exact(self, condition: Condition) -> float:
         """ADPLL, under the resource guard when one is configured."""
@@ -844,19 +597,6 @@ class ProbabilityEngine:
         if self.breaker is not None:
             for key, value in self.breaker.stats().items():
                 stats[key] = value
-        # Circuit accounting; zeros with a stable schema when the forest
-        # is off, so the obs verifier always finds the keys.
-        stats["probability_backend"] = self.backend
-        stats.update(
-            self._forest.stats()
-            if self._forest is not None
-            else CircuitForest.empty_stats()
-        )
-        stats["forest_bundle_bytes"] = self.forest_bundle_bytes
-        stats["compile_fallbacks"] = self.n_compile_fallbacks
-        if self.compile_breaker is not None:
-            for key, value in self.compile_breaker.stats().items():
-                stats["compile_%s" % key] = value
         return stats
 
     def __call__(self, condition: Condition) -> float:

@@ -16,12 +16,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--dataset", "magic"])
 
-    def test_rejects_removed_compiled_backend(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--probability-backend", "forest"],
+            ["--compile-node-budget", "8"],
+            ["--circuit-cache-size", "0"],
+        ],
+    )
+    def test_rejects_removed_backend_flags(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
-            build_parser().parse_args(["--probability-backend", "compiled"])
+            main(argv)
         assert err.value.code == 2
-        message = capsys.readouterr().err
-        assert "'adpll'" in message and "'forest'" in message
+        assert "unrecognized arguments: %s" % " ".join(argv) in capsys.readouterr().err
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):
@@ -58,21 +65,6 @@ class TestMain:
              "--utility-cache-size", "0"]
         )
         assert code == 0
-
-    def test_forest_backend_with_circuit_cache_flag(self, capsys):
-        code = main(
-            ["--dataset", "movies", "--budget", "6", "--latency", "3",
-             "--probability-backend", "forest",
-             "--circuit-cache-size", "1024", "--perf"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "forest:" in out
-        assert "sweeps" in out
-
-    def test_invalid_circuit_cache_size_is_clean_error(self, capsys):
-        assert main(["--n", "40", "--circuit-cache-size", "-1"]) == 2
-        assert "circuit_cache_size" in capsys.readouterr().err
 
     def test_resume_requires_checkpoint(self, capsys):
         assert main(["--resume"]) == 2

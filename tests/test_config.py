@@ -37,10 +37,6 @@ class TestValidation:
             {"faults": "not-a-fault-model"},
             {"cache_size": -1},
             {"utility_cache_size": -1},
-            {"circuit_cache_size": -1},
-            {"circuit_cache_size": True},
-            {"probability_backend": "forest", "probability_method": "naive"},
-            {"probability_backend": "compiled"},
             {"dominator_method": "numpy"},
         ],
     )
@@ -53,11 +49,18 @@ class TestValidation:
         assert config.selection_batch is False
         assert config.utility_cache_size == 0  # 0 = unbounded caches
 
-    def test_circuit_cache_knob_accepted(self):
-        config = BayesCrowdConfig(
-            probability_backend="forest", circuit_cache_size=0
-        )
-        assert config.circuit_cache_size == 0  # 0 = unbounded roots
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("probability_backend", "forest"),
+            ("probability_backend", "adpll"),
+            ("compile_node_budget", 8),
+            ("circuit_cache_size", 0),
+        ],
+    )
+    def test_removed_backend_knobs_are_not_fields(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            BayesCrowdConfig(**{name: value})
 
     def test_resilience_knobs_accepted(self):
         from repro.crowd import FaultModel

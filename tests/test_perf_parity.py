@@ -298,6 +298,17 @@ class TestProbabilityParity:
 
         assert stats["pool_workers"] <= usable_cpu_count()
 
+    def test_scalar_and_cached_pool_decisions_recorded(self):
+        conditions, store, __ = self._engine_pair(0)
+        condition = next(c for c in conditions if not c.is_constant)
+        engine = ProbabilityEngine(store)
+        engine.probability(condition)
+        assert "scalar" in engine.stats()["pool_decision"]
+        engine.probability_many([condition])
+        assert "no batch computed yet" not in engine.stats()["pool_decision"]
+        engine.probability_many([condition])  # fully cache-served
+        assert "cache" in engine.stats()["pool_decision"]
+
     def test_packed_snapshot_roundtrip(self):
         __, store, ___ = self._engine_pair(1, source=empirical_distributions)
         clone = DistributionStore.from_packed(

@@ -30,6 +30,7 @@ from repro.probability import (
 )
 from repro.errors import ResourceBudgetError
 from repro.probability import adpll as adpll_module
+from repro.probability.engine import INERT_KEYWORDS
 from repro.probability.adpll import _hub_probability, _independent_probability
 
 V = (0, 0)
@@ -354,6 +355,15 @@ class TestEngine:
         with pytest.raises(ValueError):
             ProbabilityEngine(movies_store, method="magic")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("backend", "forest"), ("compile_node_budget", 8), ("circuit_cache_size", 0)],
+    )
+    def test_inert_keywords_accept_only_their_value(self, name, value, movies_store):
+        ProbabilityEngine(movies_store, **{name: INERT_KEYWORDS[name]})
+        with pytest.raises(ValueError, match=name):
+            ProbabilityEngine(movies_store, **{name: value})
+
     def test_cache_hits(self, movies_ctable, movies_store):
         engine = ProbabilityEngine(movies_store)
         condition = movies_ctable.condition(4)
@@ -418,6 +428,27 @@ def condition_and_store(draw):
     return Condition.of(clauses), DistributionStore(pmfs)
 
 
+@st.composite
+def condition_store_answers(draw):
+    """A drawn condition over a constraint-backed store, plus answers.
+
+    Answers are ``Var > c`` facts over the condition's variables, true
+    or false, so applying them narrows (or, on a contradiction, resets)
+    pmfs between solves.
+    """
+    condition, plain = draw(condition_and_store())
+    domain = len(plain.pmf(V))
+    constraints = VariableConstraints([domain])
+    store = DistributionStore({v: plain.pmf(v) for v in plain.variables()}, constraints)
+    answers = []
+    for __ in range(draw(st.integers(0, 3))):
+        obj = draw(st.sampled_from(range(4)))
+        cut = draw(st.integers(0, domain - 2))
+        relation = draw(st.sampled_from([Relation.GREATER, Relation.LESS]))
+        answers.append((var_greater_const(obj, 0, cut), relation))
+    return condition, store, constraints, answers
+
+
 class TestADPLLAgreesWithNaive:
     @given(condition_and_store())
     @settings(max_examples=150, deadline=None)
@@ -434,6 +465,42 @@ class TestADPLLAgreesWithNaive:
         exact = naive_probability(condition, store)
         value = ADPLL(store, use_components=False, use_memo=False).probability(condition)
         assert value == pytest.approx(exact, abs=1e-9)
+
+    @given(condition_store_answers())
+    @settings(max_examples=100, deadline=None)
+    def test_answer_sequences_match(self, drawn):
+        """After each answer, every exact path still equals Naive.
+
+        One solver and one engine live across the answers, so the ADPLL
+        memo and the engine's version-checked cache must follow the
+        store; the second ``probability_many`` call is served from that
+        cache.  The bracket is read before the solve: a Boole/Frechet
+        bracket, or the cached exact pair when the answer left the
+        condition's variables alone.
+        """
+        condition, store, constraints, answers = drawn
+        if condition.is_constant:
+            return
+        solver = ADPLL(store)
+        engine = ProbabilityEngine(store)
+        expressions = sorted(condition.distinct_expressions(), key=Expression.sort_key)
+        for step in range(len(answers) + 1):
+            if step:
+                constraints.apply_answer(*answers[step - 1])
+            exact = naive_probability(condition, store)
+            (lo, hi), = engine.bounds_many([condition])
+            assert solver.probability(condition) == pytest.approx(exact, abs=1e-9)
+            for __ in range(2):
+                (value,) = engine.probability_many([condition])
+                assert value == pytest.approx(exact, abs=1e-9)
+                assert lo <= value <= hi
+            branches = engine.branch_probabilities(condition, expressions)
+            for expression, (p_true, p_false) in branches.items():
+                for truth, value in ((True, p_true), (False, p_false)):
+                    residual = condition.assign_expression(expression, truth)
+                    assert value == pytest.approx(
+                        naive_probability(residual, store), abs=1e-9
+                    )
 
 
 class TestBranchHeuristics:

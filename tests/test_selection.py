@@ -264,13 +264,13 @@ class TestTiesAndCounters:
         real = ProbabilityEngine.probability_many
 
         def record(self, conditions, *args, **kwargs):
-            batches.append(list(kwargs.get("objects") or ()))
+            batches.append(list(conditions))
             return real(self, conditions, *args, **kwargs)
 
         monkeypatch.setattr(ProbabilityEngine, "probability_many", record)
         ranker = IncrementalRanker(ctable, engine)
         ranking = ranker.rank()
-        assert batches == [[0, 1, 2, 3, 4]]
+        assert batches == [[ctable.condition(obj) for obj in range(5)]]
         assert list(ranking) == rank_objects(ctable, ProbabilityEngine(store))
         assert ranker.n_bounded == 0
 

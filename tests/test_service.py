@@ -434,19 +434,22 @@ class TestServerBasics:
         assert "trace_path" in body["error"]
 
     def test_removed_compiled_backend_is_400(self, server):
-        """Removed values (the ``compiled`` backend, the ``numpy``
-        dominator method) are rejected with the surviving choices."""
+        """Removed knobs (the probability backend and its two circuit
+        knobs) are unknown keys; a removed value (the ``numpy`` dominator
+        method) is rejected with the surviving choices."""
         _make_dataset(server, "d1", n=40)
-        for config, removed, choices in (
-            ({"probability_backend": "compiled"}, "'compiled'", "('adpll', 'forest')"),
-            ({"dominator_method": "numpy"}, "'numpy'", "('fast', 'baseline')"),
+        for config, fragments in (
+            ({"probability_backend": "compiled"}, ["unknown config keys: probability_backend"]),
+            ({"compile_node_budget": 8}, ["unknown config keys: compile_node_budget"]),
+            ({"circuit_cache_size": 0}, ["unknown config keys: circuit_cache_size"]),
+            ({"dominator_method": "numpy"}, ["'numpy'", "('fast', 'baseline')"]),
         ):
             status, body, _, _ = server.request(
                 "POST", "/v1/sessions", {"dataset_id": "d1", "config": config}
             )
             assert status == 400
-            assert removed in body["error"]
-            assert choices in body["error"]
+            for fragment in fragments:
+                assert fragment in body["error"]
 
 
 # ----------------------------------------------------------------------
@@ -684,10 +687,10 @@ class TestDrainAndRecovery:
             handle.stop()
 
     def test_stored_session_with_removed_backend_fails_alone(self, tmp_path):
-        """A persisted config the server can no longer build (here the
-        removed ``compiled`` backend or ``numpy`` dominator method) marks
-        that one session FAILED at restart; the server still starts and
-        recovers its siblings."""
+        """A persisted config the server can no longer build (here a
+        removed probability-backend knob or the removed ``numpy``
+        dominator method) marks that one session FAILED at restart; the
+        server still starts and recovers its siblings."""
         handle = ServerHandle(_settings(tmp_path))
         data_dir = handle.settings.data_dir
         try:
@@ -697,6 +700,8 @@ class TestDrainAndRecovery:
         store = ServiceStore(data_dir)
         for session_id, config in (
             ("bad", {"budget": 4, "latency": 2, "probability_backend": "compiled"}),
+            ("bad-budget", {"budget": 4, "latency": 2, "compile_node_budget": 8}),
+            ("bad-cache", {"budget": 4, "latency": 2, "circuit_cache_size": 0}),
             ("bad-dominator", {"budget": 4, "latency": 2, "dominator_method": "numpy"}),
             ("good", {"budget": 4, "latency": 2, "seed": 3}),
         ):
@@ -712,7 +717,9 @@ class TestDrainAndRecovery:
             view = restarted.wait_state("good", ("DONE", "DEGRADED"))
             assert view["state"] == "DONE"
             for session_id, removed in (
-                ("bad", "'compiled'"),
+                ("bad", "probability_backend"),
+                ("bad-budget", "compile_node_budget"),
+                ("bad-cache", "circuit_cache_size"),
                 ("bad-dominator", "'numpy'"),
             ):
                 meta = ServiceStore(data_dir).session_meta(session_id)

@@ -234,11 +234,10 @@ class TestBranchKernelScoring:
         "engine_kwargs, mode",
         [
             ({}, "conditional"),
-            ({"backend": "forest"}, "syntactic"),
             ({"method": "approx", "approx_samples": 200}, "syntactic"),
             ({"node_budget": 10**6}, "syntactic"),
         ],
-        ids=["conditional", "forest", "approx", "guarded"],
+        ids=["conditional", "approx", "guarded"],
     )
     @pytest.mark.parametrize("make", [UtilityStrategy, lambda: HybridStrategy(m=2)])
     def test_other_configurations_keep_the_residual_path(

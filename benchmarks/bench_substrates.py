@@ -47,8 +47,15 @@ def test_skyline_layers_decomposition(benchmark, once):
     benchmark.extra_info["n_layers"] = len(layers)
 
 
-def test_bn_structure_learning(benchmark, once):
-    dataset = generate_synthetic(n_objects=1500, missing_rate=0.1, seed=1)
+@pytest.mark.parametrize(
+    "kind, n",
+    [("synthetic", 1500), ("nba", 3000)],
+    ids=["synthetic-1500", "nba3k-fbs"],
+)
+def test_bn_structure_learning(benchmark, once, kind, n):
+    """Hill climbing on the available-case mask (``nba3k-fbs``: its e2e shape)."""
+    generate = generate_nba if kind == "nba" else generate_synthetic
+    dataset = generate(n_objects=n, missing_rate=0.1, seed=1)
     neutral = dataset.values.copy()
     neutral[dataset.mask] = 0
     result = once(

@@ -13,6 +13,7 @@ complete) without imputation.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,16 +21,54 @@ import numpy as np
 from .cpt import CPT
 
 
-def _family_rows(
+def family_counts(
+    columns: Sequence[np.ndarray],
+    observed: Optional[Sequence[np.ndarray]],
+    family: Sequence[int],
+    shape: Tuple[int, ...],
+) -> np.ndarray:
+    """Available-case counts of one family's value tuples, as float64.
+
+    ``columns[j]`` is attribute ``j``'s value column and ``observed[j]``
+    its boolean not-missing column; ``observed=None`` counts every row.
+    The rows observed in every ``family`` column are counted into an array
+    of ``shape`` (one axis per family column, in ``family`` order); no
+    other row's cells are read.
+    """
+    if observed is None:
+        picked = [columns[c] for c in family]
+    else:
+        keep = observed[family[0]]
+        for c in family[1:]:
+            keep = keep & observed[c]
+        # one nonzero pass, then integer gathers: cheaper than a boolean
+        # index per column
+        rows = np.flatnonzero(keep)
+        picked = [columns[c][rows] for c in family]
+    flat = np.ravel_multi_index(picked, shape)
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    return counts.reshape(shape).astype(np.float64)
+
+
+def counts_log_likelihood(counts: np.ndarray) -> float:
+    """Maximized log-likelihood of family counts (child on the last axis)."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(counts > 0, np.log(counts / totals), 0.0)
+    return float((counts * log_ratio).sum())
+
+
+def _matrix_counts(
     data: np.ndarray,
-    columns: Sequence[int],
+    node: int,
+    parents: Tuple[int, ...],
+    cardinalities: Sequence[int],
     mask: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Rows of ``data`` complete in every listed column (available case)."""
-    if mask is None:
-        return data
-    keep = ~mask[:, list(columns)].any(axis=1)
-    return data[keep]
+    """:func:`family_counts` of ``parents + (node,)`` over an ``(n, d)`` matrix."""
+    shape = tuple(int(cardinalities[a]) for a in parents + (node,))
+    observed = None if mask is None else ~np.asarray(mask, dtype=bool).T
+    return family_counts(data.T, observed, parents + (node,), shape)
 
 
 def fit_cpt(
@@ -57,16 +96,7 @@ def fit_cpt(
         raise ValueError("alpha must be non-negative")
     parents = tuple(int(p) for p in parents)
     card = int(cardinalities[node])
-    parent_cards: Tuple[int, ...] = tuple(int(cardinalities[p]) for p in parents)
-    shape = parent_cards + (card,)
-    counts = np.zeros(shape, dtype=np.float64)
-
-    rows = _family_rows(data, parents + (node,), mask)
-    if rows.shape[0]:
-        columns = [rows[:, p] for p in parents] + [rows[:, node]]
-        flat = np.ravel_multi_index(columns, shape)
-        counts += np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
-
+    counts = _matrix_counts(data, node, parents, cardinalities, mask)
     counts += alpha
     totals = counts.sum(axis=-1, keepdims=True)
     # alpha == 0 with an unseen parent configuration would divide by zero;
@@ -87,29 +117,10 @@ def log_likelihood(
 ) -> float:
     """Maximized family log-likelihood of one node given its parents.
 
-    Used by the BIC structure score; computed directly from (available-
-    case) counts so the structure search never materializes CPT objects.
+    Computed directly from (available-case) counts, as the BIC structure
+    score does, so no CPT object is materialized.
     """
     parents = tuple(int(p) for p in parents)
-    card = int(cardinalities[node])
-    parent_cards = tuple(int(cardinalities[p]) for p in parents)
-    shape = parent_cards + (card,)
-    counts = np.zeros(shape, dtype=np.float64)
-    rows = _family_rows(data, parents + (node,), mask)
-    if rows.shape[0]:
-        columns = [rows[:, p] for p in parents] + [rows[:, node]]
-        flat = np.ravel_multi_index(columns, shape)
-        counts += np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
-    totals = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.where(counts > 0, np.log(counts / totals), 0.0)
-    return float((counts * log_ratio).sum())
-
-
-def family_sample_size(
-    data: np.ndarray,
-    columns: Sequence[int],
-    mask: Optional[np.ndarray] = None,
-) -> int:
-    """Number of available-case rows for one family (for BIC penalties)."""
-    return int(_family_rows(data, tuple(columns), mask).shape[0])
+    return counts_log_likelihood(
+        _matrix_counts(data, node, parents, cardinalities, mask)
+    )

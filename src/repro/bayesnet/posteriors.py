@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..datasets.dataset import MISSING, IncompleteDataset, Variable
+from ..datasets.dataset import MISSING, IncompleteDataset, Variable, unique_rows
 from .network import BayesianNetwork
 
 
@@ -83,15 +83,11 @@ class MissingValuePosteriors:
             return variables, np.zeros((0, max_domain))
 
         rows = np.flatnonzero(dataset.mask.any(axis=1))
-        signatures, signature_of_row = np.unique(
-            dataset.values[rows], axis=0, return_inverse=True
-        )
-        patterns, pattern_of_signature = np.unique(
-            signatures == MISSING, axis=0, return_inverse=True
-        )
+        signatures, signature_of_row, _ = unique_rows(dataset.values[rows])
+        patterns, pattern_of_signature, _ = unique_rows(signatures == MISSING)
         signature_pmfs = np.zeros(signatures.shape + (max_domain,))
         for p, missing in enumerate(patterns):
-            members = np.flatnonzero(pattern_of_signature.reshape(-1) == p)
+            members = np.flatnonzero(pattern_of_signature == p)
             labels = np.cumsum(missing)
             operands = self._pattern_operands(labels, missing, signatures[members])
             for target in np.flatnonzero(missing).tolist():
@@ -109,7 +105,7 @@ class MissingValuePosteriors:
                 )
                 signature_pmfs[members, target, : pmf.shape[1]] = pmf
         objs, attrs = np.nonzero(dataset.mask)
-        row_signature = signature_of_row.reshape(-1)[np.searchsorted(rows, objs)]
+        row_signature = signature_of_row[np.searchsorted(rows, objs)]
         self.stats = {
             "signature_groups": len(signatures),
             "cells": len(variables),

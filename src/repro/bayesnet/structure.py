@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 import numpy as np
 
 from .dag import DAG
-from .parameters import family_sample_size, log_likelihood
+from .parameters import counts_log_likelihood, family_counts
 
 
 @dataclass
@@ -38,7 +38,10 @@ class _FamilyScoreCache:
     """Memoizes BIC family scores keyed by (node, parent-set).
 
     With a missingness mask, families are scored on their available-case
-    rows and the BIC penalty uses the per-family sample size.
+    rows and the BIC penalty uses the per-family sample size.  Each
+    family's rows are counted once: the value and observed columns are
+    laid out contiguously up front, and the log-likelihood and the sample
+    size ``n`` both come from the one count array.
     """
 
     def __init__(
@@ -47,8 +50,15 @@ class _FamilyScoreCache:
         cardinalities: Sequence[int],
         mask: Optional[np.ndarray] = None,
     ) -> None:
-        self._data = data
-        self._mask = mask
+        self._columns = [np.ascontiguousarray(column) for column in data.T]
+        self._observed = (
+            None
+            if mask is None
+            else [
+                np.ascontiguousarray(column)
+                for column in ~np.asarray(mask, dtype=bool).T
+            ]
+        )
         self._cards = list(int(c) for c in cardinalities)
         self._cache: Dict[Tuple[int, FrozenSet[int]], float] = {}
 
@@ -56,13 +66,18 @@ class _FamilyScoreCache:
         key = (node, parents)
         if key in self._cache:
             return self._cache[key]
-        parent_list = sorted(parents)
-        ll = log_likelihood(self._data, node, parent_list, self._cards, mask=self._mask)
-        free = (self._cards[node] - 1) * int(
-            np.prod([self._cards[p] for p in parent_list]) if parent_list else 1
+        family = sorted(parents) + [node]
+        counts = family_counts(
+            self._columns,
+            self._observed,
+            family,
+            tuple(self._cards[a] for a in family),
         )
-        n = max(family_sample_size(self._data, parent_list + [node], self._mask), 1)
-        if self._mask is not None and parent_list and n < max(30, 2 * free):
+        ll = counts_log_likelihood(counts)
+        free = (self._cards[node] - 1) * math.prod(self._cards[p] for p in parents)
+        # counts are integer-valued float64, so their sum is exact
+        n = max(int(counts.sum()), 1)
+        if self._observed is not None and parents and n < max(30, 2 * free):
             # Available-case guard: a family observed on a handful of rows
             # can show spuriously high likelihood; refuse the edge outright.
             score = float("-inf")

@@ -58,7 +58,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..datasets.dataset import IncompleteDataset
+from ..datasets.dataset import IncompleteDataset, unique_rows
 from ..parallel import (
     SharedArrayBundle,
     attach_arrays,
@@ -115,12 +115,8 @@ def _build_index(dataset: IncompleteDataset, block_size: int):
     dmax = np.asarray(dataset.domain_sizes, dtype=np.int64) - 1
     hi = np.where(mask, dmax[None, :], values)
 
-    rhi, hi_inv, hi_cnt = np.unique(hi, axis=0, return_inverse=True, return_counts=True)
-    rlo, lo_inv, lo_cnt = np.unique(
-        values, axis=0, return_inverse=True, return_counts=True
-    )
-    hi_inv = hi_inv.ravel()
-    lo_inv = lo_inv.ravel()
+    rhi, hi_inv, hi_cnt = unique_rows(hi)
+    rlo, lo_inv, lo_cnt = unique_rows(values)
 
     # Lexicographic descending sort, most-selective (largest-domain)
     # attribute as the primary key: blocks become homogeneous in their

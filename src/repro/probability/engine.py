@@ -342,19 +342,23 @@ class ProbabilityEngine:
         return [results[condition] for condition in conditions]
 
     def bounds_many(self, conditions: Sequence[Condition]) -> List[Tuple[float, float]]:
-        """Sound ``(lo, hi)`` brackets of ``Pr(condition)``, one per condition.
+        """``(lo, hi)`` brackets of ``Pr(condition)``, one per condition.
 
         For ``phi = AND_i C_i`` with clauses ``C_i = OR_e e``, Boole and
         Frechet give ``hi = min_i min(1, sum_e Pr(e))`` and
         ``lo = max(0, 1 - sum_i (1 - max_e Pr(e)))`` whatever the
         dependence between expressions; both are then widened by
         :data:`BOUND_SLACK` so float rounding in the exact solvers (which
-        can return ``1.0000000000000002``) stays inside.  The leaf
-        probabilities come from one ``prob_expressions_bulk`` gather,
-        which also warms the leaves of any later exact solve.  A cached exact value collapses its pair
-        to ``(p, p)``.  An engine whose values are not exact (``approx``,
-        or the resource guard active) answers ``(0, 1)`` for every
-        symbolic condition, so bound-first callers solve everything.
+        can return ``1.0000000000000002``) stays inside, which makes these
+        brackets sound.  The leaf probabilities come from one
+        ``prob_expressions_bulk`` gather, which also warms the leaves of
+        any later exact solve.  A condition with a cached exact value gets
+        ``(p, p)``: the solver's value, sound only to within the solver's
+        rounding (it can miss the true probability by an ulp).  It is not
+        widened, because the lazy ranking orders its heap by these pairs.
+        An engine whose values are not exact (``approx``, or the resource
+        guard active) answers ``(0, 1)`` for every symbolic condition, so
+        bound-first callers solve everything.
         """
         out: List[Tuple[float, float]] = []
         exact = self.method != "approx" and not self.guard_active

@@ -1,5 +1,8 @@
 """Tests for CPTs, parameter fitting, structure learning and the network."""
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from repro.bayesnet import (
     random_cpt,
     uniform_cpt,
 )
+from repro.bayesnet.structure import _FamilyScoreCache
 
 
 class TestCPT:
@@ -298,3 +302,85 @@ class TestAvailableCaseLearning:
         # The learned joint should reflect the a~b correlation.
         p_same = sum(net.joint_probability([v, v]) for v in range(3))
         assert p_same > 0.4  # independent uniform would give ~0.33
+
+
+def _reference_family_score(data, cards, mask, node, parents):
+    """BIC family score with its own row filter per family (the original)."""
+    columns = sorted(parents) + [node]
+    rows = data if mask is None else data[~mask[:, columns].any(axis=1)]
+    shape = tuple(cards[a] for a in columns)
+    counts = np.zeros(shape)
+    if rows.shape[0]:
+        flat = np.ravel_multi_index([rows[:, a] for a in columns], shape)
+        counts += np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
+    totals = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = float((counts * np.where(counts > 0, np.log(counts / totals), 0.0)).sum())
+    free = (cards[node] - 1) * int(np.prod([cards[a] for a in columns[:-1]]))
+    n = max(rows.shape[0], 1)
+    if mask is not None and parents and n < max(30, 2 * free):
+        return float("-inf")
+    return ll - 0.5 * math.log(n) * free
+
+
+class TestFamilyScoreCache:
+    """Family scores equal the per-family-filter reference bit for bit."""
+
+    @staticmethod
+    def _masked_data(rng, n, cards, missing):
+        data = np.column_stack([rng.integers(0, c, size=n) for c in cards])
+        mask = rng.random(data.shape) < missing
+        data[mask] = -1  # masked cells must never be read
+        return data, mask
+
+    @staticmethod
+    def _assert_all_families_match(data, cards, mask):
+        cache = _FamilyScoreCache(data, cards, mask)
+        d = len(cards)
+        for node in range(d):
+            others = [a for a in range(d) if a != node]
+            for size in range(len(others) + 1):
+                for parents in map(list, combinations(others, size)):
+                    expected = _reference_family_score(data, cards, mask, node, parents)
+                    assert cache.family_score(node, frozenset(parents)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 300),
+        st.lists(st.integers(2, 4), min_size=1, max_size=4),
+        st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+    )
+    def test_random_masked_data_matches_reference(self, seed, n, cards, missing):
+        rng = np.random.default_rng(seed)
+        data, mask = self._masked_data(rng, n, cards, missing)
+        self._assert_all_families_match(data, cards, mask)
+
+    def test_unmasked_data_matches_reference(self):
+        rng = np.random.default_rng(4)
+        cards = [3, 2, 4]
+        data = np.column_stack([rng.integers(0, c, size=250) for c in cards])
+        self._assert_all_families_match(data, cards, None)
+
+    def test_family_with_no_available_row_scores_with_n_one(self):
+        rng = np.random.default_rng(5)
+        data, mask = self._masked_data(rng, 100, [3, 3], 0.0)
+        mask[:, 1] = True
+        data[mask] = -1
+        cache = _FamilyScoreCache(data, [3, 3], mask)
+        # no row observes column 1: n = max(0, 1), the log penalty vanishes
+        assert cache.family_score(1, frozenset()) == 0.0
+        assert cache.family_score(1, frozenset()) == _reference_family_score(
+            data, [3, 3], mask, 1, []
+        )
+
+    def test_family_below_the_sample_guard_is_refused(self):
+        rng = np.random.default_rng(6)
+        data, mask = self._masked_data(rng, 40, [3, 3], 0.2)
+        cache = _FamilyScoreCache(data, [3, 3], mask)
+        n = int((~mask.any(axis=1)).sum())
+        assert 0 < n < max(30, 2 * 6)
+        assert cache.family_score(1, frozenset({0})) == float("-inf")
+        assert _reference_family_score(data, [3, 3], mask, 1, [0]) == float("-inf")
+        # the parentless family keeps a finite score on the same rows
+        assert math.isfinite(cache.family_score(1, frozenset()))

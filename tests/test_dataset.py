@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.datasets import (
     MISSING,
@@ -9,6 +12,7 @@ from repro.datasets import (
     IncompleteDataset,
     from_complete,
 )
+from repro.datasets.dataset import unique_rows
 
 
 def make_dataset(**kwargs):
@@ -142,3 +146,47 @@ class TestDerived:
     def test_from_complete_shape_mismatch(self):
         with pytest.raises(DatasetError):
             from_complete(np.zeros((2, 2)), np.zeros((3, 2), dtype=bool), [1, 1])
+
+
+def _assert_matches_np_unique(matrix):
+    rows, inverse, counts = unique_rows(matrix)
+    ref_rows, ref_inverse, ref_counts = np.unique(
+        matrix, axis=0, return_inverse=True, return_counts=True
+    )
+    assert rows.dtype == ref_rows.dtype
+    assert rows.shape == ref_rows.shape
+    assert np.array_equal(rows, ref_rows)
+    assert inverse.shape == (matrix.shape[0],)
+    assert np.array_equal(inverse, ref_inverse.reshape(-1))
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(rows[inverse], matrix)
+
+
+_shapes = st.tuples(st.integers(0, 40), st.integers(1, 5))
+
+
+class TestUniqueRows:
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(np.int64, _shapes, elements=st.integers(MISSING, 3)))
+    def test_int_matrix_with_missing_sentinel_matches_np_unique(self, matrix):
+        _assert_matches_np_unique(matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.bool_, _shapes))
+    def test_bool_matrix_matches_np_unique(self, matrix):
+        _assert_matches_np_unique(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.zeros((0, 3), dtype=np.int64),
+            np.zeros((0, 3), dtype=bool),
+            np.array([[2, MISSING, 0]]),
+            np.array([[3], [MISSING], [3], [0]]),
+            np.full((6, 4), MISSING),
+            np.ones((5, 2), dtype=bool),
+        ],
+        ids=["0-rows", "0-rows-bool", "1-row", "1-column", "all-equal", "all-equal-bool"],
+    )
+    def test_edge_shapes_match_np_unique(self, matrix):
+        _assert_matches_np_unique(matrix)

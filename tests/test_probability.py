@@ -30,7 +30,7 @@ from repro.probability import (
 )
 from repro.errors import ResourceBudgetError
 from repro.probability import adpll as adpll_module
-from repro.probability.engine import INERT_KEYWORDS
+from repro.probability.engine import BOUND_SLACK, INERT_KEYWORDS
 from repro.probability.adpll import _hub_probability, _independent_probability
 
 V = (0, 0)
@@ -476,7 +476,8 @@ class TestADPLLAgreesWithNaive:
         store; the second ``probability_many`` call is served from that
         cache.  The bracket is read before the solve: a Boole/Frechet
         bracket, or the cached exact pair when the answer left the
-        condition's variables alone.
+        condition's variables alone.  A cached pair is the solver's value,
+        so it holds Naive only to within :data:`BOUND_SLACK`.
         """
         condition, store, constraints, answers = drawn
         if condition.is_constant:
@@ -489,6 +490,10 @@ class TestADPLLAgreesWithNaive:
                 constraints.apply_answer(*answers[step - 1])
             exact = naive_probability(condition, store)
             (lo, hi), = engine.bounds_many([condition])
+            if lo == hi:
+                assert lo - BOUND_SLACK <= exact <= hi + BOUND_SLACK
+            else:
+                assert lo <= exact <= hi
             assert solver.probability(condition) == pytest.approx(exact, abs=1e-9)
             for __ in range(2):
                 (value,) = engine.probability_many([condition])

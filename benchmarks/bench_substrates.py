@@ -1,9 +1,9 @@
 """Micro-benchmarks of the substrate layers.
 
 Not paper figures; they track the fixed costs every query pays: dominator
-derivation, skyline ground truth, Bayesian-network learning and exact
-inference, the check and normalisation of the posterior pmfs, and the
-crowd platform's answer pipeline.
+derivation, the c-table build, skyline ground truth, Bayesian-network
+learning and exact inference, the check and normalisation of the
+posterior pmfs, and the crowd platform's answer pipeline.
 """
 
 import numpy as np
@@ -13,7 +13,12 @@ from repro.bayesnet import BayesianNetwork, MissingValuePosteriors, hill_climb
 from repro.core import BayesCrowdConfig
 from repro.core.framework import learn_distributions
 from repro.crowd import ComparisonTask, SimulatedCrowdPlatform
-from repro.ctable import dominator_sets_baseline, dominator_sets_fast, var_greater_const
+from repro.ctable import (
+    build_ctable,
+    dominator_sets_baseline,
+    dominator_sets_fast,
+    var_greater_const,
+)
 from repro.datasets import generate_nba, generate_synthetic
 from repro.probability import DistributionStore
 from repro.skyline import skyline, skyline_layers
@@ -32,6 +37,15 @@ def test_dominator_sets_fast(benchmark, once, n):
 def test_dominator_sets_baseline(benchmark, once, n):
     dataset = generate_nba(n_objects=n, missing_rate=0.1, seed=1)
     once(benchmark, lambda: dominator_sets_baseline(dataset))
+
+
+def test_ctable_build(benchmark, once):
+    """Get-CTable on the ``syn3k-hhs`` shape: Synthetic n=3000, 10% missing,
+    alpha 0.01 (pruning scan plus array clause emission)."""
+    dataset = generate_synthetic(n_objects=3000, missing_rate=0.1, seed=1)
+    ctable = once(benchmark, lambda: build_ctable(dataset, alpha=0.01))
+    benchmark.extra_info["open_conditions"] = ctable.build_stats["open_conditions"]
+    benchmark.extra_info["expressions"] = len(ctable.expression_frequencies())
 
 
 @pytest.mark.parametrize("n", [500, 2000])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,9 @@ class _FamilyScoreCache:
     rows and the BIC penalty uses the per-family sample size.  Each
     family's rows are counted once: the value and observed columns are
     laid out contiguously up front, and the log-likelihood and the sample
-    size ``n`` both come from the one count array.
+    size ``n`` both come from the one count array.  Families over the same
+    columns (``v | u`` and ``u | v``) share it: the later one reads a
+    transposed copy, laid out exactly as its own count would be.
     """
 
     def __init__(
@@ -61,18 +63,28 @@ class _FamilyScoreCache:
         )
         self._cards = list(int(c) for c in cardinalities)
         self._cache: Dict[Tuple[int, FrozenSet[int]], float] = {}
+        #: column set -> (the family order it was counted in, its counts)
+        self._counts: Dict[FrozenSet[int], Tuple[List[int], np.ndarray]] = {}
 
     def family_score(self, node: int, parents: FrozenSet[int]) -> float:
         key = (node, parents)
         if key in self._cache:
             return self._cache[key]
         family = sorted(parents) + [node]
-        counts = family_counts(
-            self._columns,
-            self._observed,
-            family,
-            tuple(self._cards[a] for a in family),
-        )
+        columns = frozenset(family)
+        if columns in self._counts:
+            order, counted = self._counts[columns]
+            counts = np.ascontiguousarray(
+                counted.transpose([order.index(a) for a in family])
+            )
+        else:
+            counts = family_counts(
+                self._columns,
+                self._observed,
+                family,
+                tuple(self._cards[a] for a in family),
+            )
+            self._counts[columns] = (family, counts)
         ll = counts_log_likelihood(counts)
         free = (self._cards[node] - 1) * math.prod(self._cards[p] for p in parents)
         # counts are integer-valued float64, so their sum is exact

@@ -26,8 +26,8 @@ other).
 from __future__ import annotations
 
 import time
-from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional
+from collections import Counter
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -44,19 +44,10 @@ from .pruning import PRUNE_MODES, pruned_dominator_scan
 #: Figure-2 ``baseline`` dominator derivation was explicitly requested.
 BACKENDS = ("auto", "numpy", "python")
 
-
-class _Cells(NamedTuple):
-    """What both emitters read of the dataset, computed once per build."""
-
-    dataset: IncompleteDataset
-    #: rows without a missing cell
-    complete: np.ndarray
-    #: top of each attribute's domain (``domain_size - 1``)
-    top: np.ndarray
-    #: ``live[o, k]``: column ``k`` can hold an open disjunct of ``phi(o)``
-    #: (``o`` misses ``k`` over a domain of two or more values, or
-    #: observes a value above 0 there)
-    live: np.ndarray
+#: Dominator pairs per array pass of the numpy backend: bounds its
+#: ``(pairs x d)`` intermediates at large n.  Chunks hold whole objects,
+#: so the budget never changes a clause.
+PAIR_BUDGET = 1 << 18
 
 
 def build_ctable(
@@ -87,11 +78,11 @@ def build_ctable(
         how aggressively crowd answers are propagated afterwards
         (see :data:`repro.ctable.constraints.INFERENCE_MODES`).
     backend:
-        ``"numpy"`` (bulk clause layout), ``"python"`` (scalar loops)
-        or ``"auto"`` (numpy, unless ``dominator_method="baseline"`` asks
-        for the Figure-2 scalar comparison).  Both backends produce
-        identical c-tables; construction statistics land in
-        :attr:`CTable.build_stats`.
+        ``"numpy"`` (every open condition from one array pass),
+        ``"python"`` (scalar per-pair loops) or ``"auto"`` (numpy, unless
+        ``dominator_method="baseline"`` asks for the Figure-2 scalar
+        comparison).  Both backends produce identical c-tables;
+        construction statistics land in :attr:`CTable.build_stats`.
     prune:
         ``"on"`` derives the dominator sets with the sub-quadratic
         pruning scan of :mod:`repro.ctable.pruning`, ``"off"`` with
@@ -104,9 +95,9 @@ def build_ctable(
         scan never changes its decisions; single-core hosts and small
         inputs automatically fall back to the sequential scan.
     cancel_check:
-        optional zero-argument callable invoked at per-object boundaries;
-        raising from it (e.g. a session ``CancellationToken.check``)
-        aborts construction cooperatively.
+        optional zero-argument callable invoked before, during and after
+        clause emission; raising from it (e.g. a session
+        ``CancellationToken.check``) aborts construction cooperatively.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -126,43 +117,50 @@ def build_ctable(
         scan = pruned_dominator_scan(
             dataset, limit, n_jobs=n_jobs, cancel_check=cancel_check
         )
-        counts = scan.dominator_counts.tolist()
-        sets = scan.open_sets
+        counts, open_objects, members, __ = scan
     else:
         sets = dominator_sets(dataset, method=dominator_method)
-        counts = [members.size for members in sets]
-    emit = _build_condition_bulk if backend == "numpy" else _build_condition
-    mask = dataset.mask
-    top = np.asarray(dataset.domain_sizes, dtype=np.int64) - 1
-    cells = _Cells(
-        dataset, ~mask.any(axis=1), top, np.where(mask, top > 0, dataset.values > 0)
-    )
-    conditions: Dict[int, Condition] = {}
-    pruned = set()
-    #: expression intern table shared across the whole build; disjuncts
-    #: repeat heavily (small domains, shared dominators), so reusing the
-    #: instance skips hash/key recomputation and speeds clause sorting.
-    interned: Dict[tuple, Expression] = {}
-    for o in range(n):
-        if cancel_check is not None:
-            cancel_check()
-        count = counts[o]
-        if count == 0:
-            conditions[o] = Condition.true()
-        elif count > limit:
-            conditions[o] = Condition.false()
-            pruned.add(o)
-        else:
-            conditions[o] = emit(cells, o, sets[o], interned)
-    stats = _count_stats(conditions, pruned)
+        counts = np.array([members.size for members in sets], dtype=np.int64)
+        open_objects = np.flatnonzero((counts > 0) & (counts <= limit))
+        members = np.concatenate(
+            [sets[o] for o in open_objects.tolist()] + [np.empty(0, np.int64)]
+        )
+    lens = counts[open_objects]
+    pruned = frozenset(np.flatnonzero(counts > limit).tolist())
+    complete = ~dataset.mask.any(axis=1)
+    conditions: List[Condition] = [Condition.true()] * n
+    for o in pruned:
+        conditions[o] = Condition.false()
+    if cancel_check is not None:
+        cancel_check()
+    indexes = None
+    if backend == "numpy":
+        indexes = _emit_conditions(
+            dataset, complete, open_objects, lens, members, conditions, cancel_check
+        )
+    else:
+        sets = np.split(members, np.cumsum(lens)[:-1])
+        for o, dominators in zip(open_objects.tolist(), sets):
+            if cancel_check is not None:
+                cancel_check()
+            conditions[o] = _build_condition(dataset, complete, o, dominators)
+    if cancel_check is not None:
+        cancel_check()
+    stats = {
+        "certain_true": sum(1 for c in conditions if c.is_true),
+        "certain_false": sum(1 for c in conditions if c.is_false),
+        "alpha_pruned": len(pruned),
+        "open_conditions": sum(1 for c in conditions if not c.is_constant),
+    }
     if use_prune:
         stats.update(scan.stats)
     ctable = CTable(
         dataset=dataset,
-        conditions=conditions,
-        pruned=frozenset(pruned),
+        conditions=dict(enumerate(conditions)),
+        pruned=pruned,
         inference_mode=inference_mode,
         build_stats=stats,
+        indexes=indexes,
     )
     stats["backend"] = backend
     stats["seconds"] = time.perf_counter() - start
@@ -179,136 +177,172 @@ def build_ctable(
     return ctable
 
 
-def _count_stats(conditions: Dict[int, Condition], pruned) -> Dict[str, float]:
-    return {
-        "certain_true": sum(1 for c in conditions.values() if c.is_true),
-        "certain_false": sum(1 for c in conditions.values() if c.is_false),
-        "alpha_pruned": len(pruned),
-        "open_conditions": sum(1 for c in conditions.values() if not c.is_constant),
-    }
+def _emit_conditions(
+    dataset: IncompleteDataset,
+    complete: np.ndarray,
+    objects: np.ndarray,
+    lens: np.ndarray,
+    members: np.ndarray,
+    conditions: List[Condition],
+    cancel_check,
+) -> tuple:
+    """Steps 4-5 of Algorithm 2 for every object in ``objects``, in bulk.
 
-
-def _build_condition_bulk(
-    cells: _Cells,
-    o: int,
-    dominators: np.ndarray,
-    interned: Dict[tuple, Expression],
-) -> Condition:
-    """Steps 4-5 of Algorithm 2 for one object, laid out as arrays.
-
-    For every ``(pair, attribute)`` cell the disjunct kind follows from
-    the two missing bits, and whether the domain decides it from the
-    cell's value, so Python objects are only created for the expressions
-    that survive into clauses -- and through ``interned`` only once per
-    distinct disjunct of the whole build.  Both-observed cells never
-    contribute (dominator membership guarantees ``p >= o`` there).
-
-    Expressions are emitted directly in canonical order -- const-left
-    disjuncts sorted by ``(value, attribute)`` via one column
-    permutation, then var-left disjuncts by attribute -- so no per-clause
-    sort is needed, and clause dedup/ordering runs on the expressions'
-    precomputed sort keys.  The clauses come out exactly as
-    :meth:`Condition.of` would normalize them, so the raw constructor
-    applies.
+    ``members`` holds the dominator sets of ``objects`` back to back
+    (``lens`` long each); ``complete`` flags the rows without a missing
+    cell.  Runs of objects with about :data:`PAIR_BUDGET` pairs go through
+    :func:`_chunk_clauses`, which leaves each clause as a row of integer
+    expression codes.  Python objects are then made
+    once: one :class:`Expression` per distinct code, one tuple per kept
+    clause, one :class:`Condition` per open object (written into
+    ``conditions``) with its variable set seeded.  The c-table's indexes
+    are counted from the same arrays and returned in the order
+    :class:`CTable` takes them.
     """
-    dataset, complete, top, live = cells
-    values = dataset.values
-    vo = values[o]
-    if complete[o]:
-        # Line 8, vectorized over D(o): membership guarantees p >= o on
-        # every attribute for complete pairs, so any difference means
-        # strict domination.
-        complete_doms = dominators[complete[dominators]]
-        if complete_doms.size and bool((values[complete_doms] != vo).any()):
-            return Condition.false()
-    mo = dataset.mask[o]  # (d,)
-    live_o = live[o]
-    mp = dataset.mask[dominators]  # (m, d)
-    m = len(dominators)
-    doms = dominators.tolist()
+    n, d = dataset.values.shape
+    n_const = max(dataset.domain_sizes, default=1)
+    n_codes = n_const + n * d
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    parts = [(np.empty(0, dtype=np.int64),) * 4]  # so no run still concatenates
+    for run in np.split(
+        np.arange(len(objects)), np.flatnonzero(np.diff(starts // PAIR_BUDGET)) + 1
+    ):
+        if run.size:
+            pairs = members[starts[run[0]] : ends[run[-1]]]
+            parts.append(
+                _chunk_clauses(
+                    dataset, complete, objects[run], lens[run], pairs, n_const, n_codes
+                )
+            )
+            if cancel_check is not None:
+                cancel_check()
+    false_objects, owners, widths, codes = map(np.concatenate, zip(*parts))
+    for o in false_objects.tolist():
+        conditions[o] = Condition.false()
 
-    clauses: List[List[Expression]] = [[] for __ in range(m)]
-    keys: List[List[tuple]] = [[] for __ in range(m)]
+    # one Expression per distinct code, over shared operands
+    distinct, occurrence = np.unique(codes, return_inverse=True)
+    sides = np.stack(np.divmod(distinct, n_codes))
+    operand_codes, operand_of = np.unique(sides, return_inverse=True)
+    operands = np.fromiter(
+        (
+            Const(c) if c < n_const else Var(*divmod(c - n_const, d))
+            for c in operand_codes.tolist()
+        ),
+        dtype=object,
+    )[operand_of.reshape(sides.shape)]
+    expressions = np.fromiter(
+        map(Expression, operands[0].tolist(), operands[1].tolist()), dtype=object
+    )
+    flat = expressions[occurrence].tolist()
+    bounds = np.cumsum(widths).tolist()
+    clauses = [tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)]
 
-    # Const(vo[k]) > Var(p, k) for vo[k] > 0: canonical order is (value,
-    # attribute), and within one clause p is fixed -- permuting those
-    # columns by (value, attribute) makes row-major nonzero yield that
-    # order.
-    obs = np.nonzero(live_o & ~mo)[0]
-    if obs.size:
-        const_order = obs[np.lexsort((obs, vo[obs]))]
-        sub = mp[:, const_order]
-        order_ks = const_order.tolist()
-        vo_l = vo.tolist()
-        nz_i, nz_j = np.nonzero(sub)
-        for i, j in zip(nz_i.tolist(), nz_j.tolist()):
-            k = order_ks[j]
-            key = (vo_l[k], doms[i], k)  # shared across objects
-            expression = interned.get(key)
-            if expression is None:
-                expression = Expression(Const(key[0]), Var(key[1], k))
-                interned[key] = expression
-            clauses[i].append(expression)
-            keys[i].append(expression._key)
+    # (object, variable) pairs from each cell's variable operands
+    side_vars = sides - n_const  # variable ids; negative for constants
+    cell_vars = side_vars[:, occurrence]
+    has = cell_vars >= 0
+    cell_owner = np.broadcast_to(np.repeat(owners, widths), has.shape)
+    # sorted, repeats dropped (np.unique's hash path is far slower here)
+    keys = np.sort(cell_owner[has] * (n * d) + cell_vars[has])
+    pair_owner, pair_var = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n * d)
+    variable_ids, var_of_pair = np.unique(pair_var, return_inverse=True)
+    variables = np.fromiter(
+        zip(*(ids.tolist() for ids in np.divmod(variable_ids, d))), dtype=object
+    )
 
-    # Var(o, k) > ...: canonical order is ascending k.  Columns are
-    # visited in that order, each appending to every clause it keeps a
-    # disjunct for: a variable right operand when p misses k too, a
-    # constant below top_k otherwise.
-    variables = set()
-    miss = np.nonzero(live_o & mo)[0]
-    if miss.size:
-        miss_l = miss.tolist()
-        tops = top[miss].tolist()
-        mp_miss = mp[:, miss].T.tolist()
-        vp_miss = values[dominators][:, miss].T.tolist()
-        for k, top_k, col_missing, col_values in zip(miss_l, tops, mp_miss, vp_miss):
-            local: Dict[int, Expression] = {}  # Var(o, k) > c, scoped to o
-            used = False
-            for i, p in enumerate(doms):
-                if col_missing[i]:
-                    # unique to this pair, nothing to intern
-                    expression = Expression(Var(o, k), Var(p, k))
-                else:
-                    c = col_values[i]
-                    if c == top_k:
-                        continue
-                    expression = local.get(c)
-                    if expression is None:
-                        expression = Expression(Var(o, k), Const(c))
-                        local[c] = expression
-                clauses[i].append(expression)
-                keys[i].append(expression._key)
-                used = True
-            if used:
-                variables.add((o, k))
+    open_objects, n_clauses = np.unique(owners, return_counts=True)
+    clause_ends = np.cumsum(n_clauses).tolist()
+    var_ends = np.cumsum(np.bincount(pair_owner)[open_objects]).tolist()
+    object_vars = variables[var_of_pair].tolist()
+    for o, c0, c1, v0, v1 in zip(
+        open_objects.tolist(), [0] + clause_ends, clause_ends, [0] + var_ends, var_ends
+    ):
+        condition = Condition(tuple(clauses[c0:c1]))
+        condition._vars = frozenset(object_vars[v0:v1])
+        conditions[o] = condition
 
-    normalized = []
-    seen = set()
-    for i, (clause, key_list) in enumerate(zip(clauses, keys)):
-        if not clause:
-            if not complete[o] or not complete[doms[i]]:
-                # every disjunct of this pair is false in every valuation
-                return Condition.false()
-            continue  # a fully-observed exact duplicate does not dominate
-        ktup = tuple(key_list)
-        if ktup in seen:
-            continue
-        seen.add(ktup)
-        normalized.append((ktup, tuple(clause)))
-    if not normalized:
-        return Condition.true()
-    normalized.sort(key=itemgetter(0))
-    condition = Condition(clauses=tuple(c for __, c in normalized))
-    # The variable set is known without reading the clauses: o's columns
-    # that kept a disjunct, and every dominator's missing cell in a live
-    # column (that dominator's clause, never deduped, holds it).  Seeding
-    # the memo makes CTable's variable-index build cheap.
-    nz_p, nz_k = np.nonzero(mp & live_o)
-    for i, k in zip(nz_p.tolist(), nz_k.tolist()):
-        variables.add((doms[i], k))
-    condition._vars = frozenset(variables)
-    return condition
+    has = side_vars >= 0
+    expr_ids = np.broadcast_to(np.arange(len(distinct)), has.shape)[has]
+    expr_var = np.searchsorted(variable_ids, side_vars[has])
+    return (
+        set(open_objects.tolist()),
+        _grouped(variables, var_of_pair, pair_owner.astype(object)),
+        Counter(dict(zip(expressions.tolist(), np.bincount(occurrence).tolist()))),
+        _grouped(variables, expr_var, expressions[expr_ids]),
+    )
+
+
+def _chunk_clauses(
+    dataset: IncompleteDataset,
+    complete: np.ndarray,
+    objects: np.ndarray,
+    lens: np.ndarray,
+    members: np.ndarray,
+    n_const: int,
+    n_codes: int,
+):
+    """Decide a run of objects and lay out their clauses as code rows.
+
+    Each ``(pair, attribute)`` cell holds one of three disjunct kinds,
+    fixed by the two missing bits: ``Const(vo) > Var(p)`` (``o``
+    observes, ``p`` misses), ``Var(o) > Var(p)`` (both miss) and
+    ``Var(o) > Const(vp)`` (``o`` misses).  A disjunct the domain decides
+    (``0 > Var``, ``Var > top``, ``Var > Var`` over one value) is dropped;
+    both-observed cells never contribute, since membership guarantees
+    ``p >= o`` there.
+
+    An operand is coded by one integer that sorts like its sort key:
+    ``Const(v)`` is ``v`` and ``Var(o, k)`` is ``n_const + o * d + k``;
+    an expression is ``left * n_codes + right`` (int64 holds it while
+    ``n * d`` stays below 3e9).  So sorting a clause's codes orders its
+    disjuncts canonically, and one ``lexsort`` over clause rows padded
+    with ``-1`` orders and dedups each object's clauses the way
+    :meth:`Condition.of` does (a prefix sorts first).
+
+    Returns the objects found ``false``, then, per kept clause in
+    canonical order, its object and width, and all clause codes flat.
+    """
+    values, mask = dataset.values, dataset.mask
+    d = values.shape[1]
+    top = np.asarray(dataset.domain_sizes, dtype=np.int64) - 1
+    owner = np.repeat(np.arange(len(objects)), lens)
+    o, p = objects[owner], members
+    vo, vp, mo, mp = values[o], values[p], mask[o], mask[p]
+    both = complete[o] & complete[p]
+    keep = np.where(mo, (top > 0) & (mp | (vp != top)), (vo > 0) & mp)
+    width = keep.sum(axis=1)
+    false = np.zeros(len(objects), dtype=bool)
+    # Line 8: membership guarantees p >= o on every attribute of a
+    # complete pair, so any difference is strict domination.
+    false[owner[both & (vo != vp).any(axis=1)]] = True
+    # every disjunct of this pair is false in every valuation (a
+    # complete pair left empty is an exact duplicate: no clause)
+    false[owner[(width == 0) & ~both]] = True
+    pair = np.flatnonzero((width > 0) & ~false[owner])
+    row, k = np.nonzero(keep[pair])
+    o, p = o[pair][row], p[pair][row]
+    left = np.where(mask[o, k], n_const + o * d + k, values[o, k])
+    right = np.where(mask[p, k], n_const + p * d + k, values[p, k])
+    codes = (left * n_codes + right)[np.lexsort((left * n_codes + right, row))]
+    width = width[pair]
+    rows = np.full((pair.size, width.max(initial=0)), -1, dtype=np.int64)
+    rows[row, np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)] = codes
+    owner = owner[pair]
+    order = np.lexsort((*rows.T[::-1], owner))
+    rows, owner = rows[order], owner[order]
+    first = np.ones(pair.size, dtype=bool)
+    first[1:] = (owner[1:] != owner[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+    rows, owner = rows[first], owner[first]
+    return objects[false], objects[owner], (rows >= 0).sum(axis=1), rows[rows >= 0]
+
+
+def _grouped(keys: np.ndarray, ids: np.ndarray, values: np.ndarray) -> Dict:
+    """``{keys[i]: set(values[ids == i])}`` over the ``i`` in ``ids``."""
+    order = np.argsort(ids, kind="stable")
+    ids, firsts = np.unique(ids[order], return_index=True)
+    return dict(zip(keys[ids].tolist(), map(set, np.split(values[order], firsts[1:]))))
 
 
 def _clause_for_pair(
@@ -352,13 +386,10 @@ def _clause_for_pair(
 
 
 def _build_condition(
-    cells: _Cells, o: int, dominators: np.ndarray, interned=None
+    dataset: IncompleteDataset, complete: np.ndarray, o: int, dominators: np.ndarray
 ) -> Condition:
-    """Steps 4-5 of Algorithm 2 for one object, pair by pair.
-
-    Takes the bulk emitter's arguments; ``interned`` goes unused.
-    """
-    values, complete = cells.dataset.values, cells.complete
+    """Steps 4-5 of Algorithm 2 for one object, pair by pair."""
+    values = dataset.values
     # Line 8: a fully-observed dominator beating a fully-observed o decides
     # the condition immediately, without building any clause.
     if complete[o]:
@@ -370,7 +401,7 @@ def _build_condition(
 
     clauses: List[List[Expression]] = []
     for p in dominators.tolist():
-        clause = _clause_for_pair(cells.dataset, o, p)
+        clause = _clause_for_pair(dataset, o, p)
         if clause is None:
             continue  # p can never dominate o
         if not clause:

@@ -22,7 +22,7 @@ when it is stored.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..datasets.dataset import IncompleteDataset, Variable
@@ -42,6 +42,9 @@ class CTable:
     inference_mode: str = "full"
     #: construction perf counters (backend, seconds, pairs/sec, ...)
     build_stats: Dict[str, float] = field(default_factory=dict)
+    #: ``(_open, _var_index, _expr_index, _var_exprs)`` when the builder
+    #: counted them with the conditions; omitted, they are recounted
+    indexes: InitVar[Optional[tuple]] = None
     constraints: VariableConstraints = field(init=False)
     _var_index: Dict[Variable, Set[int]] = field(init=False)
     #: occurrences of each open expression across all conditions, kept in
@@ -52,12 +55,15 @@ class CTable:
     #: objects whose condition is symbolic, kept in sync by ``_replace``
     _open: Set[int] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, indexes: Optional[tuple]) -> None:
         if set(self.conditions) != set(range(self.dataset.n_objects)):
             raise ValueError("c-table must cover every object exactly once")
         self.constraints = VariableConstraints(
             self.dataset.domain_sizes, mode=self.inference_mode
         )
+        if indexes is not None:
+            self._open, self._var_index, self._expr_index, self._var_exprs = indexes
+            return
         self._var_index = {}
         self._expr_index = Counter()
         self._var_exprs = {}
@@ -154,22 +160,54 @@ class CTable:
             truth = resolve(candidate)
             if truth is not None:
                 decided[candidate] = truth
-        for obj in affected:
-            old = self.conditions[obj]
-            counts = old.expression_counts()
-            hits = {e: decided[e] for e in decided.keys() & counts.keys()}
-            if hits:
-                self._replace(obj, old, old.simplify_with(hits))
+        if decided:
+            for obj in affected:
+                old = self.conditions[obj]
+                new = old.simplify_with(decided)
+                if new is not old:
+                    self._replace(obj, old, new)
         return frozenset(affected)
 
     def _replace(self, obj: int, old: Condition, new: Condition) -> None:
-        """Swap one object's condition and bring the indexes in line."""
+        """Swap one object's condition and bring the indexes in line.
+
+        Only the clauses the swap took out or put in are counted.  A
+        simplification keeps the clauses it leaves alone as the same tuples,
+        so the untouched ones are found by identity, hashing no expression.
+        An expression enters ``_var_exprs`` with its first occurrence and
+        leaves both expression indexes with its last.
+        """
         self.conditions[obj] = new
         if new.is_constant:
             self._open.discard(obj)
         else:
             self._open.add(obj)
-        self._update_expr_index(old, new)
+        old_ids = set(map(id, old.clauses))
+        new_ids = set(map(id, new.clauses))
+        index, var_exprs = self._expr_index, self._var_exprs
+        for clause in new.clauses:
+            if id(clause) not in old_ids:
+                for expression in clause:
+                    if expression not in index:
+                        for variable in expression.variables():
+                            var_exprs.setdefault(variable, set()).add(expression)
+                    index[expression] += 1
+        # additions come first, so a count reaches 0 only with its last
+        # occurrence
+        for clause in old.clauses:
+            if id(clause) in new_ids:
+                continue
+            for expression in clause:
+                count = index[expression] - 1
+                if count:
+                    index[expression] = count
+                    continue
+                del index[expression]
+                for variable in expression.variables():
+                    bucket = var_exprs[variable]
+                    bucket.discard(expression)
+                    if not bucket:
+                        del var_exprs[variable]
         new_vars = new.variables()
         for variable in new_vars - old.variables():
             self._var_index.setdefault(variable, set()).add(obj)
@@ -180,27 +218,6 @@ class CTable:
                 if not bucket:
                     del self._var_index[variable]
 
-    def _update_expr_index(self, old: Condition, new: Condition) -> None:
-        """Apply one condition replacement to the expression indexes.
-
-        Drops the expressions whose count reaches 0 from ``_var_exprs``;
-        :meth:`set_condition`, the one caller that can add expressions,
-        adds them there itself.
-        """
-        old_counts = old.expression_counts()
-        self._expr_index.subtract(old_counts)
-        self._expr_index.update(new.expression_counts())
-        # Counter.subtract keeps zeroed keys; drop them so iteration and
-        # copies stay proportional to the *open* expression set.
-        for expression in old_counts:
-            if self._expr_index[expression] <= 0:
-                del self._expr_index[expression]
-                for variable in expression.variables():
-                    bucket = self._var_exprs[variable]
-                    bucket.discard(expression)
-                    if not bucket:
-                        del self._var_exprs[variable]
-
     def set_condition(self, obj: int, condition: Condition) -> None:
         """Replace one object's condition (used by tests and extensions).
 
@@ -209,9 +226,6 @@ class CTable:
         """
         condition = condition.simplify_with(self.constraints.resolve)
         self._replace(obj, self.conditions[obj], condition)
-        for expression in condition.expression_counts():
-            for variable in expression.variables():
-                self._var_exprs.setdefault(variable, set()).add(expression)
 
     # ------------------------------------------------------------------
     # result inference

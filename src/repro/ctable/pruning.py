@@ -54,7 +54,7 @@ index arrays from shared memory.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,22 +87,23 @@ DEFAULT_STAGES = 8
 MIN_GROUPS_PER_WORKER = 512
 
 
-class PruneScan:
+class PruneScan(NamedTuple):
     """Outcome of the pruning pre-pass, in object (not group) terms."""
 
-    def __init__(
-        self,
-        dominator_counts: np.ndarray,
-        open_sets: Dict[int, np.ndarray],
-        stats: Dict[str, object],
-    ) -> None:
-        #: ``|D(o)|`` per object (exact for open objects; a lower bound
-        #: above the alpha limit for early-exited ones)
-        self.dominator_counts = dominator_counts
-        #: object -> sorted dominator indices, for objects with
-        #: ``0 < |D(o)| <= limit`` only
-        self.open_sets = open_sets
-        self.stats = stats
+    #: ``|D(o)|`` per object (exact for open objects; a lower bound
+    #: above the alpha limit for early-exited ones)
+    dominator_counts: np.ndarray
+    #: the objects with ``0 < |D(o)| <= limit``, ascending
+    open_objects: np.ndarray
+    #: their dominator sets back to back, each sorted ascending
+    members: np.ndarray
+    stats: Dict[str, object]
+
+    @property
+    def open_sets(self) -> Dict[int, np.ndarray]:
+        """Open object -> sorted dominator indices."""
+        ends = np.cumsum(self.dominator_counts[self.open_objects])
+        return dict(zip(self.open_objects.tolist(), np.split(self.members, ends[:-1])))
 
 
 # ----------------------------------------------------------------------
@@ -334,9 +335,9 @@ def pruned_dominator_scan(
     # itself (every object is a member of its own group's relation).
     obj_by_row = meta["obj_by_row"]
     row_off = meta["row_obj_offsets"]
-    open_sets: Dict[int, np.ndarray] = {}
     group_objects = np.argsort(lo_inv, kind="stable")
     group_off = np.concatenate(([0], np.cumsum(lo_cnt)))
+    owner_parts, flat_parts = [], []
     for part in parts:
         __, __, __, open_groups, members, offsets = part
         # member rows -> objects, sorted within each group
@@ -351,11 +352,19 @@ def pruned_dominator_scan(
         owner_group = np.repeat(np.arange(len(open_groups)), owned)
         copy_lens = seg_lens[owner_group]
         flat = objs[_ragged_ranges(seg[owner_group], copy_lens)]
-        flat = flat[flat != np.repeat(owners, copy_lens)]
-        sets = np.split(flat, np.cumsum(copy_lens - 1)[:-1])
-        open_sets.update(zip(owners.tolist(), sets))
+        owner_parts.append(owners)
+        flat_parts.append(flat[flat != np.repeat(owners, copy_lens)])
 
+    # owner-major copies -> ascending object order, one gather
     per_object_counts = (counts - 1)[lo_inv]
+    owners = np.concatenate(owner_parts)
+    flat = np.concatenate(flat_parts)
+    set_lens = per_object_counts[owners]
+    set_starts = np.cumsum(set_lens) - set_lens
+    order = np.argsort(owners)
+    open_objects = owners[order]
+    members = flat[_ragged_ranges(set_starts[order], set_lens[order])]
+
     stats = {
         "prune_enabled": True,
         "pairs_tested": pairs_tested,
@@ -372,4 +381,4 @@ def pruned_dominator_scan(
         "scan_worker_seconds": [float(s) for s in worker_seconds],
         "scan_worker_seconds_max": float(max(worker_seconds, default=0.0)),
     }
-    return PruneScan(per_object_counts, open_sets, stats)
+    return PruneScan(per_object_counts, open_objects, members, stats)

@@ -356,6 +356,24 @@ class TestFamilyScoreCache:
         data, mask = self._masked_data(rng, n, cards, missing)
         self._assert_all_families_match(data, cards, mask)
 
+    def test_each_column_set_is_counted_once(self, monkeypatch):
+        import repro.bayesnet.structure as structure
+
+        counted = []
+        real = structure.family_counts
+
+        def counting(columns, observed, family, shape):
+            counted.append(frozenset(family))
+            return real(columns, observed, family, shape)
+
+        monkeypatch.setattr(structure, "family_counts", counting)
+        rng = np.random.default_rng(7)
+        cards = [3, 2, 4, 2]
+        data, mask = self._masked_data(rng, 400, cards, 0.05)
+        # every orientation of every column set, each equal to its own count
+        self._assert_all_families_match(data, cards, mask)
+        assert len(counted) == len(set(counted)) == 2 ** len(cards) - 1
+
     def test_unmasked_data_matches_reference(self):
         rng = np.random.default_rng(4)
         cards = [3, 2, 4]

@@ -8,7 +8,7 @@ they must produce byte-identical conditions and probabilities within
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bayesnet.posteriors import empirical_distributions, uniform_distributions
@@ -21,6 +21,8 @@ from repro.datasets import MISSING, IncompleteDataset, generate_nba
 from repro.lru import LRUCache
 from repro.parallel import PoolDecision
 from repro.probability import DistributionStore, ProbabilityEngine
+
+from .test_ctable import assert_indexes_recounted
 
 
 def random_dataset(seed, n=40, d=3, domain=5, missing_rate=0.3):
@@ -46,7 +48,118 @@ def incomplete_datasets(draw):
     return IncompleteDataset(values=values, domain_sizes=[domain] * d)
 
 
+@st.composite
+def emitter_datasets(draw):
+    """Datasets aimed at the array emitter's edge cases.
+
+    Domains of one value occur, and complete rows are drawn apart from
+    the others and some repeated, so exact duplicate complete rows and
+    complete objects with incomplete dominators are common; ``n`` may
+    be 0 or 1.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    cell = [st.one_of(st.just(MISSING), st.integers(0, s - 1)) for s in sizes]
+    rows = draw(st.lists(st.tuples(*cell), max_size=8))
+    complete = draw(
+        st.lists(st.tuples(*[st.integers(0, s - 1) for s in sizes]), max_size=4)
+    )
+    if complete:
+        complete += draw(st.lists(st.sampled_from(complete), max_size=3))
+    rows += complete
+    values = np.array(rows, dtype=np.int64).reshape(len(rows), len(sizes))
+    return IncompleteDataset(values=values, domain_sizes=sizes)
+
+
+def dataset_of(rows, sizes):
+    return IncompleteDataset(values=np.array(rows, dtype=np.int64), domain_sizes=sizes)
+
+
+#: phi(o1) of each: two dominators give the identical clause
+#: ``Var(o1, a1) > 1``; and ``[Var(o1, a1) > 1]`` is a prefix of
+#: ``[Var(o1, a1) > 1, Var(o1, a2) > 2]``
+IDENTICAL_CLAUSES = dataset_of([[MISSING, 0], [1, 2], [1, 1]], [3, 3])
+PREFIX_CLAUSES = dataset_of([[MISSING, MISSING], [1, 3], [1, 2]], [3, 4])
+
+
+def assert_same_ctable(expected, actual):
+    """Equal conditions and hashes, recounted variables and indexes."""
+    assert actual.pruned == expected.pruned
+    assert list(actual.conditions) == list(expected.conditions)
+    for obj, condition in expected.conditions.items():
+        built = actual.conditions[obj]
+        assert built == condition
+        assert built.clauses == condition.clauses
+        assert hash(built) == hash(condition)
+        # the emitter seeds the variable memo; it must equal a recount
+        assert built.variables() == condition.variables()
+        assert built.variables() == {
+            v for e in built.expressions() for v in e.variables()
+        }
+    assert_indexes_recounted(actual)
+
+
 class TestBackendParity:
+    @settings(max_examples=150, deadline=None)
+    @given(emitter_datasets(), st.sampled_from([0.001, 0.2, 1.0]))
+    @example(IDENTICAL_CLAUSES, 1.0)
+    @example(PREFIX_CLAUSES, 1.0)
+    def test_array_emitter_matches_scalar_oracle(self, dataset, alpha):
+        oracle = build_ctable(dataset, alpha=alpha, backend="python", prune="off")
+        assert_indexes_recounted(oracle)
+        for prune in ("off", "on"):
+            vector = build_ctable(dataset, alpha=alpha, backend="numpy", prune=prune)
+            assert_same_ctable(oracle, vector)
+
+    def test_identical_and_prefix_clauses_are_deduped_and_ordered(self):
+        phi = build_ctable(IDENTICAL_CLAUSES, backend="numpy").condition(0)
+        assert [[str(e) for e in clause] for clause in phi.clauses] == [
+            ["Var(o1, a1) > 1"]
+        ]
+        phi = build_ctable(PREFIX_CLAUSES, backend="numpy").condition(0)
+        assert [[str(e) for e in clause] for clause in phi.clauses] == [
+            ["Var(o1, a1) > 1"],
+            ["Var(o1, a1) > 1", "Var(o1, a2) > 2"],
+        ]
+
+    def test_every_object_alpha_pruned(self):
+        dataset = random_dataset(2, n=30)
+        for backend in ("numpy", "python"):
+            ctable = build_ctable(dataset, alpha=0.001, backend=backend)
+            assert ctable.pruned == {
+                o for o, c in ctable.conditions.items() if not c.is_true
+            }
+            assert not ctable.undecided()
+            assert_indexes_recounted(ctable)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("prune", ["on", "off"])
+    def test_cancel_check_aborts_at_every_call(self, backend, prune):
+        dataset = random_dataset(4, n=40, d=3)
+        calls = []
+        build_ctable(
+            dataset, alpha=0.3, backend=backend, prune=prune,
+            cancel_check=lambda: calls.append(1),
+        )
+        assert len(calls) >= 3  # before, during and after clause emission
+
+        class Cancelled(Exception):
+            pass
+
+        for k in range(1, len(calls) + 1):
+            seen = []
+
+            def check():
+                seen.append(1)
+                if len(seen) == k:
+                    raise Cancelled
+
+            with pytest.raises(Cancelled):
+                build_ctable(
+                    dataset, alpha=0.3, backend=backend, prune=prune,
+                    cancel_check=check,
+                )
+            assert len(seen) == k
+
     @settings(max_examples=60, deadline=None)
     @given(incomplete_datasets(), st.sampled_from([0.05, 0.3, 1.0]))
     def test_numpy_backend_matches_python(self, dataset, alpha):
@@ -97,6 +210,16 @@ class TestBackendParity:
         )
 
 
+#: the build statistics that are timings
+TIMING_STATS = (
+    "seconds",
+    "pairs_per_sec",
+    "scan_seconds",
+    "scan_worker_seconds",
+    "scan_worker_seconds_max",
+)
+
+
 class TestPruningParity:
     """The dominance-pruning pre-pass is a pure optimization.
 
@@ -121,6 +244,25 @@ class TestPruningParity:
         n = dataset.n_objects
         assert stats["prune_enabled"]
         assert stats["pairs_tested"] + stats["pairs_pruned"] == n * (n - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(emitter_datasets(), st.sampled_from([0.001, 0.2, 1.0]))
+    def test_pruned_array_emitter_matches_scalar_oracle(self, dataset, alpha):
+        oracle = build_ctable(dataset, alpha=alpha, backend="python", prune="on")
+        vector = build_ctable(dataset, alpha=alpha, backend="numpy", prune="on")
+        assert_same_ctable(oracle, vector)
+        assert_indexes_recounted(oracle)
+        assert vector.build_stats == {
+            **oracle.build_stats,
+            **{key: vector.build_stats[key] for key in TIMING_STATS},
+            "backend": "numpy",
+        }
+
+    def test_emitter_chunks_do_not_change_clauses(self, monkeypatch):
+        dataset = random_dataset(8, n=120, d=3, missing_rate=0.4)
+        whole = build_ctable(dataset, alpha=0.3)
+        monkeypatch.setattr("repro.ctable.construction.PAIR_BUDGET", 7)
+        assert_same_ctable(whole, build_ctable(dataset, alpha=0.3))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("missing_rate", [0.0, 0.2, 0.6])

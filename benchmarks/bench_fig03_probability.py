@@ -5,7 +5,8 @@ Series: total time over the initial c-table's conditions per
 exceeds the enumeration cap are excluded for both methods (their count is
 in ``extra_info``).  Expected shape: ADPLL faster than Naive everywhere,
 the gap widening with the missing rate; ``batch`` (the engine's
-``probability_many`` with bulk leaf warming) at or below plain ADPLL.
+``probability_many``, deduplicated and cache-served) at or below plain
+ADPLL.
 
 Standalone mode times the batch engine sequentially, batched and with a
 worker pool, and emits ``BENCH_fig03_probability.json`` in

@@ -3,7 +3,8 @@
 Not paper figures; they track the fixed costs every query pays: dominator
 derivation, the c-table build, skyline ground truth, Bayesian-network
 learning and exact inference, the check and normalisation of the
-posterior pmfs, and the crowd platform's answer pipeline.
+posterior pmfs, the Boole/Frechet bracket pass of the bound-first
+ranking, and the crowd platform's answer pipeline.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.ctable import (
     var_greater_const,
 )
 from repro.datasets import generate_nba, generate_synthetic
-from repro.probability import DistributionStore
+from repro.probability import DistributionStore, ProbabilityEngine
 from repro.skyline import skyline, skyline_layers
 
 
@@ -113,6 +114,29 @@ def test_distribution_store_build(benchmark, once):
     posteriors = learn_distributions(dataset, BayesCrowdConfig(seed=1))
     store = once(benchmark, lambda: DistributionStore(posteriors, None))
     benchmark.extra_info["pmfs"] = len(store.variables())
+
+
+@pytest.mark.parametrize("phase", ["initial", "round"])
+def test_bounds_many(benchmark, once, phase):
+    """``bounds_many`` on the ``syn3k-hhs`` shape, one pass per phase:
+    ``initial`` is the first pass over every open condition of a fresh
+    c-table; ``round`` is, after that pass and 10 answers (both
+    untimed), the pass over the open conditions the answers touched."""
+    dataset = generate_synthetic(n_objects=3000, missing_rate=0.1, seed=1)
+    distributions = learn_distributions(dataset, BayesCrowdConfig(seed=1))
+    ctable = build_ctable(dataset, alpha=0.01)
+    engine = ProbabilityEngine(DistributionStore(distributions, ctable.constraints))
+    conditions = [ctable.condition(obj) for obj in ctable.undecided()]
+    if phase == "round":
+        engine.bounds_many(conditions)
+        touched = set()
+        for __, expression in list(ctable.open_expressions())[::97][:10]:
+            relation = expression.true_relation(dataset.complete)
+            touched |= ctable.apply_answer(expression, relation)
+        open_objects = set(ctable.undecided())
+        conditions = [ctable.condition(obj) for obj in sorted(touched & open_objects)]
+    once(benchmark, lambda: engine.bounds_many(conditions))
+    benchmark.extra_info["conditions"] = len(conditions)
 
 
 def test_crowd_platform_round_trip(benchmark, once):

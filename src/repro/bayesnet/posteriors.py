@@ -144,11 +144,16 @@ class MissingValuePosteriors:
         return [weight, [0]] + operands
 
     def all_distributions(self) -> Dict[Variable, np.ndarray]:
-        """Posteriors for every missing cell of the dataset (bulk path)."""
+        """Posteriors for every missing cell of the dataset (bulk path).
+
+        Each pmf is a row view of one dense array, not a copy: the
+        :class:`~repro.probability.DistributionStore` built from them
+        copies every row once, when it stacks each domain size's pmfs.
+        """
         variables, dense = self.precompute_all()
         sizes = self._dataset.domain_sizes
         return {
-            (obj, attr): dense[i, : sizes[attr]].copy()
+            (obj, attr): dense[i, : sizes[attr]]
             for i, (obj, attr) in enumerate(variables)
         }
 

@@ -146,7 +146,6 @@ class UtilityEngine:
                 else:
                     pending.append((pair, p_phi))
             if pending:
-                store.prob_expressions_bulk({e for (__, e), __ in pending})
                 branches = self._kernel_branches(pending)
                 residual = [item for item in pending if item[0] not in branches]
                 if residual:

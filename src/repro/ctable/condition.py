@@ -10,6 +10,13 @@ Conditions are immutable; every simplification returns a new object, which
 makes them safe to use as cache keys for probability computation.  Because
 ADPLL materializes very many intermediate conditions, the hash, variable
 set and occurrence counts are computed once and cached.
+
+A symbolic condition also carries its expressions as integer ids into
+an :class:`~repro.ctable.expression_table.ExpressionTable`: the id of
+every occurrence, clause after clause, and each clause's width (a CSR
+row).  Get-CTable seeds them, and :meth:`Condition.expression_ids`
+interns any other condition's (a rewrite, a hand-built one) on first
+sight.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from typing import (
 
 from ..datasets.dataset import Variable
 from .expression import Expression
+from .expression_table import ExpressionTable
 
 Clause = Tuple[Expression, ...]
 
@@ -46,7 +54,17 @@ class Condition:
     input to already be normalized.
     """
 
-    __slots__ = ("clauses", "value", "_hash", "_vars", "_counts", "_expr_counts")
+    __slots__ = (
+        "clauses",
+        "value",
+        "_hash",
+        "_vars",
+        "_counts",
+        "_expr_counts",
+        "_table",
+        "_ids",
+        "_widths",
+    )
 
     def __init__(
         self, clauses: Tuple[Clause, ...] = (), value: Optional[bool] = None
@@ -61,6 +79,10 @@ class Condition:
         self._vars: Optional[FrozenSet[Variable]] = None
         self._counts: Optional[Counter] = None
         self._expr_counts: Optional[Counter] = None
+        #: occurrence ids and clause widths under ``_table`` (or ``None``)
+        self._table: Optional[ExpressionTable] = None
+        self._ids: Optional[List[int]] = None
+        self._widths: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -173,6 +195,24 @@ class Condition:
                     counts[expression] += 1
             self._expr_counts = counts
         return self._expr_counts
+
+    @property
+    def expression_table(self) -> Optional[ExpressionTable]:
+        """The table its ids index (a rewrite's parent's until it is
+        interned), if any."""
+        return self._table
+
+    def expression_ids(self, table: ExpressionTable) -> Tuple[List[int], List[int]]:
+        """``(ids, widths)``: every occurrence's id under ``table``, clause
+        after clause, and each clause's width (lists; do not mutate).
+
+        Seeded ids are returned as they are; otherwise the clauses are
+        interned once and the result is kept.
+        """
+        if self._table is not table or self._ids is None:
+            self._ids, self._widths = table.intern_clauses(self.clauses)
+            self._table = table
+        return self._ids, self._widths  # type: ignore[return-value]
 
     def n_clauses(self) -> int:
         return len(self.clauses)
@@ -364,7 +404,10 @@ class Condition:
                 kept.insert(low, clause)
         if not kept:
             return _TRUE
-        return Condition(clauses=tuple(kept))
+        condition = Condition(clauses=tuple(kept))
+        # interned under the same table when first asked for ids
+        condition._table = self._table
+        return condition
 
     def absorbed(self) -> "Condition":
         """Apply clause absorption: drop clauses that are supersets of others.

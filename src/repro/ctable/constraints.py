@@ -18,7 +18,7 @@ variable's allowed set we keep only the newest answer, trusting recency.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -523,6 +523,10 @@ class VariableConstraints:
         """
         var_versions = self._var_versions
         return all(var_versions.get(v, 0) <= version for v in variables)
+
+    def changed_since(self, version: int) -> Set[Variable]:
+        """The variables answers changed after store ``version``."""
+        return {v for v, changed in self._var_versions.items() if changed > version}
 
     def constrained_variables(self) -> FrozenSet[Variable]:
         """Variables whose allowed set is narrower than the full domain."""

@@ -36,6 +36,7 @@ from .condition import Condition
 from .ctable import CTable
 from .dominators import dominator_sets
 from .expression import Const, Expression, Var
+from .expression_table import CONST_VAR, KEY_BASE, VAR_CONST, VAR_VAR, ExpressionTable
 from .pruning import PRUNE_MODES, pruned_dominator_scan
 
 #: Construction backends: ``numpy`` lays clauses out with bulk array
@@ -195,9 +196,11 @@ def _emit_conditions(
     expression codes.  Python objects are then made
     once: one :class:`Expression` per distinct code, one tuple per kept
     clause, one :class:`Condition` per open object (written into
-    ``conditions``) with its variable set seeded.  The c-table's indexes
-    are counted from the same arrays and returned in the order
-    :class:`CTable` takes them.
+    ``conditions``) with its variable set seeded.  The distinct codes
+    become the ids of an :class:`ExpressionTable`, and each condition is
+    seeded with its occurrence ids and clause widths.  The c-table's
+    indexes are counted from the same arrays and returned, with the
+    table, in the order :class:`CTable` takes them.
     """
     n, d = dataset.values.shape
     n_const = max(dataset.domain_sizes, default=1)
@@ -238,6 +241,21 @@ def _emit_conditions(
     flat = expressions[occurrence].tolist()
     bounds = np.cumsum(widths).tolist()
     clauses = [tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)]
+    left, right = sides
+    kind = np.where(
+        right < n_const, VAR_CONST, np.where(left < n_const, CONST_VAR, VAR_VAR)
+    )
+    obj, attr = np.divmod(sides - n_const, d)
+    keys = obj * KEY_BASE + attr  # of each side's variable; junk for constants
+    table = ExpressionTable(
+        expressions.tolist(),
+        (
+            kind,
+            np.where(kind == CONST_VAR, keys[1], keys[0]),
+            np.where(kind == VAR_CONST, keys[0], keys[1]),
+            np.where(kind == VAR_CONST, right, np.where(kind == CONST_VAR, left, -1)),
+        ),
+    )
 
     # (object, variable) pairs from each cell's variable operands
     side_vars = sides - n_const  # variable ids; negative for constants
@@ -256,11 +274,16 @@ def _emit_conditions(
     clause_ends = np.cumsum(n_clauses).tolist()
     var_ends = np.cumsum(np.bincount(pair_owner)[open_objects]).tolist()
     object_vars = variables[var_of_pair].tolist()
+    bounds = [0] + bounds
+    occurrence_ids, clause_widths = occurrence.tolist(), widths.tolist()
     for o, c0, c1, v0, v1 in zip(
         open_objects.tolist(), [0] + clause_ends, clause_ends, [0] + var_ends, var_ends
     ):
         condition = Condition(tuple(clauses[c0:c1]))
         condition._vars = frozenset(object_vars[v0:v1])
+        condition._table = table
+        condition._ids = occurrence_ids[bounds[c0] : bounds[c1]]
+        condition._widths = clause_widths[c0:c1]
         conditions[o] = condition
 
     has = side_vars >= 0
@@ -271,6 +294,7 @@ def _emit_conditions(
         _grouped(variables, var_of_pair, pair_owner.astype(object)),
         Counter(dict(zip(expressions.tolist(), np.bincount(occurrence).tolist()))),
         _grouped(variables, expr_var, expressions[expr_ids]),
+        table,
     )
 
 

@@ -29,6 +29,7 @@ from ..datasets.dataset import IncompleteDataset, Variable
 from .condition import Condition
 from .constraints import VariableConstraints
 from .expression import Expression, Relation
+from .expression_table import ExpressionTable
 
 
 @dataclass
@@ -42,10 +43,13 @@ class CTable:
     inference_mode: str = "full"
     #: construction perf counters (backend, seconds, pairs/sec, ...)
     build_stats: Dict[str, float] = field(default_factory=dict)
-    #: ``(_open, _var_index, _expr_index, _var_exprs)`` when the builder
-    #: counted them with the conditions; omitted, they are recounted
+    #: ``(_open, _var_index, _expr_index, _var_exprs, expressions)`` when
+    #: the builder counted them with the conditions and seeded every open
+    #: condition's expression ids; omitted, they are recounted and interned
     indexes: InitVar[Optional[tuple]] = None
     constraints: VariableConstraints = field(init=False)
+    #: the table every open condition's expression ids index
+    expressions: ExpressionTable = field(init=False)
     _var_index: Dict[Variable, Set[int]] = field(init=False)
     #: occurrences of each open expression across all conditions, kept in
     #: sync by the answer-application deltas (no per-round recounting)
@@ -62,8 +66,15 @@ class CTable:
             self.dataset.domain_sizes, mode=self.inference_mode
         )
         if indexes is not None:
-            self._open, self._var_index, self._expr_index, self._var_exprs = indexes
+            (
+                self._open,
+                self._var_index,
+                self._expr_index,
+                self._var_exprs,
+                self.expressions,
+            ) = indexes
             return
+        self.expressions = ExpressionTable()
         self._var_index = {}
         self._expr_index = Counter()
         self._var_exprs = {}
@@ -72,6 +83,7 @@ class CTable:
             if condition.is_constant:
                 continue
             self._open.add(obj)
+            condition.expression_ids(self.expressions)
             for variable in condition.variables():
                 self._var_index.setdefault(variable, set()).add(obj)
             self._expr_index.update(condition.expression_counts())
@@ -225,6 +237,8 @@ class CTable:
         the expressions earlier answers (or the domain) decide drop now.
         """
         condition = condition.simplify_with(self.constraints.resolve)
+        if not condition.is_constant:
+            condition.expression_ids(self.expressions)
         self._replace(obj, self.conditions[obj], condition)
 
     # ------------------------------------------------------------------

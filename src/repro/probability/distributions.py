@@ -14,19 +14,28 @@ incorporate everything the crowd has said.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..ctable.constraints import VariableConstraints
 from ..ctable.expression import Const, Expression, Var
+from ..ctable.expression_table import KEY_BASE, VAR_CONST, VAR_VAR, ExpressionTable
 from ..datasets.dataset import Variable
 
 
-#: Smallest per-variable expression group worth a vectorized gather in
-#: :meth:`DistributionStore.prob_expressions_bulk`.
-_BULK_GATHER_MIN = 8
+def _write_tails(gt: np.ndarray, lt: np.ndarray, pmfs: np.ndarray) -> None:
+    """Fill rows of ``gt[c] = Pr(X > c)`` and ``lt[c] = Pr(X < c)``.
+
+    Suffix/prefix sums (not ``1 - cdf``) keep every entry an exact sum
+    of pmf cells: nonnegative and identical to per-value summation.
+    """
+    gt[:, :-1] = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    gt[:, -1] = 0.0
+    lt[:, 0] = 0.0
+    lt[:, 1:] = np.cumsum(pmfs, axis=1)[:, :-1]
 
 
 class DistributionStore:
@@ -55,7 +64,7 @@ class DistributionStore:
             positions, pmfs = groups[pmf.size]
             positions.append(position)
             pmfs.append(pmf)
-        rows: List[np.ndarray] = [None] * len(variables)  # type: ignore[list-item]
+        matrices = []
         for positions, pmfs in groups.values():
             # np.stack copies: no row shares memory with the caller's arrays
             matrix = np.stack(pmfs)
@@ -70,21 +79,63 @@ class DistributionStore:
                     if negative[row]
                     else "sums to %r, not 1" % (totals[row],),
                 )
-            for position, pmf in zip(positions, matrix / totals[:, None]):
-                rows[position] = pmf
+            matrices.append(([variables[i] for i in positions], matrix / totals[:, None]))
         if first_bad is not None:
             position, message = first_bad
             raise ValueError("pmf of %s %s" % (variables[position], message))
-        self._base: Dict[Variable, np.ndarray] = dict(zip(variables, rows))
         self._constraints = constraints
+        self._init_tails(matrices)
+        self._base = {variable: self._base[variable] for variable in variables}
+
+    def _init_tails(self, matrices: List[Tuple[List[Variable], np.ndarray]]) -> None:
+        """Take each domain size's pmf matrix and lay out its tails.
+
+        Every variable gets a slot and, in two flat arrays, a row of its
+        size's block: ``gt[c] = Pr(X > c)`` and ``lt[c] = Pr(X < c)``.
+        Any set of expression probabilities is then one fancy-index
+        gather.  Answers rewrite only the rows of the variables they
+        change (:meth:`_sync_tails`).  The base pmfs are rows of
+        ``matrices``.
+        """
+        self._base: Dict[Variable, np.ndarray] = {}
+        self._slot: Dict[Variable, int] = {}
+        shapes = np.array([m.shape for __, m in matrices], dtype=np.int64).reshape(-1, 2)
+        self._row_size = np.repeat(shapes[:, 1], shapes[:, 0])
+        self._row_start = np.cumsum(self._row_size) - self._row_size
+        self._gt = np.empty(int(self._row_size.sum()))
+        self._lt = np.empty_like(self._gt)
+        for variables, matrix in matrices:
+            first = len(self._slot)
+            block = slice(self._row_start[first], self._row_start[first] + matrix.size)
+            _write_tails(
+                self._gt[block].reshape(matrix.shape),
+                self._lt[block].reshape(matrix.shape),
+                matrix,
+            )
+            self._slot.update(zip(variables, range(first, first + len(variables))))
+            self._base.update(zip(variables, matrix))
+        #: sorted variable keys and their slots, for :meth:`_slots_of`,
+        #: closed by a key no variable has
+        pairs = np.fromiter(itertools.chain.from_iterable(self._slot), np.int64)
+        keys = pairs[::2] * KEY_BASE + pairs[1::2]
+        self._keys = (
+            np.append(np.sort(keys), np.iinfo(np.int64).max),
+            np.append(np.argsort(keys), -1),
+        )
+        #: constraint version the tail rows reflect
+        self._synced = 0
+        #: each variable's ``(gt, lt)`` row views, made on first use
+        self._tail_rows: Dict[Variable, Tuple[np.ndarray, np.ndarray]] = {}
+        #: per expression table read (a c-table's and :attr:`expressions`):
+        #: the two variable slots of each id
+        self._table_slots: Dict[ExpressionTable, np.ndarray] = {}
+        #: ids for expressions met outside any c-table's table (hand-built
+        #: conditions)
+        self.expressions = ExpressionTable()
         # Hot-path caches, validated against per-variable constraint versions:
         # leaf expressions repeat heavily across ADPLL branches.
         self._pmf_cache: Dict[Variable, "tuple[np.ndarray, int]"] = {}
         self._expr_cache: Dict[Expression, "tuple[float, int]"] = {}
-        # Per-variable cumulative arrays: tails[0][c] = Pr(X > c) and
-        # tails[1][c] = Pr(X < c), both length |domain|.  Every expression
-        # probability is one lookup (or one dot product) against these.
-        self._tail_cache: Dict[Variable, "tuple[np.ndarray, np.ndarray, int]"] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -106,9 +157,6 @@ class DistributionStore:
         if self._constraints is None:
             return True
         return self._constraints.variables_unchanged_since(variables, version)
-
-    def has_variable(self, variable: Variable) -> bool:
-        return variable in self._base
 
     def variables(self):
         return self._base.keys()
@@ -193,17 +241,18 @@ class DistributionStore:
         variables = arrays["pmf_variables"]
         offsets = arrays["pmf_offsets"]
         flat = arrays["pmf_flat"]
-        store = cls.__new__(cls)
-        store._base = {
-            (int(variables[i, 0]), int(variables[i, 1])): np.array(
-                flat[offsets[i]:offsets[i + 1]], dtype=np.float64
+        sizes = np.diff(offsets)
+        matrices = [
+            (
+                list(map(tuple, variables[rows].tolist())),
+                flat[offsets[rows, None] + np.arange(size)],
             )
-            for i in range(len(variables))
-        }
+            for size in np.unique(sizes).tolist()
+            for rows in [np.flatnonzero(sizes == size)]
+        ]
+        store = cls.__new__(cls)
         store._constraints = None
-        store._pmf_cache = {}
-        store._expr_cache = {}
-        store._tail_cache = {}
+        store._init_tails(matrices)
         return store
 
     # ------------------------------------------------------------------
@@ -212,26 +261,31 @@ class DistributionStore:
     def tails(self, variable: Variable) -> "tuple[np.ndarray, np.ndarray]":
         """``(gt, lt)`` with ``gt[c] = Pr(X > c)`` and ``lt[c] = Pr(X < c)``.
 
-        Both have the length of the variable's base domain and are cached
-        per constraint version; callers must not modify them.
+        Both have the length of the variable's base domain.  They are the
+        variable's rows of the dense tails, rewritten in place when an
+        answer changes the variable; callers must not modify them.
         """
         constraints = self._constraints
-        cached = self._tail_cache.get(variable)
-        if cached is not None:
-            gt, lt, version = cached
-            if constraints is None or version == constraints.version:
-                return gt, lt
-            if constraints.variables_unchanged_since((variable,), version):
-                self._tail_cache[variable] = (gt, lt, constraints.version)
-                return gt, lt
-        pmf = self.pmf(variable)
-        # Suffix/prefix sums (not 1 - cdf) keep the entries exact sums of
-        # pmf cells: nonnegative and identical to per-value summation.
-        suffix = np.cumsum(pmf[::-1])[::-1]  # Pr(X >= c)
-        gt = np.concatenate((suffix[1:], (0.0,)))  # Pr(X > c)
-        lt = np.concatenate(((0.0,), np.cumsum(pmf)[:-1]))  # Pr(X < c)
-        self._tail_cache[variable] = (gt, lt, self.version)
-        return gt, lt
+        if constraints is not None and constraints.version != self._synced:
+            self._sync_tails()
+        rows = self._tail_rows.get(variable)
+        if rows is None:
+            slot = self._slot.get(variable)
+            if slot is None:
+                raise KeyError("no distribution for variable %s" % (variable,))
+            start = self._row_start[slot]
+            end = start + self._row_size[slot]
+            rows = self._tail_rows[variable] = (self._gt[start:end], self._lt[start:end])
+        return rows
+
+    def _sync_tails(self) -> None:
+        """Rewrite the tail rows of the variables answers changed since the
+        last sync, from their constrained pmfs."""
+        changed = self._constraints.changed_since(self._synced)
+        self._synced = self._constraints.version
+        for variable in changed & self._slot.keys():
+            gt, lt = self.tails(variable)
+            _write_tails(gt[None], lt[None], self.pmf(variable)[None])
 
     def prob_expression(self, expression: Expression) -> float:
         """``Pr(expression)`` under the current distributions (cached)."""
@@ -277,78 +331,50 @@ class DistributionStore:
             total += float(pmf_a[len(lt_b) :].sum())
         return total
 
-    def prob_expressions_bulk(
-        self, expressions: Iterable[Expression]
-    ) -> Dict[Expression, float]:
-        """Probabilities of many expressions at once, vectorized per variable.
+    def expression_values(self, table: ExpressionTable, ids: np.ndarray) -> np.ndarray:
+        """``Pr(e)`` for the expression of every id (repeats allowed).
 
-        Variable-vs-constant expressions over the same variable collapse
-        into one gather against the variable's cumulative arrays instead
-        of per-expression Python arithmetic.  All results are folded into
-        the expression cache, so a subsequent ADPLL/naive pass over the
-        conditions that produced these leaves starts fully warm.
+        One fancy-index gather over the dense tails per kind; each
+        distinct var-vs-var leaf is read by :meth:`prob_expression`.
+        Every value equals :meth:`prob_expression`'s bit for bit.
         """
-        out: Dict[Expression, float] = {}
-        version = self.version
-        var_const: "defaultdict[Variable, List[Tuple[Expression, int]]]" = defaultdict(list)
-        const_var: "defaultdict[Variable, List[Tuple[Expression, int]]]" = defaultdict(list)
-        var_var: List[Expression] = []
-        for expression in expressions:
-            if expression in out:
-                continue
-            cached = self._expr_cache.get(expression)
-            if cached is not None:
-                if cached[1] == version:
-                    out[expression] = cached[0]
-                    continue
-                if self.variables_unchanged_since(expression.variables(), cached[1]):
-                    self._expr_cache[expression] = (cached[0], version)
-                    out[expression] = cached[0]
-                    continue
-            left, right = expression.left, expression.right
-            if isinstance(left, Var) and isinstance(right, Const):
-                var_const[left.variable].append((expression, right.value))
-            elif isinstance(left, Const) and isinstance(right, Var):
-                const_var[right.variable].append((expression, left.value))
-            else:
-                var_var.append(expression)
+        constraints = self._constraints
+        if constraints is not None and constraints.version != self._synced:
+            self._sync_tails()
+        kind, key_a, key_b, const = table.columns()
+        slots = self._table_slots.get(table)
+        done = 0 if slots is None else slots.shape[1]
+        if slots is None or done < len(kind):
+            new = self._slots_of(np.stack((key_a[done:], key_b[done:])))
+            slots = new if slots is None else np.concatenate((slots, new), axis=1)
+            self._table_slots[table] = slots
+        slot_a, slot_b = slots
+        unknown = ids[(slot_a[ids] < 0) | (slot_b[ids] < 0)]
+        if unknown.size:
+            raise KeyError(
+                "no distribution for a variable of %s" % table.expressions[unknown[0]]
+            )
+        kind, slot, const = kind[ids], slot_a[ids], const[ids]
+        start, size = self._row_start[slot], self._row_size[slot]
+        at = start + np.clip(const, 0, size - 1)
+        values = np.where(
+            kind == VAR_CONST,
+            np.where(const >= size, 0.0, np.where(const < 0, 1.0, self._gt[at])),
+            np.where(const <= 0, 0.0, np.where(const >= size, 1.0, self._lt[at])),
+        )
+        is_var_var = kind == VAR_VAR
+        if is_var_var.any():
+            distinct, inverse = np.unique(ids[is_var_var], return_inverse=True)
+            expressions = table.expressions
+            read = [self.prob_expression(expressions[i]) for i in distinct.tolist()]
+            values[is_var_var] = np.array(read)[inverse]
+        return values
 
-        for variable, pairs in var_const.items():
-            gt, __ = self.tails(variable)
-            size = len(gt)
-            if len(pairs) < _BULK_GATHER_MIN:
-                # ndarray setup costs more than it saves on tiny groups
-                for expression, c in pairs:
-                    value = 0.0 if c >= size else (float(gt[c]) if c >= 0 else 1.0)
-                    out[expression] = value
-                    self._expr_cache[expression] = (value, version)
-                continue
-            cs = np.fromiter((c for __, c in pairs), dtype=np.int64, count=len(pairs))
-            values = np.where(
-                cs >= size, 0.0, np.where(cs < 0, 1.0, gt[np.clip(cs, 0, size - 1)])
-            )
-            for (expression, __c), value in zip(pairs, values.tolist()):
-                out[expression] = value
-                self._expr_cache[expression] = (value, version)
-        for variable, pairs in const_var.items():
-            __, lt = self.tails(variable)
-            size = len(lt)
-            if len(pairs) < _BULK_GATHER_MIN:
-                for expression, c in pairs:
-                    value = 0.0 if c <= 0 else (float(lt[c]) if c < size else 1.0)
-                    out[expression] = value
-                    self._expr_cache[expression] = (value, version)
-                continue
-            cs = np.fromiter((c for __, c in pairs), dtype=np.int64, count=len(pairs))
-            values = np.where(
-                cs <= 0, 0.0, np.where(cs >= size, 1.0, lt[np.clip(cs, 0, size - 1)])
-            )
-            for (expression, __c), value in zip(pairs, values.tolist()):
-                out[expression] = value
-                self._expr_cache[expression] = (value, version)
-        for expression in var_var:
-            out[expression] = self.prob_expression(expression)
-        return out
+    def _slots_of(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of each variable key, ``-1`` where the store has none."""
+        sorted_keys, slot_of = self._keys
+        at = np.searchsorted(sorted_keys, keys)
+        return np.where(sorted_keys[at] == keys, slot_of[at], -1)
 
     # ------------------------------------------------------------------
     def sample_assignment(

@@ -8,8 +8,7 @@ The result cache is LRU-bounded: long crowdsourcing runs otherwise grow
 it monotonically with stale-version entries that are never evicted.
 
 :meth:`ProbabilityEngine.probability_many` is the batch entry point.  It
-deduplicates conditions, bulk-computes every leaf expression probability
-against the store's cumulative arrays, and -- when
+deduplicates conditions, serves cached results, and -- when
 :func:`repro.parallel.decide_workers` approves -- partitions the
 independent conditions across the shared-memory process pool of
 :mod:`repro.parallel`: the frozen store snapshot is published to shared
@@ -19,7 +18,6 @@ instead of being pickled into every chunk payload.
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,30 +72,19 @@ BOUND_SLACK = 1e-9
 
 
 def _brackets(
-    conditions: Sequence[Condition], probabilities: Dict[Expression, float]
+    values: np.ndarray, widths: np.ndarray, counts: np.ndarray
 ) -> List[Tuple[float, float]]:
     """Boole/Frechet brackets of symbolic CNF conditions, in one numpy pass.
 
-    Every occurrence's leaf probability is laid out clause after clause;
-    ``reduceat`` then takes each clause's sum and max and each
-    condition's min and sum over its clauses.  Symbolic conditions hold
-    no empty clause, so no segment is empty.
+    ``values`` holds every occurrence's leaf probability clause after
+    clause, ``widths`` each clause's width and ``counts`` each
+    condition's clause count.  ``reduceat`` takes each clause's sum and
+    max and each condition's min and sum over its clauses.  Symbolic
+    conditions hold no empty clause, so no segment is empty.
     """
-    clauses = [clause for condition in conditions for clause in condition.clauses]
-    lengths = np.fromiter(map(len, clauses), dtype=np.intp, count=len(clauses))
-    values = np.fromiter(
-        map(probabilities.__getitem__, itertools.chain.from_iterable(clauses)),
-        dtype=np.float64,
-        count=int(lengths.sum()),
-    )
-    clause_starts = np.zeros(len(clauses), dtype=np.intp)
-    np.cumsum(lengths[:-1], out=clause_starts[1:])
-    counts = np.fromiter(
-        (len(condition.clauses) for condition in conditions),
-        dtype=np.intp,
-        count=len(conditions),
-    )
-    condition_starts = np.zeros(len(conditions), dtype=np.intp)
+    clause_starts = np.zeros(len(widths), dtype=np.intp)
+    np.cumsum(widths[:-1], out=clause_starts[1:])
+    condition_starts = np.zeros(len(counts), dtype=np.intp)
     np.cumsum(counts[:-1], out=condition_starts[1:])
     totals = np.add.reduceat(values, clause_starts)
     best = np.maximum.reduceat(values, clause_starts)
@@ -119,7 +106,7 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
 
 #: Per-process cache of stores rebuilt from shared memory, keyed by the
 #: bundle handle: chunks of one batch landing on the same worker reuse
-#: the rebuilt store (and its warm tail caches) instead of re-attaching.
+#: the rebuilt store (and its warm caches) instead of re-attaching.
 _WORKER_STORES: Dict[tuple, DistributionStore] = {}
 
 
@@ -293,9 +280,8 @@ class ProbabilityEngine:
     ) -> List[float]:
         """``Pr(condition)`` for every condition, batched.
 
-        Identical conditions are computed once, cached results are reused,
-        and all leaf expression probabilities of the remaining conditions
-        are bulk-computed first (one vectorized pass per variable).  With
+        Identical conditions are computed once and cached results are
+        reused.  With
         ``n_jobs > 1`` the uncached conditions are partitioned across a
         process pool; conditions are independent given the store snapshot,
         so chunks need no coordination.  Falls back to the sequential path
@@ -326,7 +312,6 @@ class ProbabilityEngine:
 
         self.n_batch_pending += len(pending)
         if pending:
-            self._warm_leaves(pending)
             computed = self._compute_batch(pending, n_jobs, chunk_size)
             self.n_computations += len(pending)
             for condition, value in zip(pending, computed):
@@ -350,9 +335,9 @@ class ProbabilityEngine:
         dependence between expressions; both are then widened by
         :data:`BOUND_SLACK` so float rounding in the exact solvers (which
         can return ``1.0000000000000002``) stays inside, which makes these
-        brackets sound.  The leaf probabilities come from one
-        ``prob_expressions_bulk`` gather, which also warms the leaves of
-        any later exact solve.  A condition with a cached exact value gets
+        brackets sound.  The leaf probabilities are one
+        :meth:`DistributionStore.expression_values` gather over the
+        conditions' expression ids.  A condition with a cached exact value gets
         ``(p, p)``: the solver's value, sound only to within the solver's
         rounding (it can miss the true probability by an ulp).  It is not
         widened, because the lazy ranking orders its heap by these pairs.
@@ -379,12 +364,22 @@ class ProbabilityEngine:
                 unsolved.append(index)
         if unsolved:
             pending = [conditions[index] for index in unsolved]
-            leaves = set()
+            # the table of the first condition that has one, else the store's
+            table = next(
+                (c.expression_table for c in pending if c.expression_table is not None),
+                self.store.expressions,
+            )
+            ids: List[int] = []
+            widths: List[int] = []
+            counts: List[int] = []
             for condition in pending:
-                for clause in condition.clauses:
-                    leaves.update(clause)
-            probabilities = self.store.prob_expressions_bulk(leaves)
-            for index, bracket in zip(unsolved, _brackets(pending, probabilities)):
+                condition_ids, condition_widths = condition.expression_ids(table)
+                ids += condition_ids
+                widths += condition_widths
+                counts.append(len(condition_widths))
+            values = self.store.expression_values(table, np.array(ids))
+            brackets = _brackets(values, np.array(widths), np.array(counts))
+            for index, bracket in zip(unsolved, brackets):
                 out[index] = bracket
         return out
 
@@ -433,14 +428,6 @@ class ProbabilityEngine:
         if self._cancellation is not None:
             self._cancellation.check("probability")
         return self._adpll.branch_probabilities(condition, expressions)
-
-    def _warm_leaves(self, conditions: Sequence[Condition]) -> None:
-        """Bulk-compute every distinct leaf expression of the batch."""
-        leaves = set()
-        for condition in conditions:
-            leaves.update(condition.distinct_expressions())
-        if leaves:
-            self.store.prob_expressions_bulk(leaves)
 
     def _compute_parallel(
         self,

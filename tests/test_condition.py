@@ -11,6 +11,7 @@ from repro.ctable import (
     var_greater_const,
     var_greater_var,
 )
+from repro.ctable.expression_table import ExpressionTable
 
 E1 = var_greater_const(0, 0, 2)  # Var(o1,a1) > 2
 E2 = var_greater_const(1, 0, 1)  # Var(o2,a1) > 1
@@ -232,6 +233,18 @@ def assert_canonical_equal(actual, expected):
     assert hash(actual) == hash(expected)
 
 
+def assert_ids_recounted(condition, table):
+    """A rewrite keeps its parent's table, and its id lists equal
+    interning its clauses afresh."""
+    if condition.is_constant:
+        return
+    assert condition.expression_table is table
+    ids, widths = condition.expression_ids(table)
+    fresh_ids, fresh_widths = table.intern_clauses(condition.clauses)
+    assert ids == fresh_ids
+    assert widths == fresh_widths
+
+
 class TestOrderPreservingRebuild:
     @given(random_condition(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -243,14 +256,36 @@ class TestOrderPreservingRebuild:
             if truth is not None:
                 decided[expression] = truth
         expected = reference_simplify(condition, decided)
-        assert_canonical_equal(condition.simplify_with(decided), expected)
-        assert_canonical_equal(condition.simplify_with(decided.get), expected)
+        table = ExpressionTable()
+        condition.expression_ids(table)
+        for out in (condition.simplify_with(decided), condition.simplify_with(decided.get)):
+            assert_canonical_equal(out, expected)
+            assert_ids_recounted(out, table)
 
     def test_shortened_clause_merges_with_equal_clause(self):
         c = Condition.of([[E1], [E1, E2], [E3]])
+        table = ExpressionTable()
+        c.expression_ids(table)
         out = c.simplify_with({E2: False})
         assert_canonical_equal(out, Condition.of([[E1], [E3]]))
         assert out.n_clauses() == 2
+        assert_ids_recounted(out, table)
+
+    def test_hand_built_conditions_intern_on_first_sight(self):
+        table = ExpressionTable()
+        c = Condition.of([[E1, E2], [E3]])
+        assert c.expression_table is None
+        ids, widths = c.expression_ids(table)
+        assert [table.expressions[i] for i in ids] == list(c.expressions())
+        assert widths == [len(clause) for clause in c.clauses]
+        # a second table re-interns, reusing the ids it already gave out
+        other = ExpressionTable()
+        Condition.of([[E2]]).expression_ids(other)
+        ids = c.expression_ids(other)[0]
+        assert [other.expressions[i] for i in ids] == list(c.expressions())
+        assert other.expressions[0] == E2 and len(other) == 3
+        assert c.expression_table is other
+        assert len(table) == 3
 
     @given(random_condition())
     @settings(max_examples=200, deadline=None)

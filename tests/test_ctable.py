@@ -252,6 +252,18 @@ def assert_indexes_recounted(ctable):
     )
     assert ctable.undecided() == open_objects
     assert ctable.has_open_expressions() == bool(open_objects)
+    # every open condition's id lists (seeded or interned) index
+    # the c-table's expression table and equal a recount from its clauses
+    table = ctable.expressions
+    size = len(table)
+    for obj in open_objects:
+        condition = ctable.conditions[obj]
+        assert condition.expression_table is table
+        ids, widths = condition.expression_ids(table)
+        fresh_ids, fresh_widths = table.intern_clauses(condition.clauses)
+        assert ids == fresh_ids
+        assert widths == fresh_widths
+    assert len(table) == size
 
 
 def domain_decided(ctable):

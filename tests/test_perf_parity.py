@@ -466,12 +466,12 @@ class TestProbabilityParity:
         leaves = set()
         for condition in conditions:
             leaves.update(condition.distinct_expressions())
+        leaves = list(leaves)
         fresh = store.snapshot()
-        bulk = fresh.prob_expressions_bulk(leaves)
-        for expression in leaves:
-            assert bulk[expression] == pytest.approx(
-                store.prob_expression(expression), abs=1e-12
-            )
+        ids, __ = fresh.expressions.intern_clauses([leaves])
+        bulk = fresh.expression_values(fresh.expressions, np.array(ids)).tolist()
+        for expression, value in zip(leaves, bulk):
+            assert value == pytest.approx(store.prob_expression(expression), abs=1e-12)
 
     def test_batch_reuses_cache_across_calls(self):
         conditions, store, __ = self._engine_pair(3)

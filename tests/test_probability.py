@@ -28,6 +28,7 @@ from repro.probability import (
     approx_probability,
     naive_probability,
 )
+from repro.ctable.expression_table import ExpressionTable
 from repro.errors import ResourceBudgetError
 from repro.probability import adpll as adpll_module
 from repro.probability.engine import BOUND_SLACK, INERT_KEYWORDS
@@ -447,6 +448,183 @@ def condition_store_answers(draw):
         relation = draw(st.sampled_from([Relation.GREATER, Relation.LESS]))
         answers.append((var_greater_const(obj, 0, cut), relation))
     return condition, store, constraints, answers
+
+
+def reference_tails(pmf):
+    """``(gt, lt)`` of one pmf, by the per-variable suffix/prefix sums."""
+    suffix = np.cumsum(pmf[::-1])[::-1]
+    return (
+        np.concatenate((suffix[1:], (0.0,))),
+        np.concatenate(((0.0,), np.cumsum(pmf)[:-1])),
+    )
+
+
+def reference_leaf(store, expression):
+    """``Pr(expression)`` read from tails recomputed from the current pmfs."""
+    left, right = expression.left, expression.right
+    if isinstance(right, Const):
+        gt, __ = reference_tails(store.pmf(left.variable))
+        c = right.value
+        return 0.0 if c >= len(gt) else (float(gt[c]) if c >= 0 else 1.0)
+    if isinstance(left, Const):
+        __, lt = reference_tails(store.pmf(right.variable))
+        c = left.value
+        return 0.0 if c <= 0 else (float(lt[c]) if c < len(lt) else 1.0)
+    pmf_a = store.pmf(left.variable)
+    __, lt_b = reference_tails(store.pmf(right.variable))
+    limit = min(len(pmf_a), len(lt_b))
+    total = float(pmf_a[:limit] @ lt_b[:limit])
+    if len(pmf_a) > len(lt_b):
+        total += float(pmf_a[len(lt_b) :].sum())
+    return total
+
+
+def reference_brackets(conditions, probabilities):
+    """The dict-based bracket pass: each occurrence's leaf looked up by
+    expression, then the same ``reduceat``s as the id path."""
+    clauses = [clause for condition in conditions for clause in condition.clauses]
+    lengths = np.array([len(clause) for clause in clauses])
+    values = np.array([probabilities[e] for clause in clauses for e in clause])
+    clause_starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    counts = np.array([len(condition.clauses) for condition in conditions])
+    condition_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    totals = np.add.reduceat(values, clause_starts)
+    best = np.maximum.reduceat(values, clause_starts)
+    hi = np.minimum.reduceat(np.minimum(totals, 1.0), condition_starts)
+    missing = np.add.reduceat(1.0 - best, condition_starts)
+    lo = np.maximum(0.0, 1.0 - missing) - BOUND_SLACK
+    return list(zip(lo.tolist(), (hi + BOUND_SLACK).tolist()))
+
+
+class TestIdPathReferences:
+    @given(condition_store_answers())
+    @settings(max_examples=100, deadline=None)
+    def test_leaves_and_brackets_match_references(self, drawn):
+        """After each answer the id path equals its references bit for bit.
+
+        Every leaf gathered from the dense tails equals
+        ``prob_expression`` and a read of tails recomputed from the
+        current pmf.  ``bounds_many`` equals the dict-based reference
+        pass over ``prob_expression`` values, for a condition whose
+        ids index a table the store never saw and for a hand-built copy
+        with no ids, which is interned on first sight.
+        """
+        condition, store, constraints, answers = drawn
+        if condition.is_constant:
+            return
+        engine = ProbabilityEngine(store, use_cache=False)
+        condition.expression_ids(ExpressionTable())
+        hand_built = Condition.of(condition.clauses)
+        assert hand_built.expression_table is None
+        leaves = sorted(condition.distinct_expressions(), key=Expression.sort_key)
+        for step in range(len(answers) + 1):
+            if step:
+                constraints.apply_answer(*answers[step - 1])
+            ids, __ = store.expressions.intern_clauses([leaves])
+            values = store.expression_values(store.expressions, np.array(ids)).tolist()
+            assert values == [reference_leaf(store, e) for e in leaves]
+            assert values == [store.prob_expression(e) for e in leaves]
+            batch = [condition, hand_built, condition]
+            probabilities = {e: store.prob_expression(e) for e in leaves}
+            reference = reference_brackets(batch, probabilities)
+            assert engine.bounds_many(batch) == reference
+            assert engine.bounds_many([hand_built]) == reference[:1]
+
+
+@st.composite
+def zero_mass_store_answers(draw):
+    """A constraint-backed store whose pmfs have zero cells, plus answers.
+
+    ``Var = c`` pins a variable; an answer whose allowed values carry no
+    prior mass sends :meth:`VariableConstraints.constrain_pmf` to its
+    uniform fallback.
+    """
+    domain = draw(st.integers(2, 5))
+    pmfs = {}
+    for obj in range(4):
+        weights = np.array(
+            draw(st.lists(st.integers(0, 3), min_size=domain, max_size=domain)),
+            dtype=float,
+        )
+        weights[draw(st.integers(0, domain - 1))] += 1.0
+        pmfs[(obj, 0)] = weights / weights.sum()
+    answers = [
+        (
+            var_greater_const(
+                draw(st.integers(0, 3)), 0, draw(st.integers(0, domain - 1))
+            ),
+            draw(st.sampled_from(list(Relation))),
+        )
+        for __ in range(draw(st.integers(1, 5)))
+    ]
+    return pmfs, VariableConstraints([domain]), answers
+
+
+class TestDenseTails:
+    @given(zero_mass_store_answers())
+    @settings(max_examples=100, deadline=None)
+    def test_constrained_rows_refresh(self, drawn):
+        """An answer rewrites exactly the rows of the variables it changed:
+        each equals a rebuilt store's ``tails()`` and the suffix/prefix
+        sums of the constrained pmf; every other row keeps its bytes."""
+        pmfs, constraints, answers = drawn
+        store = DistributionStore(pmfs, constraints)
+        for variable in pmfs:  # the 2-D build equals the per-row sums
+            expected = reference_tails(store.pmf(variable))
+            assert tuple(t.tobytes() for t in store.tails(variable)) == tuple(
+                t.tobytes() for t in expected
+            )
+        for answer in answers:
+            before = {v: tuple(t.tobytes() for t in store.tails(v)) for v in pmfs}
+            changed = constraints.apply_answer(*answer)
+            rebuilt = DistributionStore(pmfs, constraints)
+            for variable in pmfs:
+                rows = tuple(t.tobytes() for t in store.tails(variable))
+                if variable in changed:
+                    assert rows == tuple(t.tobytes() for t in rebuilt.tails(variable))
+                    expected = reference_tails(store.pmf(variable))
+                    assert rows == tuple(t.tobytes() for t in expected)
+                else:
+                    assert rows == before[variable]
+
+    def test_pin_to_a_zero_mass_value_falls_back_to_uniform(self):
+        constraints = VariableConstraints([4])
+        store = DistributionStore({V: np.array([0.5, 0.5, 0.0, 0.0])}, constraints)
+        constraints.apply_answer(var_greater_const(0, 0, 1), Relation.GREATER)
+        assert store.pmf(V).tolist() == [0.0, 0.0, 0.5, 0.5]
+        gt, lt = store.tails(V)
+        assert gt.tolist() == [1.0, 1.0, 0.5, 0.0]
+        assert lt.tolist() == [0.0, 0.0, 0.0, 0.5]
+        constraints.apply_answer(var_greater_const(0, 0, 3), Relation.EQUAL)
+        assert store.tails(V)[0].tolist() == [1.0, 1.0, 1.0, 0.0]
+        assert store.tails(V)[1].tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_unknown_variable_raises_and_leaves_the_store_usable(self):
+        store = DistributionStore({V: np.array([0.25, 0.75])})
+        table = store.expressions
+
+        def read(*expressions):
+            ids, __ = table.intern_clauses([expressions])
+            return store.expression_values(table, np.array(ids, dtype=np.int64))
+
+        assert read().tolist() == []
+        with pytest.raises(KeyError, match="no distribution"):
+            read(var_greater_const(*W, 0))
+        # the unknown expression stays interned; other reads still work
+        assert read(var_greater_const(*V, 0)).tolist() == [0.75]
+
+    def test_snapshots_carry_the_constrained_tails(self):
+        constraints = VariableConstraints([3])
+        store = DistributionStore(
+            {V: np.array([0.2, 0.3, 0.5]), W: np.array([0.6, 0.4])}, constraints
+        )
+        constraints.apply_answer(var_greater_const(0, 0, 0), Relation.GREATER)
+        for frozen in (store.snapshot(), DistributionStore.from_packed(store.pack_snapshot())):
+            for variable in (V, W):
+                assert frozen.pmf(variable) == pytest.approx(store.pmf(variable))
+                assert [t.tolist() for t in frozen.tails(variable)] == [
+                    t.tolist() for t in reference_tails(frozen.pmf(variable))
+                ]
 
 
 class TestADPLLAgreesWithNaive:

@@ -1,14 +1,13 @@
 """Figure 2 benchmark: c-table construction across backends.
 
 Series: construction time per (dataset, missing rate, method).  The
-``method`` axis covers the vectorized ``numpy`` backend, both scalar
-paths (``fast`` = selectivity-sorted filters, ``baseline`` = pure-Python
-pairwise Get-CTable), and the sub-quadratic pruning pre-pass
-(``pruned`` = sequential scan, ``pruned+parallel`` = scan sharded over
-the shared-memory pool).  Expected shape: ``numpy`` beats ``fast`` beats
+``method`` axis covers both scalar paths (``fast`` = selectivity-sorted
+filters, ``baseline`` = pure-Python pairwise Get-CTable) and the numpy
+backend, whose sub-quadratic pruning scan derives the dominator sets
+(``pruned``).  Expected shape: ``pruned`` beats ``fast`` beats
 ``baseline`` at every point and all rise with the missing rate; the
-pruned variants test a small fraction of the pair universe while
-building the identical c-table (asserted in standalone mode).
+pruned build tests a small fraction of the pair universe while building
+the identical c-table (asserted in standalone mode).
 
 Standalone mode benchmarks scaling directly (no pytest needed) and emits
 ``BENCH_fig02_ctable.json`` in pytest-benchmark shape, so
@@ -32,28 +31,18 @@ from repro.obs import MetricsRegistry, Tracer
 MISSING_RATES = (0.05, 0.10, 0.15, 0.20)
 SIZES = {"nba": 300, "synthetic": 600}
 
-#: method axis -> (backend, dominator_method, prune) of :func:`build_ctable`
+#: method axis -> (backend, dominator_method) of :func:`build_ctable`
 METHOD_CONFIGS = {
-    "numpy": ("numpy", "fast", "off"),
-    "fast": ("python", "fast", "off"),
-    "baseline": ("python", "baseline", "off"),
-    "pruned": ("numpy", "fast", "on"),
-    "pruned+parallel": ("numpy", "fast", "on"),
+    "fast": ("python", "fast"),
+    "baseline": ("python", "baseline"),
+    "pruned": ("numpy", "fast"),
 }
 
 
-def _build(dataset, method, alpha=0.05, n_jobs=0):
-    backend, dominator_method, prune = METHOD_CONFIGS[method]
+def _build(dataset, method, alpha=0.05):
+    backend, dominator_method = METHOD_CONFIGS[method]
     return build_ctable(
-        dataset,
-        alpha=alpha,
-        dominator_method=dominator_method,
-        backend=backend,
-        prune=prune,
-        # Only the explicit parallel variant shards the pruning scan;
-        # n_jobs=0 asks for one worker per usable core (auto-fallback to
-        # sequential on single-core hosts).
-        n_jobs=n_jobs if method == "pruned+parallel" else 1,
+        dataset, alpha=alpha, dominator_method=dominator_method, backend=backend
     )
 
 
@@ -78,8 +67,8 @@ def test_ctable_construction(benchmark, once, kind, missing_rate, method):
 # standalone scaling run
 # ----------------------------------------------------------------------
 def run_standalone(
-    n, missing_rate, methods, alpha, out_path, repeats=1, n_jobs=0,
-    append=False, verify=True,
+    n, missing_rate, methods, alpha, out_path, repeats=1, append=False,
+    verify=True,
 ):
     """Time each method at cardinality ``n``; write benchreport JSON.
 
@@ -87,7 +76,7 @@ def run_standalone(
     standard low-noise estimator on shared machines.  All methods build
     the *same* c-table by construction; with ``verify`` the run asserts
     it (conditions and pruned sets identical to the first method's), so
-    a pruning or sharding bug fails the bench rather than skewing it.
+    a pruning bug fails the bench rather than skewing it.
     ``append`` folds the rows into an existing report (e.g. adding an
     n=100k row to the n=10k file).  The output carries a ``metrics`` key
     in the unified observability schema: every timed build lands in the
@@ -108,7 +97,7 @@ def run_standalone(
                 # its objects during this timed build.
                 ctable = None
                 with tracer.span("ctable[%s]" % method, phase="ctable") as span:
-                    ctable = _build(dataset, method, alpha=alpha, n_jobs=n_jobs)
+                    ctable = _build(dataset, method, alpha=alpha)
                 elapsed = span.seconds
                 if seconds is None or elapsed < seconds:
                     seconds = elapsed
@@ -158,9 +147,6 @@ def run_standalone(
                 extra["parity_vs_first"] = parity_ok
             if stats.get("prune_enabled"):
                 extra["scan_seconds"] = round(stats["scan_seconds"], 3)
-                extra["scan_workers"] = stats["scan_workers"]
-                extra["scan_decision"] = stats["scan_decision"]
-                extra["blocks_sharded"] = stats["blocks_sharded"]
             rows.append(
                 {
                     "name": "ctable[n=%d,%s]" % (n, method),
@@ -207,7 +193,7 @@ def main(argv=None):
     parser.add_argument("--missing-rate", type=float, default=0.10)
     parser.add_argument("--alpha", type=float, default=0.01)
     parser.add_argument(
-        "--methods", nargs="+", default=["fast", "numpy"],
+        "--methods", nargs="+", default=["fast", "pruned"],
         choices=sorted(METHOD_CONFIGS),
         help="methods to compare, first is the speedup reference",
     )
@@ -217,11 +203,6 @@ def main(argv=None):
     parser.add_argument(
         "--repeats", type=int, default=1,
         help="timing repeats per method; the best run is reported",
-    )
-    parser.add_argument(
-        "--n-jobs", type=int, default=0,
-        help="worker processes for the pruned+parallel variant "
-        "(0 = one per usable core; auto-falls back on single-core hosts)",
     )
     parser.add_argument(
         "--append", action="store_true",
@@ -235,8 +216,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     run_standalone(
         args.n, args.missing_rate, args.methods, args.alpha, args.out,
-        repeats=args.repeats, n_jobs=args.n_jobs, append=args.append,
-        verify=not args.no_verify,
+        repeats=args.repeats, append=args.append, verify=not args.no_verify,
     )
     return 0
 

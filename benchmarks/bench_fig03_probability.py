@@ -8,11 +8,11 @@ the gap widening with the missing rate; ``batch`` (the engine's
 ``probability_many``, deduplicated and cache-served) at or below plain
 ADPLL.
 
-Standalone mode times the batch engine sequentially, batched and with a
-worker pool, and emits ``BENCH_fig03_probability.json`` in
-pytest-benchmark shape (render with ``python -m repro.benchreport``)::
+Standalone mode times the engine per condition and batched, and emits
+``BENCH_fig03_probability.json`` in pytest-benchmark shape (render with
+``python -m repro.benchreport``)::
 
-    python benchmarks/bench_fig03_probability.py --n-jobs 4
+    python benchmarks/bench_fig03_probability.py
 """
 
 import argparse
@@ -93,10 +93,10 @@ def test_probability_computation(benchmark, once, kind, missing_rate, method):
 
 
 # ----------------------------------------------------------------------
-# standalone batch/pool run
+# standalone batch run
 # ----------------------------------------------------------------------
-def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
-    """Time sequential vs batch vs pooled probability computation."""
+def run_standalone(kind, n, missing_rate, alpha, out_path):
+    """Time per-condition vs batched probability computation."""
     # No enumeration cap here: every variant runs ADPLL, which does not
     # need naive-enumeration feasibility.
     conditions, store, skipped = _feasible_conditions(
@@ -107,16 +107,13 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
     tracer = Tracer(registry=registry)
     rows = []
     reference = None
-    variants = [
-        ("sequential", dict(n_jobs=1), False),
-        ("batch", dict(n_jobs=1), True),
-        ("batch_pool", dict(n_jobs=n_jobs), True),
-    ]
     baseline_values = None
-    for name, engine_kwargs, batched in variants:
+    for name, batched in (("sequential", False), ("batch", True)):
         # Fresh store per variant: expression caches live on the store, so
         # sharing one would hand later variants a warm start.
-        engine = ProbabilityEngine(store.snapshot(), **engine_kwargs)
+        engine = ProbabilityEngine(
+            DistributionStore({v: store.pmf(v) for v in store.variables()})
+        )
         with tracer.span(
             "probability[%s]" % name, phase="probability"
         ) as span:
@@ -139,16 +136,11 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
         registry.absorb(stats, prefix="engine_%s_" % name)
         extra = {
             "variant": name,
-            "n_jobs": engine_kwargs.get("n_jobs", 1),
             "cpu_count": os.cpu_count(),
             "conditions": len(conditions),
             "probabilities_per_sec": round(
                 len(conditions) / seconds if seconds else 0.0
             ),
-            "parallel_chunks": stats["parallel_chunks"],
-            "parallel_seconds": round(stats["parallel_seconds"], 4),
-            "pool_workers": stats["pool_workers"],
-            "pool_decision": stats["pool_decision"],
             "speedup_vs_sequential": round(reference / seconds, 2) if seconds else 0.0,
         }
         if name != "sequential":
@@ -162,13 +154,12 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
             }
         )
         print(
-            "%-11s %8.3fs  %8s probs/s  (%.2fx vs sequential, %d pool chunks)"
+            "%-11s %8.3fs  %8s probs/s  (%.2fx vs sequential)"
             % (
                 name,
                 seconds,
                 extra["probabilities_per_sec"],
                 extra["speedup_vs_sequential"],
-                extra["parallel_chunks"],
             )
         )
     Path(out_path).write_text(
@@ -187,14 +178,11 @@ def main(argv=None):
     parser.add_argument("--n", type=int, default=1200, help="dataset cardinality")
     parser.add_argument("--missing-rate", type=float, default=0.15)
     parser.add_argument("--alpha", type=float, default=0.03)
-    parser.add_argument("--n-jobs", type=int, default=4, help="pool workers")
     parser.add_argument(
         "--out", default="BENCH_fig03_probability.json", help="output JSON path"
     )
     args = parser.parse_args(argv)
-    run_standalone(
-        args.kind, args.n, args.missing_rate, args.alpha, args.n_jobs, args.out
-    )
+    run_standalone(args.kind, args.n, args.missing_rate, args.alpha, args.out)
     return 0
 
 

@@ -11,9 +11,8 @@ compact table per benchmark group:
 
 The standalone perf runners (``python benchmarks/bench_fig02_ctable.py``,
 ``python benchmarks/bench_fig03_probability.py``) emit the same JSON
-shape with their perf counters (pairs/sec, probabilities/sec, pool
-chunks) in ``extra_info``, so their ``BENCH_*.json`` files render here
-too.
+shape with their perf counters (pairs/sec, probabilities/sec) in
+``extra_info``, so their ``BENCH_*.json`` files render here too.
 """
 
 from __future__ import annotations

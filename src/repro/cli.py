@@ -62,18 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline dominator method is selected)",
     )
     perf.add_argument(
-        "--ctable-prune", choices=["auto", "on", "off"], default="auto",
-        help="sub-quadratic dominance pruning pre-pass before clause "
-        "emission (auto = on for the numpy backend); the pruned c-table "
-        "is identical, only the tested pair count shrinks",
-    )
-    perf.add_argument(
-        "--n-jobs", type=int, default=1,
-        help="worker processes for batched probability computation and "
-        "the c-table pruning scan (1 = sequential, 0 = one per CPU "
-        "core; single-core hosts auto-fall back to sequential)",
-    )
-    perf.add_argument(
         "--selection", choices=["batched", "scalar"], default="batched",
         help="utility scoring path: 'batched' dedups each round's "
         "candidates into one probability batch with a cross-round gain "
@@ -255,8 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             m=args.m,
             worker_accuracy=args.worker_accuracy,
             backend=args.backend,
-            ctable_prune=args.ctable_prune,
-            n_jobs=args.n_jobs,
             selection_batch=(args.selection == "batched"),
             **(
                 {"utility_cache_size": args.utility_cache_size}

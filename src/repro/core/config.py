@@ -9,10 +9,9 @@ from typing import ClassVar, Optional, Tuple, Union
 from ..crowd.quality import DEFAULT_RELIABILITY_PRIOR
 from ..crowd.unreliable import FaultModel
 from ..ctable.constraints import INFERENCE_MODES
-from ..ctable.construction import BACKENDS
-from ..ctable.pruning import PRUNE_MODES
+from ..ctable.construction import BACKENDS, INERT_KEYWORDS
 from ..ctable.dominators import DOMINATOR_METHODS
-from ..probability.engine import DEFAULT_CACHE_SIZE, INERT_KEYWORDS, METHODS
+from ..probability.engine import DEFAULT_CACHE_SIZE, METHODS
 from .utility import UTILITY_MODES
 from .utility_engine import DEFAULT_UTILITY_CACHE_SIZE
 
@@ -61,19 +60,16 @@ class BayesCrowdConfig:
     utility_mode: str = "syntactic"
     #: preprocessing distribution source
     distribution_source: str = "bayesnet"
-    #: dominator-set derivation in Get-CTable: "numpy", "fast" or "baseline"
+    #: dominator-set derivation of the python backend: "fast" or "baseline"
+    #: (the numpy backend's pruning scan derives the sets itself)
     dominator_method: str = "fast"
     #: c-table construction backend: "auto" (numpy unless the baseline
     #: dominator method is requested), "numpy" or "python"
     backend: str = "auto"
-    #: sub-quadratic dominance pruning pre-pass before clause emission:
-    #: "auto" (on for the numpy backend), "on" or "off"; the pruned build
-    #: is clause-for-clause identical, only pairs_tested shrinks
-    ctable_prune: str = "auto"
-    #: worker processes for batched probability computation and the
-    #: c-table pruning scan (1 = sequential, 0 = one per CPU core);
-    #: single-core hosts always fall back to sequential automatically
-    n_jobs: int = 1
+    #: prune-mode residue, not a field: drivers.replay_query reads it (ROADMAP item 1)
+    ctable_prune: ClassVar[str] = INERT_KEYWORDS["prune"]
+    #: pool residue, not a field: drivers.replay_query reads it (ROADMAP item 1)
+    n_jobs: ClassVar[int] = INERT_KEYWORDS["n_jobs"]
     #: bound on the engine's condition-probability cache (0 = unbounded)
     cache_size: int = DEFAULT_CACHE_SIZE
     #: score marginal utilities through the batched, cross-round-cached
@@ -176,13 +172,6 @@ class BayesCrowdConfig:
             raise ValueError(
                 "unknown backend %r; expected one of %r" % (self.backend, BACKENDS)
             )
-        if self.ctable_prune not in PRUNE_MODES:
-            raise ValueError(
-                "unknown ctable_prune mode %r; expected one of %r"
-                % (self.ctable_prune, PRUNE_MODES)
-            )
-        if self.n_jobs < 0:
-            raise ValueError("n_jobs must be non-negative (0 = all cores)")
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative (0 = unbounded)")
         if self.utility_cache_size < 0:

@@ -545,8 +545,6 @@ class BayesCrowd:
                 dominator_method=config.dominator_method,
                 inference_mode=config.inference_mode,
                 backend=config.backend,
-                prune=config.ctable_prune,
-                n_jobs=config.n_jobs,
                 cancel_check=lambda: cancel.check("ctable"),
             )
         # The store build checks and normalises every posterior pmf; it and
@@ -558,7 +556,6 @@ class BayesCrowd:
                 method=config.probability_method,
                 rng=self._rng,
                 cache_size=config.cache_size,
-                n_jobs=config.n_jobs,
                 node_budget=config.adpll_node_budget,
                 deadline_s=config.adpll_deadline_s,
             )

@@ -59,7 +59,7 @@ class QueryResult:
     initial_answers: Optional[List[int]] = None
     #: final Pr(phi(o)) per undecided-at-the-end object (certain ones are 0/1)
     answer_probabilities: Dict[int, float] = field(default_factory=dict)
-    #: perf counters: probability-engine cache/batch/pool activity,
+    #: perf counters: probability-engine cache/batch activity,
     #: incremental-ranking rescores, and c-table build throughput
     #: (``ctable_*`` keys, e.g. ``ctable_pairs_per_sec``)
     engine_stats: Dict[str, float] = field(default_factory=dict)

@@ -39,18 +39,14 @@ class RankedObject:
     entropy: float
 
 
-def rank_objects(
-    ctable: CTable,
-    engine: ProbabilityEngine,
-    n_jobs: Optional[int] = None,
-) -> List[RankedObject]:
+def rank_objects(ctable: CTable, engine: ProbabilityEngine) -> List[RankedObject]:
     """All undecided objects, most uncertain first.
 
     Ties break on the smaller object id so runs are reproducible.
     """
     undecided = ctable.undecided()
     probabilities = engine.probability_many(
-        [ctable.condition(obj) for obj in undecided], n_jobs=n_jobs
+        [ctable.condition(obj) for obj in undecided]
     )
     ranked = [
         RankedObject(obj=obj, probability=p, entropy=entropy(p))
@@ -79,15 +75,9 @@ class IncrementalRanker:
     it is read.
     """
 
-    def __init__(
-        self,
-        ctable: CTable,
-        engine: ProbabilityEngine,
-        n_jobs: Optional[int] = None,
-    ) -> None:
+    def __init__(self, ctable: CTable, engine: ProbabilityEngine) -> None:
         self._ctable = ctable
         self._engine = engine
-        self._n_jobs = n_jobs
         self._solved: Dict[int, RankedObject] = {}
         self._bounds: Dict[int, Tuple[float, float]] = {}
         #: unsolved entries of the current ranking, and of the earlier ones
@@ -156,8 +146,7 @@ class IncrementalRanker:
 
     def _solve(self, objects: List[int]) -> List[RankedObject]:
         probabilities = self._engine.probability_many(
-            [self._ctable.condition(obj) for obj in objects],
-            n_jobs=self._n_jobs,
+            [self._ctable.condition(obj) for obj in objects]
         )
         solved = []
         for obj, p in zip(objects, probabilities):

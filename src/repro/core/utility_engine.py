@@ -65,13 +65,11 @@ class UtilityEngine:
         engine: ProbabilityEngine,
         mode: str = "syntactic",
         cache_size: int = DEFAULT_UTILITY_CACHE_SIZE,
-        n_jobs: Optional[int] = None,
     ) -> None:
         if mode not in UTILITY_MODES:
             raise ValueError("unknown utility mode %r" % mode)
         self.engine = engine
         self.mode = mode
-        self._n_jobs = n_jobs
         #: (condition, expression) -> (gain, store version when computed)
         self._gains: "LRUCache[CandidatePair, Tuple[float, int]]" = LRUCache(cache_size)
         #: (condition, expression, truth) -> residual condition; truth is
@@ -133,9 +131,7 @@ class UtilityEngine:
 
         if fresh:
             ordered = list(fresh)
-            base_probs = self.engine.probability_many(
-                [c for c, __ in ordered], n_jobs=self._n_jobs
-            )
+            base_probs = self.engine.probability_many([c for c, __ in ordered])
             pending: List[Tuple[CandidatePair, float]] = []
             for pair, p_phi in zip(ordered, base_probs):
                 if entropy(p_phi) == 0.0:
@@ -240,7 +236,7 @@ class UtilityEngine:
                 unique.append(condition)
         self.probability_submitted += len(unique)
         computed_before = self.engine.n_computations
-        values = self.engine.probability_many(unique, n_jobs=self._n_jobs)
+        values = self.engine.probability_many(unique)
         self.probability_computed += self.engine.n_computations - computed_before
         lookup = dict(zip(unique, values))
         return [lookup[condition] for condition in conditions]

@@ -10,7 +10,7 @@ from .dominators import (
     dominator_sets_baseline,
     dominator_sets_fast,
 )
-from .pruning import PRUNE_MODES, PruneScan, pruned_dominator_scan
+from .pruning import PruneScan, pruned_dominator_scan
 from .expression import (
     Const,
     Expression,
@@ -35,7 +35,6 @@ __all__ = [
     "dominator_sets",
     "dominator_sets_baseline",
     "dominator_sets_fast",
-    "PRUNE_MODES",
     "PruneScan",
     "pruned_dominator_scan",
     "Const",

@@ -132,12 +132,6 @@ class Condition:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # Rebuild via the raw constructor (clauses are already normalized)
-        # so the cached hash is recomputed in the unpickling process, where
-        # string hash randomization may differ.
-        return (Condition, (self.clauses, self.value))
-
     # ------------------------------------------------------------------
     # predicates / structure
     # ------------------------------------------------------------------

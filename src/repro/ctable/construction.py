@@ -37,7 +37,7 @@ from .ctable import CTable
 from .dominators import dominator_sets
 from .expression import Const, Expression, Var
 from .expression_table import CONST_VAR, KEY_BASE, VAR_CONST, VAR_VAR, ExpressionTable
-from .pruning import PRUNE_MODES, pruned_dominator_scan
+from .pruning import pruned_dominator_scan
 
 #: Construction backends: ``numpy`` lays clauses out with bulk array
 #: operations; ``python`` is the scalar per-pair loop kept for ablation
@@ -50,6 +50,29 @@ BACKENDS = ("auto", "numpy", "python")
 #: so the budget never changes a clause.
 PAIR_BUDGET = 1 << 18
 
+#: The one value each inert keyword accepts.  ``drivers.replay_query``
+#: still passes these names (ROADMAP item 1): ``prune`` and ``n_jobs`` to
+#: :func:`build_ctable`, ``n_jobs`` and the forest's ``backend``,
+#: ``compile_node_budget`` and ``circuit_cache_size`` to
+#: :class:`repro.probability.ProbabilityEngine`.
+INERT_KEYWORDS = {
+    "prune": "auto",
+    "n_jobs": 1,
+    "backend": "adpll",
+    "compile_node_budget": 200_000,
+    "circuit_cache_size": 16_384,
+}
+
+
+def check_inert(**given) -> None:
+    """Raise ``ValueError`` unless every keyword has its one inert value."""
+    for name, value in given.items():
+        if value != INERT_KEYWORDS[name]:
+            raise ValueError(
+                "%s is inert and accepts only %r, got %r"
+                % (name, INERT_KEYWORDS[name], value)
+            )
+
 
 def build_ctable(
     dataset: IncompleteDataset,
@@ -57,8 +80,10 @@ def build_ctable(
     dominator_method: str = "fast",
     inference_mode: str = "full",
     backend: str = "auto",
-    prune: str = "auto",
-    n_jobs: int = 1,
+    # prune-mode residue: drivers.replay_query passes it (ROADMAP item 1)
+    prune: str = INERT_KEYWORDS["prune"],
+    # pool residue: drivers.replay_query passes it (ROADMAP item 1)
+    n_jobs: int = INERT_KEYWORDS["n_jobs"],
     cancel_check=None,
 ) -> CTable:
     """Run Algorithm 2 and return the populated :class:`CTable`.
@@ -71,10 +96,11 @@ def build_ctable(
         probability is near zero and their conditions would be huge).
         ``alpha >= 1`` disables pruning.
     dominator_method:
-        dominator derivation when the pruning scan is off: ``"fast"``
+        dominator derivation of the ``python`` backend: ``"fast"``
         (Get-CTable's selectivity-sorted filters) or ``"baseline"``
-        (pairwise comparisons, per Figure 2).  The pruning scan derives
-        the sets itself and ignores it.
+        (pairwise comparisons, per Figure 2).  The ``numpy`` backend
+        derives the sets with the sub-quadratic pruning scan of
+        :mod:`repro.ctable.pruning` and ignores it.
     inference_mode:
         how aggressively crowd answers are propagated afterwards
         (see :data:`repro.ctable.constraints.INFERENCE_MODES`).
@@ -82,19 +108,11 @@ def build_ctable(
         ``"numpy"`` (every open condition from one array pass),
         ``"python"`` (scalar per-pair loops) or ``"auto"`` (numpy, unless
         ``dominator_method="baseline"`` asks for the Figure-2 scalar
-        comparison).  Both backends produce identical c-tables;
-        construction statistics land in :attr:`CTable.build_stats`.
-    prune:
-        ``"on"`` derives the dominator sets with the sub-quadratic
-        pruning scan of :mod:`repro.ctable.pruning`, ``"off"`` with
-        ``dominator_method``, ``"auto"`` uses the scan for the numpy
-        backend.  The scan is exact: the resulting c-table is identical
-        clause for clause, only ``pairs_tested`` shrinks.
-    n_jobs:
-        process-pool width for the pruning scan (engine convention:
-        1 = sequential, 0 = one worker per usable core).  Sharding the
-        scan never changes its decisions; single-core hosts and small
-        inputs automatically fall back to the sequential scan.
+        comparison).  Both backends produce identical c-tables, clause
+        for clause: the scan is exact, only ``pairs_tested`` shrinks.
+        Construction statistics land in :attr:`CTable.build_stats`.
+    prune, n_jobs:
+        inert: each accepts only its :data:`INERT_KEYWORDS` value.
     cancel_check:
         optional zero-argument callable invoked before, during and after
         clause emission; raising from it (e.g. a session
@@ -104,20 +122,14 @@ def build_ctable(
         raise ValueError("alpha must be positive")
     if backend not in BACKENDS:
         raise ValueError("unknown backend %r; expected one of %r" % (backend, BACKENDS))
-    if prune not in PRUNE_MODES:
-        raise ValueError(
-            "unknown prune mode %r; expected one of %r" % (prune, PRUNE_MODES)
-        )
+    check_inert(prune=prune, n_jobs=n_jobs)
     if backend == "auto":
         backend = "python" if dominator_method == "baseline" else "numpy"
-    use_prune = prune == "on" or (prune == "auto" and backend == "numpy")
     start = time.perf_counter()
     n = dataset.n_objects
     limit = alpha * n
-    if use_prune:
-        scan = pruned_dominator_scan(
-            dataset, limit, n_jobs=n_jobs, cancel_check=cancel_check
-        )
+    if backend == "numpy":
+        scan = pruned_dominator_scan(dataset, limit, cancel_check=cancel_check)
         counts, open_objects, members, __ = scan
     else:
         sets = dominator_sets(dataset, method=dominator_method)
@@ -153,7 +165,7 @@ def build_ctable(
         "alpha_pruned": len(pruned),
         "open_conditions": sum(1 for c in conditions if not c.is_constant),
     }
-    if use_prune:
+    if backend == "numpy":
         stats.update(scan.stats)
     ctable = CTable(
         dataset=dataset,

@@ -63,12 +63,6 @@ class Const:
     def __hash__(self) -> int:
         return hash(("const", self.value))
 
-    def __reduce__(self):
-        # Rebuild through the constructor: hashes involve interned strings,
-        # whose hash is randomized per process, so a pickled instance must
-        # not carry state into a pool worker -- it recomputes there.
-        return (Const, (self.value,))
-
     def __repr__(self) -> str:
         return "Const(%d)" % self.value
 
@@ -94,9 +88,6 @@ class Var:
 
     def __hash__(self) -> int:
         return hash(("var", self.obj, self.attr))
-
-    def __reduce__(self):
-        return (Var, (self.obj, self.attr))
 
     def __repr__(self) -> str:
         return "Var(%d, %d)" % (self.obj, self.attr)
@@ -149,11 +140,6 @@ class Expression:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # Reconstruct (instead of copying slots) so the precomputed hash is
-        # recomputed under the unpickling process's hash seed.
-        return (Expression, (self.left, self.right))
 
     def sort_key(self) -> Tuple:
         return self._key

@@ -44,11 +44,7 @@ early exit belong to objects whose condition is the constant *false*
 (``phi(o)`` never materializes their clauses).  The scan is therefore a
 pure pre-pass: surviving objects get exactly the dominator sets of
 :func:`repro.ctable.dominators.dominator_sets`, and clause emission is
-byte-identical to the unpruned backends.
-
-The per-group scan is embarrassingly parallel; with ``n_jobs > 1`` group
-ranges are sharded over :mod:`repro.parallel` workers that attach the
-index arrays from shared memory.
+byte-identical to the scalar backend's.
 """
 
 from __future__ import annotations
@@ -59,19 +55,8 @@ from typing import Dict, NamedTuple, Optional
 import numpy as np
 
 from ..datasets.dataset import IncompleteDataset, unique_rows
-from ..parallel import (
-    SharedArrayBundle,
-    attach_arrays,
-    decide_workers,
-    detach_all,
-    run_sharded,
-)
 
-__all__ = ["PruneScan", "pruned_dominator_scan", "PRUNE_MODES"]
-
-#: ``build_ctable(prune=...)`` modes: ``auto`` turns the pre-pass on for
-#: the vectorized backend, ``on``/``off`` force it.
-PRUNE_MODES = ("auto", "on", "off")
+__all__ = ["PruneScan", "pruned_dominator_scan"]
 
 #: Distinct ``hi`` rows per bound block.  Small blocks mean tight
 #: min/max bounds (more bulk accept/reject); 32 rows keeps the
@@ -81,10 +66,6 @@ DEFAULT_BLOCK_SIZE = 32
 #: Early-exit stages per scan: alpha-decided groups stop scanning at the
 #: next stage boundary.
 DEFAULT_STAGES = 8
-
-#: Below this many distinct value-row groups a pool cannot amortize its
-#: startup; the scan runs in-process.
-MIN_GROUPS_PER_WORKER = 512
 
 
 class PruneScan(NamedTuple):
@@ -109,7 +90,7 @@ class PruneScan(NamedTuple):
 # ----------------------------------------------------------------------
 # index construction
 # ----------------------------------------------------------------------
-def _build_index(dataset: IncompleteDataset, block_size: int):
+def _build_index(dataset: IncompleteDataset, block_size: int) -> Dict[str, object]:
     """Dedup, presort and bound the filled matrices; all plain arrays."""
     values = dataset.values
     mask = dataset.mask
@@ -142,7 +123,7 @@ def _build_index(dataset: IncompleteDataset, block_size: int):
     obj_by_row = np.argsort(sorted_row_of_obj, kind="stable").astype(np.int64)
     row_obj_offsets = np.concatenate(([0], np.cumsum(rcnt_s)))
 
-    arrays = {
+    return {
         "rhi_s": rhi_s,
         "rcnt_s": rcnt_s,
         "bmax": bmax,
@@ -151,8 +132,6 @@ def _build_index(dataset: IncompleteDataset, block_size: int):
         "bcnt": bcnt,
         "rlo": np.ascontiguousarray(rlo),
         "slo": rlo.sum(axis=1).astype(np.int64),
-    }
-    meta = {
         "lo_inv": lo_inv,
         "lo_cnt": lo_cnt.astype(np.int64),
         "obj_by_row": obj_by_row,
@@ -160,11 +139,10 @@ def _build_index(dataset: IncompleteDataset, block_size: int):
         "block_of_obj": sorted_row_of_obj // block_size,
         "n_blocks": len(starts),
     }
-    return arrays, meta
 
 
 # ----------------------------------------------------------------------
-# the scan kernel (runs in-process or inside pool workers)
+# the scan kernel
 # ----------------------------------------------------------------------
 def _ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + l) for s, l in zip(starts, lens)])``."""
@@ -174,27 +152,22 @@ def _ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     )
 
 
-def _scan_groups(
-    arrays, g0: int, g1: int, limit: float, n_stages: int, block_size: int
-):
-    """Counts, coverage and open-group members for lo-groups ``[g0, g1)``.
+def _scan_groups(index, limit: float, n_stages: int, block_size: int):
+    """Counts, coverage and open-group members for every lo-group.
 
     One pass decides everything (see the module docstring): bounds and
     membership compare one attribute at a time, and the counting pass
     keeps its hits, so an open group's member rows are its kept hits
     plus the rows of its bulk-accepted blocks.
-
-    Pure function of the index arrays: deterministic and side-effect
-    free, so sharding it over processes cannot change any decision.
     """
-    rhi_t = np.ascontiguousarray(arrays["rhi_s"].T)
-    rlo_t = np.ascontiguousarray(arrays["rlo"][g0:g1].T)
-    rcnt_s, bmax, bmin, bcnt = (arrays[k] for k in ("rcnt_s", "bmax", "bmin", "bcnt"))
+    rhi_t = np.ascontiguousarray(index["rhi_s"].T)
+    rlo_t = np.ascontiguousarray(index["rlo"].T)
+    rcnt_s, bmax, bmin, bcnt = (index[k] for k in ("rcnt_s", "bmax", "bmin", "bcnt"))
     (d, m), h, nb = rlo_t.shape, rhi_t.shape[1], len(bcnt)
 
     # reject: lo exceeds the block max on some attribute or in its sum;
     # accept: lo is at or below the block min on every attribute
-    reject = arrays["slo"][g0:g1, None] > arrays["bsmax"][None, :]
+    reject = index["slo"][:, None] > index["bsmax"][None, :]
     accept = np.ones((m, nb), dtype=bool)
     cmp = np.empty((m, nb), dtype=bool)
     for a in range(d):
@@ -246,14 +219,7 @@ def _scan_groups(
     member_offsets = np.concatenate(
         ([0], np.cumsum(np.bincount(groups, minlength=len(open_groups))))
     )
-    return counts, covered, tested, open_groups + g0, members, member_offsets
-
-
-def _scan_shard(payload):
-    """Pool worker: attach the shared index and scan one group range."""
-    handle, g0, g1, limit, n_stages, block_size = payload
-    arrays = attach_arrays(handle)
-    return _scan_groups(arrays, g0, g1, limit, n_stages, block_size)
+    return counts, covered, tested, open_groups, members, member_offsets
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +230,6 @@ def pruned_dominator_scan(
     limit: float,
     block_size: Optional[int] = None,
     n_stages: Optional[int] = None,
-    n_jobs: int = 1,
     cancel_check=None,
 ) -> PruneScan:
     """Run the pruning pre-pass and return per-object decisions.
@@ -282,83 +247,45 @@ def pruned_dominator_scan(
     if n_stages is None:
         n_stages = DEFAULT_STAGES if n < 50_000 else DEFAULT_STAGES + 4
     block_size = max(1, int(block_size))
-    arrays, meta = _build_index(dataset, block_size)
-    lo_inv = meta["lo_inv"]
-    lo_cnt = meta["lo_cnt"]
-    n_groups = len(lo_cnt)
+    index = _build_index(dataset, block_size)
+    lo_inv = index["lo_inv"]
+    lo_cnt = index["lo_cnt"]
     if cancel_check is not None:
         cancel_check()
-
-    decision = decide_workers(n_jobs, n_groups, MIN_GROUPS_PER_WORKER)
-    scan_args = (float(limit), int(n_stages), block_size)
-    if decision.parallel:
-        bundle = SharedArrayBundle.publish(arrays)
-        try:
-            bounds = np.linspace(
-                0, n_groups, decision.n_workers * 4 + 1
-            ).astype(np.int64)
-            shards = [
-                (bundle.handle, int(g0), int(g1)) + scan_args
-                for g0, g1 in zip(bounds[:-1], bounds[1:])
-                if g1 > g0
-            ]
-            run = run_sharded(_scan_shard, shards, decision.n_workers)
-        finally:
-            bundle.unlink()
-            # the in-process fallback path attaches in *this* process;
-            # results are copies, so dropping the mappings is safe
-            detach_all()
-        blocks_sharded = len(shards)
-        worker_seconds = run.worker_seconds
-        parts = run.results
-    else:
-        if cancel_check is not None:
-            cancel_check()
-        t0 = time.perf_counter()
-        parts = [_scan_groups(arrays, 0, n_groups, *scan_args)]
-        blocks_sharded = 1
-        worker_seconds = [time.perf_counter() - t0]
-
-    counts = np.concatenate([part[0] for part in parts])
-    covered = np.concatenate([part[1] for part in parts])
-    tested = np.vstack([part[2] for part in parts])
+    counts, covered, tested, open_groups, members, offsets = _scan_groups(
+        index, float(limit), int(n_stages), block_size
+    )
 
     # Exact pair accounting: coverage counts objects per tested block,
     # so subtract each object whose own hi-row block was tested by its
     # own group (the (o, o) cell of the relation is not a pair).
-    self_hits = int(tested[lo_inv, meta["block_of_obj"]].sum())
+    self_hits = int(tested[lo_inv, index["block_of_obj"]].sum())
     pairs_tested = int((covered * lo_cnt).sum()) - self_hits
     pair_universe = n * (n - 1)
 
     # Distinct-row member lists -> per-object dominator sets.  All
     # objects of one lo-group share the member objects; each drops only
     # itself (every object is a member of its own group's relation).
-    obj_by_row = meta["obj_by_row"]
-    row_off = meta["row_obj_offsets"]
+    obj_by_row = index["obj_by_row"]
+    row_off = index["row_obj_offsets"]
     group_objects = np.argsort(lo_inv, kind="stable")
     group_off = np.concatenate(([0], np.cumsum(lo_cnt)))
-    owner_parts, flat_parts = [], []
-    for part in parts:
-        __, __, __, open_groups, members, offsets = part
-        # member rows -> objects, sorted within each group
-        lens = row_off[members + 1] - row_off[members]
-        objs = obj_by_row[_ragged_ranges(row_off[members], lens)]
-        seg = np.concatenate(([0], np.cumsum(lens)))[offsets]
-        seg_lens = np.diff(seg)
-        objs = objs[np.lexsort((objs, np.repeat(np.arange(len(seg_lens)), seg_lens)))]
-        # one copy of the group's objects per owner, minus the owner
-        owned = lo_cnt[open_groups]
-        owners = group_objects[_ragged_ranges(group_off[open_groups], owned)]
-        owner_group = np.repeat(np.arange(len(open_groups)), owned)
-        copy_lens = seg_lens[owner_group]
-        flat = objs[_ragged_ranges(seg[owner_group], copy_lens)]
-        owner_parts.append(owners)
-        flat_parts.append(flat[flat != np.repeat(owners, copy_lens)])
+    # member rows -> objects, sorted within each group
+    lens = row_off[members + 1] - row_off[members]
+    objs = obj_by_row[_ragged_ranges(row_off[members], lens)]
+    seg = np.concatenate(([0], np.cumsum(lens)))[offsets]
+    seg_lens = np.diff(seg)
+    objs = objs[np.lexsort((objs, np.repeat(np.arange(len(seg_lens)), seg_lens)))]
+    # one copy of the group's objects per owner, minus the owner
+    owned = lo_cnt[open_groups]
+    owners = group_objects[_ragged_ranges(group_off[open_groups], owned)]
+    owner_group = np.repeat(np.arange(len(open_groups)), owned)
+    copy_lens = seg_lens[owner_group]
+    flat = objs[_ragged_ranges(seg[owner_group], copy_lens)]
+    flat = flat[flat != np.repeat(owners, copy_lens)]
 
     # owner-major copies -> ascending object order, one gather
     per_object_counts = (counts - 1)[lo_inv]
-    owners = np.concatenate(owner_parts)
-    flat = np.concatenate(flat_parts)
     set_lens = per_object_counts[owners]
     set_starts = np.cumsum(set_lens) - set_lens
     order = np.argsort(owners)
@@ -370,15 +297,10 @@ def pruned_dominator_scan(
         "pairs_tested": pairs_tested,
         "pairs_pruned": pair_universe - pairs_tested,
         "pair_universe": pair_universe,
-        "prune_blocks": int(meta["n_blocks"]),
+        "prune_blocks": int(index["n_blocks"]),
         "prune_block_size": block_size,
-        "distinct_hi_rows": int(len(arrays["rhi_s"])),
-        "distinct_lo_rows": int(n_groups),
-        "blocks_sharded": int(blocks_sharded),
-        "scan_workers": int(decision.n_workers),
-        "scan_decision": decision.reason,
+        "distinct_hi_rows": int(len(index["rhi_s"])),
+        "distinct_lo_rows": int(len(lo_cnt)),
         "scan_seconds": time.perf_counter() - start,
-        "scan_worker_seconds": [float(s) for s in worker_seconds],
-        "scan_worker_seconds_max": float(max(worker_seconds, default=0.0)),
     }
     return PruneScan(per_object_counts, open_objects, members, stats)

@@ -7,12 +7,7 @@ from .approxcount import (
     approx_probability,
 )
 from .distributions import DistributionStore
-from .engine import (
-    DEFAULT_CACHE_SIZE,
-    METHODS,
-    ProbabilityEngine,
-    resolve_n_jobs,
-)
+from .engine import DEFAULT_CACHE_SIZE, METHODS, ProbabilityEngine
 from .guard import CircuitBreaker, GuardedProbability
 from .naive import EnumerationLimitExceeded, naive_probability
 
@@ -28,7 +23,6 @@ __all__ = [
     "DEFAULT_CACHE_SIZE",
     "METHODS",
     "ProbabilityEngine",
-    "resolve_n_jobs",
     "CircuitBreaker",
     "GuardedProbability",
     "EnumerationLimitExceeded",

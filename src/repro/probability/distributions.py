@@ -140,7 +140,7 @@ class DistributionStore:
     # ------------------------------------------------------------------
     @property
     def constraints(self) -> Optional[VariableConstraints]:
-        """The bound knowledge base, if any (``None`` for frozen snapshots)."""
+        """The bound knowledge base, if any."""
         return self._constraints
 
     @property
@@ -188,72 +188,6 @@ class DistributionStore:
     def support(self, variable: Variable) -> np.ndarray:
         """Domain values with strictly positive current probability."""
         return np.nonzero(self.pmf(variable) > 0.0)[0]
-
-    # ------------------------------------------------------------------
-    # frozen snapshots (for process-pool workers)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "DistributionStore":
-        """A frozen, picklable copy with constraints baked into the pmfs.
-
-        Pool workers compute against the snapshot: it carries no mutable
-        knowledge base (``version`` is pinned at 0), so results shipped
-        back are valid exactly for the version the snapshot was taken at.
-        """
-        return DistributionStore(
-            {variable: self.pmf(variable).copy() for variable in self._base},
-            constraints=None,
-        )
-
-    def pack_snapshot(self) -> Dict[str, np.ndarray]:
-        """The constraint-baked pmfs as three flat arrays.
-
-        The shared-memory layout for pool workers: variables as an
-        ``(n_vars, 2)`` int64 matrix, all pmfs concatenated into one
-        float64 vector with an offsets index.  Publishing these once per
-        batch replaces pickling a full :meth:`snapshot` into every chunk
-        payload.  Rebuild with :meth:`from_packed`.
-        """
-        variables = sorted(self._base)
-        pmfs = [self.pmf(variable) for variable in variables]
-        offsets = np.zeros(len(pmfs) + 1, dtype=np.int64)
-        if pmfs:
-            np.cumsum([len(pmf) for pmf in pmfs], out=offsets[1:])
-        return {
-            "pmf_variables": np.array(
-                variables if variables else [], dtype=np.int64
-            ).reshape(len(variables), 2),
-            "pmf_offsets": offsets,
-            "pmf_flat": (
-                np.concatenate(pmfs) if pmfs else np.empty(0, dtype=np.float64)
-            ),
-        }
-
-    @classmethod
-    def from_packed(cls, arrays: Mapping[str, np.ndarray]) -> "DistributionStore":
-        """Rebuild a frozen snapshot from :meth:`pack_snapshot` arrays.
-
-        Trusted path: the pmfs were validated and normalized when the
-        source store was built, so the validating ``__init__`` is
-        bypassed.  The pmfs are copied out of the (possibly shared,
-        soon-to-be-unmapped) buffer; the result is constraint-free like
-        :meth:`snapshot`.
-        """
-        variables = arrays["pmf_variables"]
-        offsets = arrays["pmf_offsets"]
-        flat = arrays["pmf_flat"]
-        sizes = np.diff(offsets)
-        matrices = [
-            (
-                list(map(tuple, variables[rows].tolist())),
-                flat[offsets[rows, None] + np.arange(size)],
-            )
-            for size in np.unique(sizes).tolist()
-            for rows in [np.flatnonzero(sizes == size)]
-        ]
-        store = cls.__new__(cls)
-        store._constraints = None
-        store._init_tails(matrices)
-        return store
 
     # ------------------------------------------------------------------
     # expression probabilities (exact, under variable independence)

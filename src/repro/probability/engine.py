@@ -8,12 +8,8 @@ The result cache is LRU-bounded: long crowdsourcing runs otherwise grow
 it monotonically with stale-version entries that are never evicted.
 
 :meth:`ProbabilityEngine.probability_many` is the batch entry point.  It
-deduplicates conditions, serves cached results, and -- when
-:func:`repro.parallel.decide_workers` approves -- partitions the
-independent conditions across the shared-memory process pool of
-:mod:`repro.parallel`: the frozen store snapshot is published to shared
-memory once per batch (workers attach lazily and cache per process)
-instead of being pickled into every chunk payload.
+deduplicates conditions, serves cached results, and solves the rest in
+order.
 """
 
 from __future__ import annotations
@@ -24,18 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ctable.condition import Condition
+from ..ctable.construction import INERT_KEYWORDS, check_inert
 from ..ctable.expression import Expression
 from ..errors import ResourceBudgetError
 from ..lru import LRUCache
-from ..parallel import (
-    PoolDecision,
-    SharedArrayBundle,
-    attach_arrays,
-    decide_workers,
-    detach_all,
-    run_sharded,
-    usable_cpu_count,
-)
 from .adpll import ADPLL
 from .approxcount import adaptive_approx_probability, approx_probability
 from .distributions import DistributionStore
@@ -45,25 +33,8 @@ from .naive import naive_probability
 #: Supported computation methods.
 METHODS = ("adpll", "naive", "approx")
 
-#: The one value each inert keyword of :class:`ProbabilityEngine` accepts.
-INERT_KEYWORDS = {
-    "backend": "adpll",
-    "compile_node_budget": 200_000,
-    "circuit_cache_size": 16_384,
-}
-
 #: Default bound on the condition-probability cache.
 DEFAULT_CACHE_SIZE = 65_536
-
-#: Below this many uncached conditions a pool is never worth its fork +
-#: pickling overhead; the batch falls back to the in-process path.
-MIN_CONDITIONS_PER_WORKER = 8
-
-#: Pool decisions for runs that never reach the pool policy, recorded so
-#: ``stats()['pool_decision']`` always describes the *actual* run (the
-#: fig03 sequential row used to report the pre-init placeholder).
-_DECISION_SCALAR = PoolDecision(1, "sequential: scalar per-condition path")
-_DECISION_ALL_CACHED = PoolDecision(1, "sequential: batch fully served from cache")
 
 
 #: Widening of :meth:`ProbabilityEngine.bounds_many` brackets: far above
@@ -94,54 +65,6 @@ def _brackets(
     return list(zip(lo.tolist(), (hi + BOUND_SLACK).tolist()))
 
 
-def resolve_n_jobs(n_jobs: Optional[int]) -> int:
-    """Normalize an ``n_jobs`` knob: ``None``/1 sequential, 0 = all cores."""
-    if n_jobs is None:
-        return 1
-    n_jobs = int(n_jobs)
-    if n_jobs == 0:
-        return usable_cpu_count()
-    return max(1, n_jobs)
-
-
-#: Per-process cache of stores rebuilt from shared memory, keyed by the
-#: bundle handle: chunks of one batch landing on the same worker reuse
-#: the rebuilt store (and its warm caches) instead of re-attaching.
-_WORKER_STORES: Dict[tuple, DistributionStore] = {}
-
-
-def _worker_store(handle) -> DistributionStore:
-    store = _WORKER_STORES.get(handle.key)
-    if store is None:
-        store = DistributionStore.from_packed(attach_arrays(handle))
-        _WORKER_STORES.clear()  # one live snapshot per worker is enough
-        _WORKER_STORES[handle.key] = store
-    return store
-
-
-def _compute_chunk(payload) -> List[float]:
-    """Pool worker: solve one chunk of conditions against the shared store.
-
-    Module-level so it pickles by reference; the payload carries only a
-    :class:`SharedArrayHandle` to the published snapshot plus the
-    conditions themselves -- the pmf data never rides in the pickle.
-    """
-    handle, method, conditions, approx_samples, seed = payload
-    store = _worker_store(handle)
-    if method == "adpll":
-        solver = ADPLL(store)
-        return [solver.probability(condition) for condition in conditions]
-    if method == "naive":
-        return [naive_probability(condition, store) for condition in conditions]
-    rng = np.random.default_rng(seed)
-    return [
-        approx_probability(
-            condition, store, n_samples=approx_samples, rng=rng
-        ).probability
-        for condition in conditions
-    ]
-
-
 class ProbabilityEngine:
     """Computes and caches condition probabilities against one store."""
 
@@ -154,7 +77,8 @@ class ProbabilityEngine:
         rng: Optional[np.random.Generator] = None,
         use_components: bool = True,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        n_jobs: int = 1,
+        # pool residue: drivers.replay_query passes it (ROADMAP item 1)
+        n_jobs: int = INERT_KEYWORDS["n_jobs"],
         node_budget: int = 0,
         deadline_s: float = 0.0,
         breaker_threshold: int = 3,
@@ -167,17 +91,12 @@ class ProbabilityEngine:
     ) -> None:
         if method not in METHODS:
             raise ValueError("unknown method %r; expected one of %r" % (method, METHODS))
-        given = {
-            "backend": backend,
-            "compile_node_budget": compile_node_budget,
-            "circuit_cache_size": circuit_cache_size,
-        }
-        for name, value in given.items():
-            if value != INERT_KEYWORDS[name]:
-                raise ValueError(
-                    "%s is inert and accepts only %r, got %r"
-                    % (name, INERT_KEYWORDS[name], value)
-                )
+        check_inert(
+            n_jobs=n_jobs,
+            backend=backend,
+            compile_node_budget=compile_node_budget,
+            circuit_cache_size=circuit_cache_size,
+        )
         self.store = store
         self.method = method
         self._use_cache = use_cache
@@ -201,8 +120,6 @@ class ProbabilityEngine:
         #: condition -> (exact?, error bound) for guarded computations
         self._guard_info: Dict[Condition, Tuple[bool, float]] = {}
         self.n_guard_fallbacks = 0
-        #: default worker count for :meth:`probability_many`
-        self.n_jobs = resolve_n_jobs(n_jobs)
         #: cooperative cancellation token (None = not attached); checked
         #: at per-condition boundaries so a session cancel/deadline stops
         #: the engine between conditions, never mid-solve
@@ -211,17 +128,11 @@ class ProbabilityEngine:
         self._cache: "LRUCache[Condition, Tuple[float, int]]" = LRUCache(cache_size)
         self.n_computations = 0
         self.n_cache_hits = 0
-        # --- batch/pool perf counters ---------------------------------
+        # --- batch perf counters --------------------------------------
         self.n_batches = 0
         self.n_batch_conditions = 0
         self.n_batch_pending = 0
-        self.n_parallel_chunks = 0
-        self.parallel_seconds = 0.0
         self.batch_seconds = 0.0
-        #: last pool auto-selection decision (see repro.parallel)
-        self._pool_decision = PoolDecision(1, "sequential: no batch computed yet")
-        #: per-chunk wall times of the last parallel batch
-        self.parallel_worker_seconds: List[float] = []
 
     # ------------------------------------------------------------------
     def attach_cancellation(self, token) -> None:
@@ -263,7 +174,6 @@ class ProbabilityEngine:
             if value is not None:
                 self.n_cache_hits += 1
                 return value
-        self._pool_decision = _DECISION_SCALAR
         value = self._compute(condition)
         self.n_computations += 1
         if self._use_cache:
@@ -273,32 +183,22 @@ class ProbabilityEngine:
     def probability_many(
         self,
         conditions: Sequence[Condition],
-        n_jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         # forest residue: drivers.replay_query passes it (ROADMAP item 1)
         objects: Optional[Sequence[int]] = None,
     ) -> List[float]:
         """``Pr(condition)`` for every condition, batched.
 
         Identical conditions are computed once and cached results are
-        reused.  With
-        ``n_jobs > 1`` the uncached conditions are partitioned across a
-        process pool; conditions are independent given the store snapshot,
-        so chunks need no coordination.  Falls back to the sequential path
-        for small batches where a pool cannot amortize its startup.
+        reused.
         """
         start = time.perf_counter()
-        n_jobs = self.n_jobs if n_jobs is None else resolve_n_jobs(n_jobs)
         version = self.store.version
         results: Dict[Condition, float] = {}
-        pending: List[Condition] = []
-        seen = set()
         for condition in conditions:
-            # Dedup up front (Condition hashes canonically): duplicates in
-            # the batch are computed once.
-            if condition in seen:
+            # Condition hashes canonically: duplicates in the batch are
+            # computed once.
+            if condition in results:
                 continue
-            seen.add(condition)
             if condition.is_constant:
                 results[condition] = 1.0 if condition.is_true else 0.0
                 continue
@@ -308,18 +208,14 @@ class ProbabilityEngine:
                     self.n_cache_hits += 1
                     results[condition] = value
                     continue
-            pending.append(condition)
-
-        self.n_batch_pending += len(pending)
-        if pending:
-            computed = self._compute_batch(pending, n_jobs, chunk_size)
-            self.n_computations += len(pending)
-            for condition, value in zip(pending, computed):
-                results[condition] = value
-                if self._use_cache:
-                    self._cache[condition] = (value, version)
-        else:
-            self._pool_decision = _DECISION_ALL_CACHED
+            if self._cancellation is not None:
+                self._cancellation.check("probability")
+            value = self._compute(condition)
+            results[condition] = value
+            if self._use_cache:
+                self._cache[condition] = (value, version)
+            self.n_computations += 1
+            self.n_batch_pending += 1
 
         self.n_batches += 1
         self.n_batch_conditions += len(conditions)
@@ -383,34 +279,6 @@ class ProbabilityEngine:
                 out[index] = bracket
         return out
 
-    def _compute_batch(
-        self,
-        pending: List[Condition],
-        n_jobs: int,
-        chunk_size: Optional[int],
-    ) -> List[float]:
-        """Pool auto-selection, then per-condition."""
-        # The guard's circuit-breaker state cannot be shared across a
-        # process pool, so guarded batches always run in-process;
-        # everything else goes through the substrate's auto-selection
-        # (single-core hosts, oversubscribed n_jobs and small batches
-        # all fall back to sequential instead of paying pool overhead).
-        if self.guard_active and n_jobs > 1:
-            decision = PoolDecision(
-                1, "sequential: resource guard active, breaker state is process-local"
-            )
-        else:
-            decision = decide_workers(n_jobs, len(pending), MIN_CONDITIONS_PER_WORKER)
-        self._pool_decision = decision
-        if decision.parallel:
-            return self._compute_parallel(pending, decision.n_workers, chunk_size)
-        computed = []
-        for condition in pending:
-            if self._cancellation is not None:
-                self._cancellation.check("probability")
-            computed.append(self._compute(condition))
-        return computed
-
     def branch_probabilities(
         self, condition: Condition, expressions: Sequence[Expression]
     ) -> Dict[Expression, Tuple[float, float]]:
@@ -428,63 +296,6 @@ class ProbabilityEngine:
         if self._cancellation is not None:
             self._cancellation.check("probability")
         return self._adpll.branch_probabilities(condition, expressions)
-
-    def _compute_parallel(
-        self,
-        pending: List[Condition],
-        n_workers: int,
-        chunk_size: Optional[int],
-    ) -> List[float]:
-        """Shard ``pending`` over the shared-memory pool; order-preserving.
-
-        The frozen snapshot is published to shared memory once; chunk
-        payloads carry only the handle and the conditions.  Pool
-        *infrastructure* failures fall back to in-process execution
-        inside :func:`repro.parallel.run_sharded`.
-        """
-        # Balance chunks by condition size: sort heavy-first, deal
-        # round-robin, then restore the original order on merge.
-        order = sorted(
-            range(len(pending)),
-            key=lambda i: -pending[i].n_expression_occurrences(),
-        )
-        if chunk_size is not None:
-            n_chunks = max(1, -(-len(pending) // max(1, int(chunk_size))))
-        else:
-            n_chunks = n_workers
-        chunks: List[List[int]] = [[] for __ in range(n_chunks)]
-        for position, index in enumerate(order):
-            chunks[position % n_chunks].append(index)
-        chunks = [chunk for chunk in chunks if chunk]
-
-        seeds = self._rng.integers(0, 2**31 - 1, size=len(chunks))
-        bundle = SharedArrayBundle.publish(self.store.pack_snapshot())
-        start = time.perf_counter()
-        try:
-            payloads = [
-                (
-                    bundle.handle,
-                    self.method,
-                    [pending[i] for i in chunk],
-                    self._approx_samples,
-                    int(seed),
-                )
-                for chunk, seed in zip(chunks, seeds)
-            ]
-            run = run_sharded(_compute_chunk, payloads, n_workers)
-        finally:
-            bundle.unlink()
-            # run_sharded's in-process fallback attaches in this process;
-            # rebuilt stores copy the pmfs, so unmapping is safe
-            detach_all()
-            self.parallel_seconds += time.perf_counter() - start
-        self.n_parallel_chunks += len(chunks)
-        self.parallel_worker_seconds = list(run.worker_seconds)
-        out: List[float] = [0.0] * len(pending)
-        for chunk, values in zip(chunks, run.results):
-            for index, value in zip(chunk, values):
-                out[index] = value
-        return out
 
     def _compute(self, condition: Condition) -> float:
         if self.method == "adpll":
@@ -557,7 +368,7 @@ class ProbabilityEngine:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        """Perf counter snapshot (cache behavior, batch/pool activity)."""
+        """Perf counter snapshot (cache behavior, batch activity)."""
         lookups = self.n_cache_hits + self.n_computations
         stats: Dict[str, float] = {
             "computations": self.n_computations,
@@ -571,16 +382,11 @@ class ProbabilityEngine:
             "batch_conditions": self.n_batch_conditions,
             "batch_pending": self.n_batch_pending,
             "batch_seconds": self.batch_seconds,
-            "parallel_chunks": self.n_parallel_chunks,
-            "parallel_seconds": self.parallel_seconds,
-            "pool_workers": self._pool_decision.n_workers,
-            "pool_decision": self._pool_decision.reason,
             "probabilities_per_sec": (
                 self.n_batch_conditions / self.batch_seconds
                 if self.batch_seconds > 0
                 else 0.0
             ),
-            "n_jobs": self.n_jobs,
         }
         stats["guard_active"] = 1 if self.guard_active else 0
         stats["guard_fallbacks"] = self.n_guard_fallbacks

@@ -75,10 +75,17 @@ class TestMain:
         assert "drop_rate" in capsys.readouterr().err
 
     def test_invalid_config_is_clean_error(self, capsys):
-        assert main(["--n", "40", "--n-jobs", "-2"]) == 2
-        assert "n_jobs" in capsys.readouterr().err
         assert main(["--n", "40", "--alpha", "-1"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n-jobs", "2"), ("--ctable-prune", "off")]
+    )
+    def test_removed_flags_are_rejected(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--n", "40", flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_corrupt_checkpoint_is_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

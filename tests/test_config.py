@@ -56,6 +56,8 @@ class TestValidation:
             ("probability_backend", "adpll"),
             ("compile_node_budget", 8),
             ("circuit_cache_size", 0),
+            ("n_jobs", 2),
+            ("ctable_prune", "off"),
         ],
     )
     def test_removed_backend_knobs_are_not_fields(self, name, value):

@@ -373,22 +373,18 @@ class TestOpenEmission:
     @given(
         small_datasets(),
         st.sampled_from(("numpy", "python")),
-        st.sampled_from(("on", "off")),
         st.sampled_from(DOMINATOR_METHODS),
         st.sampled_from(INFERENCE_MODES),
         st.sampled_from((0.3, 1.0)),
     )
     @settings(max_examples=150, deadline=None)
-    def test_build_matches_simplified_oracle(
-        self, dataset, backend, prune, method, mode, alpha
-    ):
+    def test_build_matches_simplified_oracle(self, dataset, backend, method, mode, alpha):
         ctable = build_ctable(
             dataset,
             alpha=alpha,
             dominator_method=method,
             inference_mode=mode,
             backend=backend,
-            prune=prune,
         )
         assert not domain_decided(ctable)
         assert_same_conditions(ctable, oracle_conditions(dataset, alpha))

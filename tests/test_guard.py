@@ -277,23 +277,6 @@ class TestEngineGuardedFallback:
         # Once open, exact attempts are skipped entirely.
         assert stats["breaker_skipped"] >= 1
 
-    def test_guarded_batch_stays_sequential(self, monkeypatch):
-        """The pool path shares no breaker state across processes, so a
-        guarded engine must not fan batches out."""
-        engine = ProbabilityEngine(uniform_store(), node_budget=10**9)
-        conditions = [branching_condition() for __ in range(64)]
-
-        def boom(*args, **kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("guarded batch must not use the pool")
-
-        monkeypatch.setattr(
-            "repro.probability.engine.ProbabilityEngine._compute_parallel",
-            boom,
-            raising=False,
-        )
-        values = engine.probability_many(conditions, n_jobs=4)
-        assert len(values) == 64
-
 
 # ----------------------------------------------------------------------
 # property: the guard is bit-for-bit invisible while not exhausted

@@ -1,9 +1,10 @@
-"""Property tests: the vectorized/parallel hot paths match the scalar ones.
+"""Property tests: the vectorized hot paths match the scalar ones.
 
-The numpy c-table backend, the batched probability API and the bulk
-expression-probability gather are pure optimizations -- on any dataset
-they must produce byte-identical conditions and probabilities within
-1e-12 of the scalar reference implementations.
+The numpy c-table backend (pruning scan plus array emitter), the batched
+probability API and the bulk expression-probability gather are pure
+optimizations -- on any dataset they must produce byte-identical
+conditions and probabilities within 1e-12 of the scalar reference
+implementations.
 """
 
 import numpy as np
@@ -11,15 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.bayesnet.posteriors import empirical_distributions, uniform_distributions
+from repro.bayesnet.posteriors import uniform_distributions
 from repro.ctable import (
     build_ctable,
     dominator_sets,
     pruned_dominator_scan,
 )
+from repro.ctable.construction import INERT_KEYWORDS
 from repro.datasets import MISSING, IncompleteDataset, generate_nba
 from repro.lru import LRUCache
-from repro.parallel import PoolDecision
 from repro.probability import DistributionStore, ProbabilityEngine
 
 from .test_ctable import assert_indexes_recounted
@@ -98,17 +99,28 @@ def assert_same_ctable(expected, actual):
     assert_indexes_recounted(actual)
 
 
+#: the build statistics both backends count the same way
+COUNT_STATS = (
+    "certain_true",
+    "certain_false",
+    "alpha_pruned",
+    "open_conditions",
+    "n_objects",
+    "builds",
+    "pair_universe",
+)
+
+
 class TestBackendParity:
     @settings(max_examples=150, deadline=None)
     @given(emitter_datasets(), st.sampled_from([0.001, 0.2, 1.0]))
     @example(IDENTICAL_CLAUSES, 1.0)
     @example(PREFIX_CLAUSES, 1.0)
     def test_array_emitter_matches_scalar_oracle(self, dataset, alpha):
-        oracle = build_ctable(dataset, alpha=alpha, backend="python", prune="off")
+        oracle = build_ctable(dataset, alpha=alpha, backend="python")
         assert_indexes_recounted(oracle)
-        for prune in ("off", "on"):
-            vector = build_ctable(dataset, alpha=alpha, backend="numpy", prune=prune)
-            assert_same_ctable(oracle, vector)
+        vector = build_ctable(dataset, alpha=alpha, backend="numpy")
+        assert_same_ctable(oracle, vector)
 
     def test_identical_and_prefix_clauses_are_deduped_and_ordered(self):
         phi = build_ctable(IDENTICAL_CLAUSES, backend="numpy").condition(0)
@@ -132,13 +144,11 @@ class TestBackendParity:
             assert_indexes_recounted(ctable)
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
-    @pytest.mark.parametrize("prune", ["on", "off"])
-    def test_cancel_check_aborts_at_every_call(self, backend, prune):
+    def test_cancel_check_aborts_at_every_call(self, backend):
         dataset = random_dataset(4, n=40, d=3)
         calls = []
         build_ctable(
-            dataset, alpha=0.3, backend=backend, prune=prune,
-            cancel_check=lambda: calls.append(1),
+            dataset, alpha=0.3, backend=backend, cancel_check=lambda: calls.append(1)
         )
         assert len(calls) >= 3  # before, during and after clause emission
 
@@ -154,10 +164,7 @@ class TestBackendParity:
                     raise Cancelled
 
             with pytest.raises(Cancelled):
-                build_ctable(
-                    dataset, alpha=0.3, backend=backend, prune=prune,
-                    cancel_check=check,
-                )
+                build_ctable(dataset, alpha=0.3, backend=backend, cancel_check=check)
             assert len(seen) == k
 
     @settings(max_examples=60, deadline=None)
@@ -210,34 +217,20 @@ class TestBackendParity:
         )
 
 
-#: the build statistics that are timings
-TIMING_STATS = (
-    "seconds",
-    "pairs_per_sec",
-    "scan_seconds",
-    "scan_worker_seconds",
-    "scan_worker_seconds_max",
-)
-
-
 class TestPruningParity:
     """The dominance-pruning pre-pass is a pure optimization.
 
-    On any dataset, any alpha and either emission backend the pruned
-    build must produce the identical c-table -- same conditions, same
+    On any dataset and any alpha the pruned numpy build must produce the
+    c-table of the unpruned scalar oracle -- same conditions, same
     alpha-pruned set -- while its pair accounting covers the full
     ordered-pair universe.
     """
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        incomplete_datasets(),
-        st.sampled_from([0.02, 0.05, 0.3, 1.0]),
-        st.sampled_from(["python", "numpy"]),
-    )
-    def test_pruned_build_matches_unpruned(self, dataset, alpha, backend):
-        plain = build_ctable(dataset, alpha=alpha, backend=backend, prune="off")
-        pruned = build_ctable(dataset, alpha=alpha, backend=backend, prune="on")
+    @given(incomplete_datasets(), st.sampled_from([0.02, 0.05, 0.3, 1.0]))
+    def test_pruned_build_matches_unpruned(self, dataset, alpha):
+        plain = build_ctable(dataset, alpha=alpha, backend="python")
+        pruned = build_ctable(dataset, alpha=alpha, backend="numpy")
         assert pruned.conditions == plain.conditions
         assert pruned.pruned == plain.pruned
         stats = pruned.build_stats
@@ -248,15 +241,15 @@ class TestPruningParity:
     @settings(max_examples=100, deadline=None)
     @given(emitter_datasets(), st.sampled_from([0.001, 0.2, 1.0]))
     def test_pruned_array_emitter_matches_scalar_oracle(self, dataset, alpha):
-        oracle = build_ctable(dataset, alpha=alpha, backend="python", prune="on")
-        vector = build_ctable(dataset, alpha=alpha, backend="numpy", prune="on")
+        oracle = build_ctable(dataset, alpha=alpha, backend="python")
+        vector = build_ctable(dataset, alpha=alpha, backend="numpy")
         assert_same_ctable(oracle, vector)
         assert_indexes_recounted(oracle)
-        assert vector.build_stats == {
-            **oracle.build_stats,
-            **{key: vector.build_stats[key] for key in TIMING_STATS},
-            "backend": "numpy",
-        }
+        for key in COUNT_STATS:
+            assert vector.build_stats[key] == oracle.build_stats[key], key
+        stats = vector.build_stats
+        assert stats["prune_enabled"]
+        assert stats["pairs_tested"] + stats["pairs_pruned"] == stats["pair_universe"]
 
     def test_emitter_chunks_do_not_change_clauses(self, monkeypatch):
         dataset = random_dataset(8, n=120, d=3, missing_rate=0.4)
@@ -269,14 +262,14 @@ class TestPruningParity:
     def test_parity_on_larger_random_datasets(self, seed, missing_rate):
         dataset = random_dataset(seed, n=70, d=4, missing_rate=missing_rate)
         for alpha in (0.05, 0.3):
-            plain = build_ctable(dataset, alpha=alpha, prune="off")
-            pruned = build_ctable(dataset, alpha=alpha, prune="on")
+            plain = build_ctable(dataset, alpha=alpha, backend="python")
+            pruned = build_ctable(dataset, alpha=alpha, backend="numpy")
             assert pruned.conditions == plain.conditions
             assert pruned.pruned == plain.pruned
 
     def test_unpruned_stats_cover_the_universe_too(self):
         dataset = random_dataset(5, n=30)
-        stats = build_ctable(dataset, alpha=0.2, prune="off").build_stats
+        stats = build_ctable(dataset, alpha=0.2, backend="python").build_stats
         n = dataset.n_objects
         assert not stats["prune_enabled"]
         assert stats["pairs_pruned"] == 0
@@ -285,37 +278,21 @@ class TestPruningParity:
 
     def test_auto_prunes_only_the_numpy_backend(self):
         dataset = random_dataset(6, n=25)
-        auto = build_ctable(dataset, alpha=0.2, prune="auto")
+        auto = build_ctable(dataset, alpha=0.2)
         assert auto.build_stats["prune_enabled"]
-        scalar = build_ctable(dataset, alpha=0.2, backend="python", prune="auto")
+        scalar = build_ctable(dataset, alpha=0.2, backend="python")
         assert not scalar.build_stats["prune_enabled"]
 
     def test_invalid_prune_mode_rejected(self):
         with pytest.raises(ValueError, match="prune"):
             build_ctable(random_dataset(0, n=5), prune="maybe")
 
-    def test_sharded_scan_matches_sequential(self, monkeypatch):
-        # Force the pool past decide_workers so the sharded path runs
-        # even on single-core CI hosts.
-        dataset = random_dataset(7, n=300, d=3, missing_rate=0.3)
-        limit = 0.05 * dataset.n_objects
-        sequential = pruned_dominator_scan(dataset, limit, n_jobs=1)
-        monkeypatch.setattr(
-            "repro.ctable.pruning.decide_workers",
-            lambda *a, **k: PoolDecision(3, "parallel: forced by test"),
-        )
-        sharded = pruned_dominator_scan(dataset, limit, n_jobs=3)
-        np.testing.assert_array_equal(
-            sharded.dominator_counts, sequential.dominator_counts
-        )
-        assert set(sharded.open_sets) == set(sequential.open_sets)
-        for o, objs in sequential.open_sets.items():
-            np.testing.assert_array_equal(sharded.open_sets[o], objs)
-        assert (
-            sharded.stats["pairs_tested"] == sequential.stats["pairs_tested"]
-        )
-        assert sharded.stats["scan_workers"] == 3
-        assert sharded.stats["blocks_sharded"] > 1
+    @pytest.mark.parametrize("name, value", [("prune", "off"), ("n_jobs", 0)])
+    def test_removed_build_options_raise(self, name, value):
+        dataset = random_dataset(0, n=5)
+        build_ctable(dataset, **{name: INERT_KEYWORDS[name]})
+        with pytest.raises(ValueError, match=name):
+            build_ctable(dataset, **{name: value})
 
     def test_empty_dataset_scan(self):
         dataset = IncompleteDataset(
@@ -381,100 +358,35 @@ class TestPruningParity:
 
 
 class TestProbabilityParity:
-    def _engine_pair(self, seed, source=uniform_distributions, **kwargs):
+    def _engine_pair(self, seed):
         dataset = random_dataset(seed, n=50, d=3, missing_rate=0.35)
         ctable = build_ctable(dataset, alpha=0.2)
-        store = DistributionStore(source(dataset), ctable.constraints)
+        store = DistributionStore(uniform_distributions(dataset), ctable.constraints)
         conditions = [ctable.condition(o) for o in sorted(ctable.conditions)]
-        return conditions, store, kwargs
+        return conditions, store
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_matches_scalar(self, seed):
-        conditions, store, __ = self._engine_pair(seed)
+        conditions, store = self._engine_pair(seed)
         scalar = ProbabilityEngine(store)
-        batch = ProbabilityEngine(store.snapshot())
+        batch = ProbabilityEngine(store)
         expected = [scalar.probability(c) for c in conditions]
         actual = batch.probability_many(conditions)
         assert actual == pytest.approx(expected, abs=1e-12)
 
-    def test_pool_matches_scalar(self):
-        conditions, store, __ = self._engine_pair(1, source=empirical_distributions)
-        symbolic = [c for c in conditions if not c.is_constant]
-        # Pad with duplicates so the batch crosses the pool threshold.
-        workload = (symbolic * 8)[:64] or conditions
-        scalar = ProbabilityEngine(store)
-        pooled = ProbabilityEngine(store.snapshot(), n_jobs=2)
-        expected = [scalar.probability(c) for c in workload]
-        actual = pooled.probability_many(workload)
-        assert actual == pytest.approx(expected, abs=1e-12)
-
-    def test_forced_shared_memory_pool_matches_scalar(self, monkeypatch):
-        # decide_workers refuses a pool on single-core CI hosts; force it
-        # so the publish/attach/compute path actually runs in workers.
-        conditions, store, __ = self._engine_pair(2, source=empirical_distributions)
-        workload = [c for c in conditions if not c.is_constant] or conditions
-        scalar = ProbabilityEngine(store)
-        expected = [scalar.probability(c) for c in workload]
-        monkeypatch.setattr(
-            "repro.probability.engine.decide_workers",
-            lambda *a, **k: PoolDecision(2, "parallel: forced by test"),
-        )
-        pooled = ProbabilityEngine(store.snapshot(), n_jobs=2)
-        actual = pooled.probability_many(workload)
-        assert actual == pytest.approx(expected, abs=1e-12)
-        stats = pooled.stats()
-        assert stats["pool_workers"] == 2
-        assert stats["pool_decision"] == "parallel: forced by test"
-        assert stats["parallel_chunks"] >= 2
-        assert len(pooled.parallel_worker_seconds) == stats["parallel_chunks"]
-
-    def test_pool_fallback_decision_is_recorded(self):
-        conditions, store, __ = self._engine_pair(0)
-        engine = ProbabilityEngine(store, n_jobs=64)
-        engine.probability_many(conditions)
-        stats = engine.stats()
-        # Whatever this host decides, the decision must be recorded and
-        # oversubscription must never exceed the usable cores.
-        assert stats["pool_decision"].startswith(("sequential:", "parallel:"))
-        from repro.parallel import usable_cpu_count
-
-        assert stats["pool_workers"] <= usable_cpu_count()
-
-    def test_scalar_and_cached_pool_decisions_recorded(self):
-        conditions, store, __ = self._engine_pair(0)
-        condition = next(c for c in conditions if not c.is_constant)
-        engine = ProbabilityEngine(store)
-        engine.probability(condition)
-        assert "scalar" in engine.stats()["pool_decision"]
-        engine.probability_many([condition])
-        assert "no batch computed yet" not in engine.stats()["pool_decision"]
-        engine.probability_many([condition])  # fully cache-served
-        assert "cache" in engine.stats()["pool_decision"]
-
-    def test_packed_snapshot_roundtrip(self):
-        __, store, ___ = self._engine_pair(1, source=empirical_distributions)
-        clone = DistributionStore.from_packed(
-            {k: np.asarray(v) for k, v in store.pack_snapshot().items()}
-        )
-        for variable in store.variables():
-            np.testing.assert_allclose(
-                clone.pmf(variable), store.pmf(variable), atol=1e-15
-            )
-
     def test_bulk_expressions_match_scalar(self):
-        conditions, store, __ = self._engine_pair(2)
+        conditions, store = self._engine_pair(2)
         leaves = set()
         for condition in conditions:
             leaves.update(condition.distinct_expressions())
         leaves = list(leaves)
-        fresh = store.snapshot()
-        ids, __ = fresh.expressions.intern_clauses([leaves])
-        bulk = fresh.expression_values(fresh.expressions, np.array(ids)).tolist()
+        ids, __ = store.expressions.intern_clauses([leaves])
+        bulk = store.expression_values(store.expressions, np.array(ids)).tolist()
         for expression, value in zip(leaves, bulk):
             assert value == pytest.approx(store.prob_expression(expression), abs=1e-12)
 
     def test_batch_reuses_cache_across_calls(self):
-        conditions, store, __ = self._engine_pair(3)
+        conditions, store = self._engine_pair(3)
         engine = ProbabilityEngine(store)
         first = engine.probability_many(conditions)
         computed = engine.n_computations

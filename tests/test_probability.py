@@ -358,7 +358,12 @@ class TestEngine:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("backend", "forest"), ("compile_node_budget", 8), ("circuit_cache_size", 0)],
+        [
+            ("backend", "forest"),
+            ("compile_node_budget", 8),
+            ("circuit_cache_size", 0),
+            ("n_jobs", 2),
+        ],
     )
     def test_inert_keywords_accept_only_their_value(self, name, value, movies_store):
         ProbabilityEngine(movies_store, **{name: INERT_KEYWORDS[name]})
@@ -612,19 +617,6 @@ class TestDenseTails:
             read(var_greater_const(*W, 0))
         # the unknown expression stays interned; other reads still work
         assert read(var_greater_const(*V, 0)).tolist() == [0.75]
-
-    def test_snapshots_carry_the_constrained_tails(self):
-        constraints = VariableConstraints([3])
-        store = DistributionStore(
-            {V: np.array([0.2, 0.3, 0.5]), W: np.array([0.6, 0.4])}, constraints
-        )
-        constraints.apply_answer(var_greater_const(0, 0, 0), Relation.GREATER)
-        for frozen in (store.snapshot(), DistributionStore.from_packed(store.pack_snapshot())):
-            for variable in (V, W):
-                assert frozen.pmf(variable) == pytest.approx(store.pmf(variable))
-                assert [t.tolist() for t in frozen.tails(variable)] == [
-                    t.tolist() for t in reference_tails(frozen.pmf(variable))
-                ]
 
 
 class TestADPLLAgreesWithNaive:

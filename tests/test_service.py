@@ -435,13 +435,16 @@ class TestServerBasics:
 
     def test_removed_compiled_backend_is_400(self, server):
         """Removed knobs (the probability backend and its two circuit
-        knobs) are unknown keys; a removed value (the ``numpy`` dominator
-        method) is rejected with the surviving choices."""
+        knobs, the process pool's ``n_jobs`` and ``ctable_prune``) are
+        unknown keys; a removed value (the ``numpy`` dominator method) is
+        rejected with the surviving choices."""
         _make_dataset(server, "d1", n=40)
         for config, fragments in (
             ({"probability_backend": "compiled"}, ["unknown config keys: probability_backend"]),
             ({"compile_node_budget": 8}, ["unknown config keys: compile_node_budget"]),
             ({"circuit_cache_size": 0}, ["unknown config keys: circuit_cache_size"]),
+            ({"n_jobs": 2}, ["unknown config keys: n_jobs"]),
+            ({"ctable_prune": "off"}, ["unknown config keys: ctable_prune"]),
             ({"dominator_method": "numpy"}, ["'numpy'", "('fast', 'baseline')"]),
         ):
             status, body, _, _ = server.request(
@@ -688,8 +691,8 @@ class TestDrainAndRecovery:
 
     def test_stored_session_with_removed_backend_fails_alone(self, tmp_path):
         """A persisted config the server can no longer build (here a
-        removed probability-backend knob or the removed ``numpy``
-        dominator method) marks that one session FAILED at restart; the
+        removed probability-backend or process-pool knob, or the removed
+        ``numpy`` dominator method) marks that one session FAILED at restart; the
         server still starts and recovers its siblings."""
         handle = ServerHandle(_settings(tmp_path))
         data_dir = handle.settings.data_dir
@@ -702,6 +705,8 @@ class TestDrainAndRecovery:
             ("bad", {"budget": 4, "latency": 2, "probability_backend": "compiled"}),
             ("bad-budget", {"budget": 4, "latency": 2, "compile_node_budget": 8}),
             ("bad-cache", {"budget": 4, "latency": 2, "circuit_cache_size": 0}),
+            ("bad-jobs", {"budget": 4, "latency": 2, "n_jobs": 2}),
+            ("bad-prune", {"budget": 4, "latency": 2, "ctable_prune": "off"}),
             ("bad-dominator", {"budget": 4, "latency": 2, "dominator_method": "numpy"}),
             ("good", {"budget": 4, "latency": 2, "seed": 3}),
         ):
@@ -720,6 +725,8 @@ class TestDrainAndRecovery:
                 ("bad", "probability_backend"),
                 ("bad-budget", "compile_node_budget"),
                 ("bad-cache", "circuit_cache_size"),
+                ("bad-jobs", "n_jobs"),
+                ("bad-prune", "ctable_prune"),
                 ("bad-dominator", "'numpy'"),
             ):
                 meta = ServiceStore(data_dir).session_meta(session_id)

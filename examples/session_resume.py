@@ -3,19 +3,22 @@
 
 Walks the full durability loop of the session runtime:
 
-1. run a query with a write-ahead answer journal (and checkpoint);
+1. run a query with a write-ahead answer journal;
 2. simulate a crash by aborting the run partway through a round --
-   the journal then holds decisions the checkpoint does not;
-3. resume: checkpoint + journal-suffix replay reproduces the state the
-   crashed process held, and the finished result is bit-identical to an
+   the journal then holds the answers of the cut round;
+3. resume: replaying the journal alone reproduces the state the crashed
+   process held, and the finished result is bit-identical to an
    uninterrupted run;
 4. host the same query under a :class:`SessionSupervisor`, which does
    the restart-and-recover dance automatically.
+
+Exits 1 when a recovered run does not match the uninterrupted one.
 
 Run:
     python examples/session_resume.py
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -72,10 +75,19 @@ class AbortAfterAnswers:
         return getattr(self.inner, name)
 
 
-def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="bayescrowd-session-"))
+def outcome(result):
+    """The fields a recovered run must reproduce exactly."""
+    return (result.answers, result.certain_answers, result.rounds,
+            result.tasks_posted, result.tasks_answered, result.integrity)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="bayescrowd-session-") as tmp:
+        return demo(Path(tmp))
+
+
+def demo(workdir: Path) -> int:
     journal = workdir / "run.journal.jsonl"
-    checkpoint = workdir / "run.ckpt.json"
     dataset = make_dataset()
 
     # --- 1. the uninterrupted reference run ----------------------------
@@ -88,7 +100,7 @@ def main() -> None:
     platform = AbortAfterAnswers(make_platform(dataset), abort_after=5)
     try:
         BayesCrowd(dataset, make_config(), platform=platform).run(
-            journal_path=journal, checkpoint_path=checkpoint
+            journal_path=journal
         )
     except RuntimeError:
         print("\n'crash' injected after %d answers" % platform.answered)
@@ -98,9 +110,9 @@ def main() -> None:
         len(records), " ".join(r.kind for r in records)))
     print("journal verifies: %s" % ("yes" if not journal_problems(journal) else "NO"))
 
-    # --- 3. recover: checkpoint + journal-suffix replay ----------------
+    # --- 3. recover: replay the journal -------------------------------
     resumed = BayesCrowd(dataset, make_config(), platform=platform).run(
-        journal_path=journal, checkpoint_path=checkpoint, resume=True
+        journal_path=journal, resume=True
     )
     counters = resumed.metrics["counters"]
     print("\nresumed run: %d rounds, %d tasks, answers %s" % (
@@ -108,11 +120,9 @@ def main() -> None:
     print("  recovered %d cut round(s), replayed %d journaled answer(s)" % (
         counters.get("recovered_rounds", 0),
         counters.get("journal_replayed_answers", 0)))
+    resumed_matches = outcome(resumed) == outcome(baseline)
     print("  matches the uninterrupted run: %s" % (
-        "yes" if (resumed.answers == baseline.answers
-                  and resumed.rounds == baseline.rounds
-                  and resumed.tasks_posted == baseline.tasks_posted)
-        else "NO"))
+        "yes" if resumed_matches else "NO"))
 
     # --- 4. the same loop, supervised ----------------------------------
     supervisor = SessionSupervisor(workdir / "supervised", max_restarts=2,
@@ -125,9 +135,11 @@ def main() -> None:
         session.state, session.restarts))
     for from_state, to_state, reason in session.transitions:
         print("  %s -> %s (%s)" % (from_state, to_state, reason))
-    print("  supervised answers match: %s" % (
-        "yes" if result.answers == baseline.answers else "NO"))
+    supervised_matches = outcome(result) == outcome(baseline)
+    print("  supervised run matches: %s" % (
+        "yes" if supervised_matches else "NO"))
+    return 0 if resumed_matches and supervised_matches else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,15 +10,18 @@ the same query three times:
    and scheduled transient outages -- the run completes *degraded*, with
    per-fault accounting, and budget is only spent on answered tasks;
 3. the same chaotic run, but killed after two rounds and resumed from
-   its round-level checkpoint -- landing on the identical answer set,
-   because all RNG and platform state rides along in the checkpoint.
+   its write-ahead journal -- landing on the identical result, because
+   all RNG and platform state rides along in the journal's round
+   commits.
 
 Everything is seeded, so the output is identical on every machine.
+Exits 1 when the resumed run does not match the uninterrupted one.
 
 Run:
     python examples/unreliable_crowd.py
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -51,6 +54,12 @@ class KillSwitch:
         return getattr(self.inner, name)
 
 
+def outcome(result):
+    """The fields a resumed run must reproduce exactly."""
+    return (result.answers, result.certain_answers, result.rounds,
+            result.tasks_posted, result.tasks_answered, result.fault_counts)
+
+
 def make_config(faults=None):
     return BayesCrowdConfig(
         alpha=0.06,
@@ -64,7 +73,7 @@ def make_config(faults=None):
     )
 
 
-def main() -> None:
+def main() -> int:
     dataset = generate_nba(n_objects=250, missing_rate=0.1, seed=17)
     truth = skyline(dataset.complete)
     chaos = FaultModel(
@@ -91,31 +100,32 @@ def main() -> None:
         chaotic.tasks_answered,
         " + ".join(str(r.tasks_answered) for r in chaotic.history)))
 
-    # --- 3. crash after round 2, resume from the checkpoint -----------
+    # --- 3. crash after round 2, resume from the journal --------------
     with tempfile.TemporaryDirectory() as tmp:
-        checkpoint = Path(tmp) / "campaign.ckpt.json"
+        journal = Path(tmp) / "campaign.journal.jsonl"
         crashed = BayesCrowd(dataset, make_config(chaos))
         crashed.platform = KillSwitch(crashed.platform, after=2)
         try:
-            crashed.run(checkpoint_path=checkpoint)
+            crashed.run(journal_path=journal)
         except KeyboardInterrupt:
-            print("\ncrashed after 2 rounds; checkpoint at %s" % checkpoint.name)
+            print("\ncrashed after 2 rounds; journal at %s" % journal.name)
         resumed = BayesCrowd(dataset, make_config(chaos)).run(
-            checkpoint_path=checkpoint, resume=True
+            journal_path=journal, resume=True
         )
+    matches = outcome(resumed) == outcome(chaotic)
     print("resumed run:  F1 %.3f | resumed=%s | matches uninterrupted: %s" % (
-        f1_score(resumed.answers, truth), resumed.resumed,
-        resumed.answers == chaotic.answers))
+        f1_score(resumed.answers, truth), resumed.resumed, matches))
 
     # Even across faults and a resume, the engine's perf counters keep an
-    # honest ledger of the work done after the checkpoint was restored.
+    # honest ledger of the work done after the journal was replayed.
     stats = resumed.engine_stats
     print("resumed perf: %d probabilities (%.0f/s), cache hit rate %.0f%%, "
           "%d objects rescored in %d rankings" % (
               stats["computations"], stats["probabilities_per_sec"],
               100 * stats["cache_hit_rate"], stats["objects_rescored"],
               stats["rankings"]))
+    return 0 if matches else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -44,11 +44,8 @@ from .datasets import (
 from .metrics import accuracy_report, f1_score
 from .obs import EventLog, MetricsRegistry, Tracer
 from .persistence import (
-    QueryCheckpoint,
-    load_checkpoint,
     load_dataset,
     load_result,
-    save_checkpoint,
     save_dataset,
     save_result,
 )
@@ -93,9 +90,6 @@ __all__ = [
     "load_dataset",
     "save_result",
     "load_result",
-    "QueryCheckpoint",
-    "save_checkpoint",
-    "load_checkpoint",
     "FaultModel",
     "UnreliableCrowdPlatform",
     "CheckpointError",

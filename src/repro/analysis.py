@@ -100,9 +100,9 @@ def accuracy_trajectory(
     dataset,
     config,
     ground_truth: Sequence[int],
-    checkpoints: Optional[Sequence[int]] = None,
+    budgets: Optional[Sequence[int]] = None,
 ) -> List[Dict[str, float]]:
-    """F1 after each budget checkpoint (re-runs the query per point).
+    """F1 at each budget in ``budgets`` (re-runs the query per point).
 
     Deterministic components are seeded identically, so the trajectory is
     the fair "accuracy vs spend" curve of one requester strategy.
@@ -111,11 +111,11 @@ def accuracy_trajectory(
 
     from .core.framework import BayesCrowd
 
-    if checkpoints is None:
+    if budgets is None:
         step = max(1, config.budget // 5)
-        checkpoints = list(range(0, config.budget + 1, step))
+        budgets = list(range(0, config.budget + 1, step))
     trajectory = []
-    for budget in checkpoints:
+    for budget in budgets:
         point_config = dataclasses.replace(config, budget=budget)
         result = BayesCrowd(dataset, point_config).run()
         trajectory.append(

@@ -127,12 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="what happens to unanswered tasks",
     )
     resilience.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="write a round-level checkpoint to PATH after every round",
-    )
-    resilience.add_argument(
         "--resume", action="store_true",
-        help="resume from --checkpoint and/or --journal PATH if present",
+        help="resume from the --journal PATH, if the file exists",
     )
     resilience.add_argument(
         "--journal", metavar="PATH", default=None,
@@ -180,7 +176,7 @@ def _fault_model(args) -> "FaultModel | None":
 def _cancel_on_signals(session: SessionContext):
     """Route SIGTERM/SIGINT to the session's cooperative cancellation.
 
-    Batch runs park at the next phase boundary with journal + checkpoint
+    Batch runs park at the next phase boundary with the journal
     intact (exit 3, resumable with ``--resume``) instead of dying
     mid-mutation.  No-op outside the main thread (signal module rules)
     and handlers are always restored.
@@ -211,8 +207,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return serve_main(raw[1:])
     args = build_parser().parse_args(raw)
-    if args.resume and not (args.checkpoint or args.journal):
-        print("--resume needs --checkpoint or --journal PATH", file=sys.stderr)
+    if args.resume and not args.journal:
+        print("--resume needs --journal PATH", file=sys.stderr)
         return 2
     try:
         faults = _fault_model(args)
@@ -304,13 +300,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                    dataset.missing_rate),
                 flush=True,
             )
-            result = query.run(checkpoint_path=args.checkpoint, resume=args.resume)
+            result = query.run(resume=args.resume)
     except (CheckpointError, JournalError) as err:
         print("cannot resume: %s" % err, file=sys.stderr)
         return 2
     except SessionCancelledError as err:
         print(
-            "run cancelled: %s (journal/checkpoint state remains; "
+            "run cancelled: %s (journal state remains; "
             "re-run with --resume to continue)" % err,
             file=sys.stderr,
         )
@@ -332,11 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     )
     if result.resumed:
-        sources = [
-            "checkpoint %s" % args.checkpoint if args.checkpoint else None,
-            "journal %s" % args.journal if args.journal else None,
-        ]
-        print("resumed from %s" % " + ".join(s for s in sources if s))
+        print("resumed from journal %s" % args.journal)
     if result.degraded:
         faults_text = ", ".join(
             "%s=%d" % (key, value) for key, value in sorted(result.fault_counts.items())

@@ -130,14 +130,14 @@ class BayesCrowdConfig:
     #: write-ahead answer journal (CLI: --journal): every accepted
     #: answer / quarantine / budget charge is durably appended *before*
     #: engine state mutates, so a crashed run resumes bit-identically
-    #: from checkpoint + journal replay; None disables journaling
+    #: from journal replay; None disables journaling
     journal_path: Optional[Union[str, Path]] = None
     #: fsync every journal append (the durability guarantee); False
     #: trades the last few records for speed in tests/benchmarks
     journal_fsync: bool = True
     #: wall-clock deadline for the whole run in seconds (0 = none); on
     #: expiry the session raises SessionCancelledError at the next phase
-    #: boundary -- journaled/checkpointed state survives for resumption
+    #: boundary -- journaled state survives for resumption
     session_deadline_s: float = 0.0
     #: RNG seed for every stochastic component of the run
     seed: int = 0

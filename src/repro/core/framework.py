@@ -19,8 +19,9 @@ only ever charged for *answered* tasks, matching the paper's cost model),
 transient platform errors are retried with bounded exponential backoff,
 expired tasks are refunded and abandoned, and fatal errors end the run
 gracefully with ``QueryResult.degraded`` set instead of crashing.  With a
-``checkpoint_path`` the run snapshots its answer state after every round
-and can resume (``resume=True``) without re-spending crowd budget.
+``journal_path`` every answer is made durable in a write-ahead journal
+before it is applied, and a killed run resumes (``resume=True``) from
+that journal alone without re-spending crowd budget.
 
 Every run is observable, and its span tree is its only clock: the layer
 spans of :data:`repro.obs.PIPELINE_PHASES` feed wall-time histograms in a
@@ -66,7 +67,6 @@ from ..errors import (
     PlatformTransientError,
     TaskExpiredError,
 )
-from ..ctable.expression import Expression, Relation
 from ..obs import PIPELINE_PHASES, EventLog, MetricsRegistry, Span, Tracer
 from ..probability.distributions import DistributionStore
 from ..probability.engine import ProbabilityEngine
@@ -134,7 +134,6 @@ class _CrowdRunState:
     budget: int
     reask_budget_total: int
     history: List[RoundRecord] = field(default_factory=list)
-    answer_log: List[Tuple[Expression, Relation]] = field(default_factory=list)
     pending: List[ComparisonTask] = field(default_factory=list)
     fault_totals: Dict[str, int] = field(default_factory=dict)
     degraded: bool = False
@@ -319,29 +318,24 @@ class BayesCrowd:
         #: run-scoped collaborators of the round planner/executor
         self._journal: Optional[AnswerJournal] = None
         self._ranker: Optional[IncrementalRanker] = None
-        self._checkpoint_path: Optional[Path] = None
 
     # ------------------------------------------------------------------
     def run(
         self,
-        checkpoint_path: Optional[Union[str, Path]] = None,
+        *,
         resume: bool = False,
         journal_path: Optional[Union[str, Path]] = None,
         journal_crash_after: Optional[int] = None,
     ) -> QueryResult:
         """Execute the query and return the answer set with run statistics.
 
-        With ``checkpoint_path`` the answer state, remaining budget and
-        round history are snapshotted after every crowdsourcing round;
-        ``resume=True`` continues from such a snapshot (if the file
-        exists) instead of re-spending crowd budget.
-
         With ``journal_path`` (or ``config.journal_path``) every accepted
         answer, quarantine verdict and budget charge is durably appended
         to a write-ahead journal *before* engine state mutates, so a run
-        killed at any instant resumes bit-identically: recovery folds the
-        last checkpoint (if any) plus the journal suffix back into a
-        fresh c-table and finishes the interrupted round deterministically.
+        killed at any instant resumes bit-identically: with
+        ``resume=True`` recovery replays the journal (if the file exists)
+        into a fresh c-table and finishes the interrupted round
+        deterministically instead of re-spending crowd budget.
         ``journal_crash_after`` is the crash-injection test hook (SIGKILL
         after the N-th journal append); production code never sets it.
 
@@ -394,7 +388,6 @@ class BayesCrowd:
                         registry,
                         events,
                         tracer,
-                        checkpoint_path,
                         resume,
                         journal_path,
                         journal_crash_after,
@@ -528,7 +521,6 @@ class BayesCrowd:
         registry: MetricsRegistry,
         events: EventLog,
         tracer: Tracer,
-        checkpoint_path: Optional[Union[str, Path]],
         resume: bool,
         journal_path: Optional[Union[str, Path]] = None,
         journal_crash_after: Optional[int] = None,
@@ -564,7 +556,7 @@ class BayesCrowd:
             self.engine = engine
             # Answer integrity: the ledger shares the c-table's constraint
             # store, so its contradiction checks see exactly the accepted
-            # answers (including everything a checkpoint replays below).
+            # answers (including everything journal replay folds in below).
             ledger = AnswerLedger(constraints=ctable.constraints)
             reliability = WorkerReliability(prior=config.reliability_prior)
             self.ledger = ledger
@@ -589,8 +581,8 @@ class BayesCrowd:
             )
 
         # --- crowdsourcing phase --------------------------------------
-        # Recovery replays a resumed run's journaled and checkpointed
-        # answers into the c-table: answer-application time.
+        # Recovery replays a resumed run's journaled answers into the
+        # c-table: answer-application time.
         with tracer.span("ctable.apply"):
             # Durable write-ahead journal: every accepted answer, quarantine
             # verdict and budget charge is appended (and fsync-ed) *before*
@@ -621,22 +613,12 @@ class BayesCrowd:
                             "session": self.session.session_id,
                         },
                     )
-            checkpoint = None
-            if (
-                resume
-                and checkpoint_path is not None
-                and Path(checkpoint_path).exists()
-            ):
-                from ..persistence import load_checkpoint
-
-                checkpoint = load_checkpoint(checkpoint_path)
             recovered = recover_run_state(
                 ctable,
                 ledger,
                 reliability,
                 self._fingerprint(),
                 config.budget,
-                checkpoint=checkpoint,
                 journal_records=journal_records,
             )
             self._restore_snapshots(recovered)
@@ -644,7 +626,6 @@ class BayesCrowd:
             budget=recovered.budget_left,
             reask_budget_total=int(config.reask_budget_frac * config.budget),
             history=recovered.history,
-            answer_log=recovered.answer_log,
             pending=recovered.pending,
             fault_totals=recovered.fault_totals,
             degraded=recovered.degraded,
@@ -659,7 +640,7 @@ class BayesCrowd:
             events.emit(
                 "resumed",
                 rounds_done=len(run.history),
-                answers_replayed=len(run.answer_log),
+                answers_replayed=ledger.answers_applied,
                 budget_left=run.budget,
             )
         if recovered.replayed_answers or recovered.deduped_answers:
@@ -668,13 +649,10 @@ class BayesCrowd:
                 replayed=recovered.replayed_answers,
                 deduped=recovered.deduped_answers,
             )
-        # Built after any checkpoint/journal replay: the ranker re-scores
+        # Built after any journal replay: the ranker re-scores
         # only objects whose conditions a round's answers actually touched.
         ranker = IncrementalRanker(ctable, engine)
         self._ranker = ranker
-        self._checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
         with tracer.span("crowd"):
             if recovered.interrupted is not None:
                 registry.counter("recovered_rounds").inc(1)
@@ -964,7 +942,7 @@ class BayesCrowd:
         Write-ahead ordering: ``round_begin`` (tasks + pre-post RNG /
         platform / allocator snapshots) is journaled before posting,
         every answer before the ledger and c-table mutate, and
-        ``round_commit`` before the round checkpoint.  For a recovered
+        ``round_commit`` once the round is complete.  For a recovered
         plan the ``round_begin`` is already durable, and answers the
         crashed process journaled are recognised by task id: their
         verdict, budget charge and post-arbitration RNG snapshot come
@@ -1100,7 +1078,6 @@ class BayesCrowd:
                     self._ranker.mark_dirty(
                         ctable.apply_answer(task.expression, relation)
                     )
-                run.answer_log.append((task.expression, relation))
                 reliability.observe_votes(votes, relation)
                 applied_count += 1
                 continue
@@ -1182,8 +1159,8 @@ class BayesCrowd:
             faults=dict(round_faults),
         )
         if journal is not None:
-            # The commit is a mini-checkpoint: with it, a journal alone
-            # (no checkpoint file) can recover the whole run.
+            # The commit carries the post-round loop state, so the
+            # journal alone can recover the whole run.
             journal.append(
                 "round_commit",
                 {
@@ -1198,8 +1175,6 @@ class BayesCrowd:
                     "task_ids": self.session.task_ids.state_dict(),
                 },
             )
-        if self._checkpoint_path is not None:
-            self._write_checkpoint(self._checkpoint_path, run)
 
     def _maybe_reask(
         self,
@@ -1275,7 +1250,7 @@ class BayesCrowd:
             )
 
     # ------------------------------------------------------------------
-    # checkpoint / resume
+    # resume
     # ------------------------------------------------------------------
     def _restore_snapshots(self, state) -> None:
         """Load the RNG, platform and task-id snapshots a recovery carries."""
@@ -1294,7 +1269,7 @@ class BayesCrowd:
         return state_fn() if callable(state_fn) else None
 
     def _fingerprint(self) -> Dict[str, object]:
-        """Identity of the query a checkpoint belongs to.
+        """Identity of the query a journal belongs to.
 
         Latency is deliberately excluded so an interrupted run may resume
         with a larger round allowance.
@@ -1309,42 +1284,6 @@ class BayesCrowd:
             "alpha": config.alpha,
             "answer_threshold": config.answer_threshold,
         }
-
-    def _write_checkpoint(self, path, run: _CrowdRunState) -> None:
-        from ..persistence import QueryCheckpoint, save_checkpoint
-
-        save_checkpoint(
-            path,
-            QueryCheckpoint(
-                fingerprint=self._fingerprint(),
-                budget_left=run.budget,
-                answer_log=list(run.answer_log),
-                pending=[
-                    (t.expression, t.for_object, t.task_id, t.reask_of)
-                    for t in run.pending
-                ],
-                history=list(run.history),
-                fault_totals=dict(run.fault_totals),
-                degraded=run.degraded,
-                rng_state=self._rng.bit_generator.state,
-                platform_state=self._platform_state(),
-                ledger_state=(
-                    self.ledger.state_dict() if self.ledger is not None else None
-                ),
-                reliability_state=(
-                    self.reliability.state_dict()
-                    if self.reliability is not None
-                    else None
-                ),
-                # v3: the journal sequence this checkpoint covers -- only
-                # records *after* it are replayed on resume -- and the
-                # allocator snapshot so resumed tasks keep stable ids.
-                journal_seq=(
-                    self._journal.last_seq if self._journal is not None else None
-                ),
-                task_ids_state=self.session.task_ids.state_dict(),
-            ),
-        )
 
 
 def run_bayescrowd(

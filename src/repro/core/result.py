@@ -75,7 +75,7 @@ class QueryResult:
     degraded: bool = False
     #: run-level fault totals (sums of the per-round RoundRecord.faults)
     fault_counts: Dict[str, int] = field(default_factory=dict)
-    #: True when this run was resumed from a round-level checkpoint
+    #: True when this run was resumed from its write-ahead journal
     resumed: bool = False
     #: answer-integrity accounting (AnswerLedger.summary()):
     #: answers_aggregated/applied/quarantined/reasked, contradiction

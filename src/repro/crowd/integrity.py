@@ -29,7 +29,7 @@ The ledger maintains the accounting invariant checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..ctable.constraints import VariableConstraints
@@ -70,39 +70,6 @@ class LedgerEntry:
 
     def is_conflict(self) -> bool:
         return self.reason is not None
-
-    def to_dict(self) -> dict:
-        from ..persistence import expression_to_json
-
-        return {
-            "seq": self.seq,
-            "expression": expression_to_json(self.expression),
-            "relation": self.relation.value,
-            "status": self.status,
-            "reason": self.reason,
-            "round": self.round_index,
-            "task_id": self.task_id,
-            "votes": [[wid, rel.value] for wid, rel in self.votes],
-            "reask_of": self.reask_of,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LedgerEntry":
-        from ..persistence import expression_from_json
-
-        return cls(
-            seq=int(data["seq"]),
-            expression=expression_from_json(data["expression"]),
-            relation=Relation(data["relation"]),
-            status=str(data["status"]),
-            reason=data.get("reason"),
-            round_index=int(data.get("round", 0)),
-            task_id=data.get("task_id"),
-            votes=tuple(
-                (int(wid), Relation(rel)) for wid, rel in data.get("votes", [])
-            ),
-            reask_of=data.get("reask_of"),
-        )
 
 
 class AnswerLedger:
@@ -169,8 +136,8 @@ class AnswerLedger:
         """Is an answer for this task id already in the ledger?
 
         Journal replay uses this to make re-application idempotent: an
-        answer whose task id is already recorded (because the checkpoint
-        covered it, or a resumed round reproduced it) is a no-op.
+        answer whose task id is already recorded (a repeated journal
+        record, or a resumed round reproducing it) is a no-op.
         """
         return task_id in self._task_ids
 
@@ -301,56 +268,3 @@ class AnswerLedger:
 
     def __iter__(self) -> Iterator[LedgerEntry]:
         return iter(self._entries)
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot (constraints are *not* included:
-        they are rebuilt by replaying the applied answers)."""
-        from ..persistence import expression_to_json
-
-        return {
-            "entries": [entry.to_dict() for entry in self._entries],
-            "reask_attempts": [
-                [expression_to_json(expression), attempts]
-                for expression, attempts in self._reask_attempts.items()
-            ],
-            "answers_reasked": self.answers_reasked,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore entries/counters recorded by :meth:`state_dict`.
-
-        The constraint store is left untouched: in attached mode the
-        framework replays the checkpoint's answer log through the
-        c-table, which reconstructs the exact accepted-answer state.
-        """
-        from ..persistence import expression_from_json
-
-        self._entries = [
-            LedgerEntry.from_dict(entry) for entry in state.get("entries", [])
-        ]
-        self._task_ids = {
-            e.task_id for e in self._entries if e.task_id is not None
-        }
-        self.answers_applied = sum(
-            1 for e in self._entries if e.status == "applied"
-        )
-        self.answers_quarantined = sum(
-            1 for e in self._entries if e.status == "quarantined"
-        )
-        self.contradictions_detected = sum(
-            1 for e in self._entries if e.reason is not None
-        )
-        self._conflicts_by_reason = {}
-        for entry in self._entries:
-            if entry.reason is not None:
-                self._conflicts_by_reason[entry.reason] = (
-                    self._conflicts_by_reason.get(entry.reason, 0) + 1
-                )
-        self._reask_attempts = {
-            expression_from_json(expression): int(attempts)
-            for expression, attempts in state.get("reask_attempts", [])
-        }
-        self.answers_reasked = int(state.get("answers_reasked", 0))

@@ -199,7 +199,7 @@ class SimulatedCrowdPlatform:
                 seen[variable] = task
 
     # ------------------------------------------------------------------
-    # checkpoint support
+    # journal snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Serializable snapshot of the platform's evolving state.

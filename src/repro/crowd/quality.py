@@ -188,24 +188,6 @@ class WorkerReliability:
     def n_workers(self) -> int:
         return len(self._observed)
 
-    # -- checkpoint support --------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "prior": list(self.prior),
-            "observed": {
-                str(worker_id): list(counts)
-                for worker_id, counts in self._observed.items()
-            },
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "WorkerReliability":
-        prior = state.get("prior", DEFAULT_RELIABILITY_PRIOR)
-        tracker = cls(prior=(float(prior[0]), float(prior[1])))
-        for worker_id, counts in state.get("observed", {}).items():
-            tracker._observed[int(worker_id)] = [float(counts[0]), float(counts[1])]
-        return tracker
-
 
 def filter_pool(
     pool: WorkerPool,

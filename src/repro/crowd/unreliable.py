@@ -190,7 +190,7 @@ class UnreliableCrowdPlatform:
         return delivered
 
     # ------------------------------------------------------------------
-    # checkpoint support
+    # journal snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         state = {

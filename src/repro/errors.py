@@ -23,9 +23,9 @@ bug rather than a platform fault:
   batch (the answers dict would silently collapse the duplicates while
   the money accounting charged for both).
 
-Independently of batches, :class:`CheckpointError` marks an unusable
-round-level checkpoint (wrong version, or written by a different
-query/config than the one trying to resume).
+Independently of batches, :class:`CheckpointError` marks durable run
+state that cannot be resumed: a write-ahead journal written by a
+different query/config than the one trying to resume.
 
 Beyond the crowd boundary the library raises three more typed errors:
 
@@ -87,7 +87,7 @@ class DuplicateTaskError(BatchRejectedError):
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint could not be used to resume a query run."""
+    """Durable run state belongs to another query and cannot be resumed."""
 
 
 class ConfigError(ValueError):
@@ -132,7 +132,7 @@ class SessionCancelledError(RuntimeError):
 
     Raised from a :meth:`repro.session.CancellationToken.check` call at a
     phase boundary (or inside a long-running phase loop).  State already
-    journaled/checkpointed stays durable: a cancelled run can resume.
+    journaled stays durable: a cancelled run can resume.
     """
 
     def __init__(self, phase: str = "", reason: str = "") -> None:

@@ -1,11 +1,11 @@
-"""Saving and loading datasets, query results and run checkpoints.
+"""Saving and loading datasets and query results.
 
 A library users adopt needs durable artifacts: datasets round-trip
-through ``.npz`` (values + mask + ground truth + metadata), query
-results through JSON, and in-flight query runs through round-level
-*checkpoints* (the c-table answer state, remaining budget and round
-history), so experiment pipelines can snapshot inputs and outcomes --
-and resume interrupted crowd campaigns -- without pickling live objects.
+through ``.npz`` (values + mask + ground truth + metadata) and query
+results through JSON, so experiment pipelines can snapshot inputs and
+outcomes without pickling live objects.  In-flight runs are made
+durable by the write-ahead answer journal (:mod:`repro.session.journal`),
+which borrows this module's expression and round-record JSON forms.
 """
 
 from __future__ import annotations
@@ -13,33 +13,19 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Union
 
 import numpy as np
 
 from .core.result import QueryResult, RoundRecord
-from .ctable.expression import Const, Expression, Relation, Var
+from .ctable.expression import Const, Expression, Var
 from .datasets.dataset import IncompleteDataset
-from .errors import CheckpointError
 
 PathLike = Union[str, Path]
 
 #: file-format version written into every artifact
 FORMAT_VERSION = 1
-
-#: file-format version of run checkpoints.  v2 added the answer-integrity
-#: ledger and per-worker reliability snapshots; v3 layers the write-ahead
-#: answer journal underneath (``journal_seq`` records how much of the
-#: journal the checkpoint covers), snapshots the per-session task-id
-#: allocator and keeps task identity on pending entries.  v1/v2
-#: checkpoints still load (missing state starts empty / at its prior,
-#: and a journal cannot be layered on top of them).
-CHECKPOINT_VERSION = 3
-
-#: checkpoint versions :func:`load_checkpoint` accepts
-_SUPPORTED_CHECKPOINT_VERSIONS = (1, 2, 3)
 
 
 def _fsync_directory(path: Path) -> None:
@@ -84,7 +70,7 @@ def atomic_write(path: PathLike, write_payload, mode: str = "w") -> None:
     instant leaves either the old file or the new one, never a torn mix;
     the fsync-before-rename (plus a directory fsync after) makes the
     rename itself durable.  Every durable artifact in the library --
-    datasets, results, checkpoints, the service store's metadata and
+    datasets, results, metrics, the service store's metadata and
     index -- goes through this one helper, so the torn-write/disk-full
     fault suite covers them all at once.
     """
@@ -109,10 +95,6 @@ def atomic_write(path: PathLike, write_payload, mode: str = "w") -> None:
         raise
 
 
-#: Backward-compatible alias (pre-service internal name).
-_atomic_write = atomic_write
-
-
 # ----------------------------------------------------------------------
 # datasets
 # ----------------------------------------------------------------------
@@ -133,7 +115,7 @@ def save_dataset(dataset: IncompleteDataset, path: PathLike) -> None:
     # atomic rename so the final name matches the historical behaviour.
     if not path.name.endswith(".npz"):
         path = path.with_name(path.name + ".npz")
-    _atomic_write(
+    atomic_write(
         path,
         lambda handle: np.savez_compressed(handle, **payload, allow_pickle=True),
         mode="wb",
@@ -215,7 +197,7 @@ def result_to_dict(result: QueryResult) -> dict:
 def save_result(result: QueryResult, path: PathLike) -> None:
     """Write a query result to JSON (atomically: temp file + rename)."""
     text = json.dumps(result_to_dict(result), indent=2)
-    _atomic_write(Path(path), lambda handle: handle.write(text))
+    atomic_write(Path(path), lambda handle: handle.write(text))
 
 
 def load_result(path: PathLike) -> QueryResult:
@@ -253,7 +235,7 @@ def load_result(path: PathLike) -> QueryResult:
 
 
 # ----------------------------------------------------------------------
-# run checkpoints
+# c-table expressions (the journal's wire form)
 # ----------------------------------------------------------------------
 def _operand_to_json(operand) -> dict:
     if isinstance(operand, Const):
@@ -279,127 +261,3 @@ def expression_to_json(expression: Expression) -> dict:
 def expression_from_json(data: dict) -> Expression:
     """Inverse of :func:`expression_to_json`."""
     return Expression(_operand_from_json(data["left"]), _operand_from_json(data["right"]))
-
-
-@dataclass
-class QueryCheckpoint:
-    """Everything needed to resume a crowdsourcing run after a round.
-
-    The c-table itself is *not* serialized: it is rebuilt
-    deterministically from the dataset and config, and ``answer_log`` is
-    replayed through :meth:`CTable.apply_answer`, which reproduces the
-    exact constraint state.  RNG and platform snapshots make the resumed
-    run bit-identical to an uninterrupted one with the same seed.
-    """
-
-    #: identity of the owning query (dataset + key config values)
-    fingerprint: Dict[str, object]
-    #: budget remaining after the checkpointed round
-    budget_left: int
-    #: every crowd answer folded in so far, in application order
-    answer_log: List[Tuple[Expression, Relation]]
-    #: requeued-but-unanswered tasks: v3 stores
-    #: ``(expression, for_object, task_id, reask_of)`` so a resumed run
-    #: reposts bit-identical tasks; v1/v2 files load as 2-tuples
-    pending: List[Tuple] = field(default_factory=list)
-    history: List[RoundRecord] = field(default_factory=list)
-    fault_totals: Dict[str, int] = field(default_factory=dict)
-    degraded: bool = False
-    #: ``numpy.random.Generator.bit_generator.state`` of the framework RNG
-    rng_state: Optional[dict] = None
-    #: opaque ``platform.state_dict()`` snapshot, when supported
-    platform_state: Optional[dict] = None
-    #: ``AnswerLedger.state_dict()`` snapshot (v2+; None on v1 files)
-    ledger_state: Optional[dict] = None
-    #: ``WorkerReliability.state_dict()`` snapshot (v2+; None on v1 files)
-    reliability_state: Optional[dict] = None
-    #: last journal sequence number this checkpoint covers (v3+); None
-    #: means "no journal coverage information" -- recovery then ignores
-    #: any journal rather than risk double-applying its records
-    journal_seq: Optional[int] = None
-    #: ``TaskIdAllocator.state_dict()`` snapshot (v3+; None on older files)
-    task_ids_state: Optional[dict] = None
-
-
-def save_checkpoint(checkpoint_or_path, path_or_checkpoint) -> None:
-    """Write a :class:`QueryCheckpoint` to JSON (atomically).
-
-    Accepts ``(checkpoint, path)`` or ``(path, checkpoint)``; the write
-    goes through a temp file + rename so a crash mid-write never leaves
-    a truncated checkpoint behind.
-    """
-    if isinstance(checkpoint_or_path, QueryCheckpoint):
-        checkpoint, path = checkpoint_or_path, path_or_checkpoint
-    else:
-        path, checkpoint = checkpoint_or_path, path_or_checkpoint
-    path = Path(path)
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "bayescrowd-checkpoint",
-        "fingerprint": checkpoint.fingerprint,
-        "budget_left": checkpoint.budget_left,
-        "answer_log": [
-            [expression_to_json(expression), relation.value]
-            for expression, relation in checkpoint.answer_log
-        ],
-        "pending": [
-            # arity-preserving: v1/v2-style (expression, obj) pairs stay
-            # pairs; v3 4-tuples keep task_id and reask_of
-            [expression_to_json(entry[0])] + list(entry[1:])
-            for entry in checkpoint.pending
-        ],
-        "history": [_round_to_dict(record) for record in checkpoint.history],
-        "fault_totals": dict(checkpoint.fault_totals),
-        "degraded": checkpoint.degraded,
-        "rng_state": checkpoint.rng_state,
-        "platform_state": checkpoint.platform_state,
-        "ledger_state": checkpoint.ledger_state,
-        "reliability_state": checkpoint.reliability_state,
-        "journal_seq": checkpoint.journal_seq,
-        "task_ids_state": checkpoint.task_ids_state,
-    }
-    _atomic_write(path, lambda handle: json.dump(payload, handle, indent=2))
-
-
-def load_checkpoint(path: PathLike) -> QueryCheckpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise CheckpointError("unreadable checkpoint at %s: %s" % (path, err)) from err
-    if data.get("kind") != "bayescrowd-checkpoint":
-        raise CheckpointError("%s is not a BayesCrowd checkpoint" % path)
-    version = int(data.get("format_version", -1))
-    if version not in _SUPPORTED_CHECKPOINT_VERSIONS:
-        raise CheckpointError(
-            "unsupported checkpoint version %d (expected one of %r)"
-            % (version, _SUPPORTED_CHECKPOINT_VERSIONS)
-        )
-    return QueryCheckpoint(
-        fingerprint=dict(data["fingerprint"]),
-        budget_left=int(data["budget_left"]),
-        answer_log=[
-            (expression_from_json(entry), Relation(value))
-            for entry, value in data.get("answer_log", [])
-        ],
-        pending=[
-            # v1/v2: [expression, obj]; v3: [expression, obj, task_id,
-            # reask_of].  Both load; recovery normalizes the arity.
-            (expression_from_json(entry[0]),) + tuple(entry[1:])
-            for entry in data.get("pending", [])
-        ],
-        history=[_round_from_dict(entry) for entry in data.get("history", [])],
-        fault_totals={k: int(v) for k, v in data.get("fault_totals", {}).items()},
-        degraded=bool(data.get("degraded", False)),
-        rng_state=data.get("rng_state"),
-        platform_state=data.get("platform_state"),
-        # v1 files carry neither key: both default to None and the run
-        # starts with an empty ledger / prior reliability.
-        ledger_state=data.get("ledger_state"),
-        reliability_state=data.get("reliability_state"),
-        # v3 keys; None on older files (recovery treats a None
-        # journal_seq as "journal coverage unknown").
-        journal_seq=data.get("journal_seq"),
-        task_ids_state=data.get("task_ids_state"),
-    )

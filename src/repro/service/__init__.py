@@ -2,7 +2,7 @@
 
 ``repro serve`` (or ``python -m repro.service``) turns the in-process
 session substrate -- :class:`~repro.session.SessionSupervisor`, the
-write-ahead answer journal and checkpointing -- into a long-running
+write-ahead answer journal and its recovery -- into a long-running
 network service with admission control, graceful drain on SIGTERM and
 crash-proof restart from its persistent on-disk store.
 """

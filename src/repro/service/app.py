@@ -12,11 +12,11 @@ substrate (:class:`~repro.session.SessionSupervisor` + the write-ahead
   bounded queue (overflow -> 429/shed per policy) and are durably
   appended to a per-session answers log *before* the client is acked;
 * **drain** -- SIGTERM stops admission, cooperatively cancels running
-  sessions (journal + checkpoint make them resumable) and waits
+  sessions (their journals make them resumable) and waits
   bounded time for them to park;
 * **recovery** -- startup rescans the store, re-opens every
-  non-terminal session through the supervisor's journal+checkpoint
-  recovery (bit-identical by the crash-matrix contract) and re-enqueues
+  non-terminal session through the supervisor's journal recovery
+  (bit-identical by the crash-matrix contract) and re-enqueues
   durable answer submissions the engine had not consumed.
 """
 
@@ -327,7 +327,7 @@ class ServiceApp:
             return
         if result is None:
             # Cooperative pause (drain, client pause or deadline): the
-            # journal + checkpoint on disk make the session resumable.
+            # journal on disk makes the session resumable.
             session = self.supervisor.get(session_id)
             self.store.update_session(
                 session_id,

@@ -8,7 +8,6 @@ Layout under one root directory::
       datasets/<id>.meta.json      # creation metadata
       sessions/<sid>.meta.json     # session record: dataset, config, state
       sessions/<sid>.journal.jsonl # write-ahead answer journal (engine)
-      sessions/<sid>.checkpoint.json
       sessions/<sid>.trace.jsonl   # EventLog JSONL (the wire format)
       sessions/<sid>.metrics.json  # final metrics snapshot
       sessions/<sid>.result.json   # final QueryResult (save_result)
@@ -23,7 +22,10 @@ fsync-per-record, not whole-file replacement).
 The store is the restart source of truth: :meth:`recoverable_sessions`
 returns every session whose last persisted state is non-terminal, which
 is exactly the set the service re-opens through the supervisor's
-journal+checkpoint recovery at startup.
+journal recovery at startup.  The journal is a session's only durable
+run state: the engine resumes from it alone, and a file not listed
+above (such as the per-round state file an older release wrote beside
+the journal) is never read.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ Layers, bottom up:
   allocation and the ambient-session ContextVar (re-entrancy);
 * :mod:`~repro.session.journal` -- durable write-ahead answer journal
   (append-only JSONL, fsync + per-record checksums);
-* :mod:`~repro.session.recovery` -- checkpoint + journal-suffix replay
-  to bit-identical run state;
+* :mod:`~repro.session.recovery` -- journal replay to bit-identical
+  run state;
 * :mod:`~repro.session.supervisor` -- per-session state machine,
   bounded restart-with-backoff, backpressured answer intake.
 """

@@ -9,7 +9,7 @@ killing the process.  A :class:`CancellationToken` is the contract:
   boundaries (per round, per c-table object, per probability condition)
   and gets a typed :class:`~repro.errors.SessionCancelledError` once the
   token is cancelled or its deadline passed;
-* anything already journaled or checkpointed stays durable, so a
+* anything already journaled stays durable, so a
   cancelled run is *paused*, not lost -- resuming replays the journal.
 
 Deadlines compose: :meth:`remaining` exposes the time left so inner

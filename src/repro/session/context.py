@@ -50,7 +50,7 @@ class TaskIdAllocator:
 
     The global ``itertools.count`` the tasks module falls back to resets
     every process and interleaves across sessions; this allocator is
-    owned by one session, snapshots into checkpoints/journal records,
+    owned by one session, snapshots into journal records,
     and can :meth:`reserve` ids replayed from a journal so a recovered
     process never re-allocates an id the crashed process already used.
     """
@@ -134,7 +134,7 @@ class SessionContext:
             _active_session.reset(token)
 
     # ------------------------------------------------------------------
-    # checkpoint / journal support
+    # journal snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """RNG-stream and allocator snapshot (JSON-serializable)."""

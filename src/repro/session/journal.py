@@ -1,8 +1,8 @@
 """Durable write-ahead answer journal (append-only JSONL + checksums).
 
-The round-level checkpoint (PR 1) is durable but coarse: a crash between
-two checkpoints loses every answer of the in-flight round -- answers the
-budget was already charged for.  The journal closes that window.  Every
+The journal is a run's only durable state.  The paper charges every
+crowd answer against the budget, so a resumed run must never pay for an
+answer twice -- not even one from the round a crash cut short.  Every
 irrevocable event of the crowdsourcing loop -- an accepted answer, a
 quarantine decision, a re-ask issue, a round boundary -- is appended and
 ``fsync``-ed *before* the corresponding engine state mutates, so after a
@@ -39,7 +39,7 @@ Record kinds (see :mod:`repro.session.recovery` for replay semantics):
 ``round_commit``
     the completed round: its :class:`RoundRecord` fields, remaining
     budget, carried-over pending tasks and post-round state snapshots
-    (a journal alone can therefore recover a run with no checkpoint).
+    (so the journal alone recovers the whole run; it is never compacted).
 """
 
 from __future__ import annotations

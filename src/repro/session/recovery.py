@@ -1,21 +1,17 @@
-"""Crash recovery: fold a checkpoint + journal suffix into live state.
+"""Crash recovery: replay the write-ahead journal into live state.
 
 Recovery contract (the crash-matrix tests assert it literally): for a
-seeded run, ``load last checkpoint + replay journal suffix`` reproduces
-the uninterrupted run's state bit-identically, no matter where between
-two journal appends the process died.
+seeded run, replaying the journal reproduces the uninterrupted run's
+state bit-identically, no matter where between two journal appends the
+process died.  The journal is the only durable run state: its
+``round_commit`` records carry the budget, carried-over pending tasks
+and RNG/platform/allocator snapshots of every completed round, so the
+whole run replays from record 1.
 
-Three shapes of durable state can exist after a crash:
-
-* **checkpoint only** (legacy v1/v2, or journaling disabled): resume at
-  the last completed round, exactly as before this layer existed;
-* **checkpoint + journal**: the v3 checkpoint records the journal
-  sequence it covers (``journal_seq``); every record after it is the
-  *suffix* -- answers and re-asks of the in-flight round -- and is
-  replayed on top, deduplicated by task id;
-* **journal only**: ``round_commit`` records carry everything a
-  checkpoint would (budget, pending, RNG/platform snapshots), so the
-  whole run replays from record 1.
+Replay is idempotent per record: an ``answer`` whose task id the ledger
+already holds is skipped (applied once, charged once), and a
+``round_commit`` whose round the history already covers appends no
+second history entry.
 
 If the journal ends inside a round (a ``round_begin`` without its
 ``round_commit``), replay additionally returns an
@@ -31,13 +27,13 @@ trajectory exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..crowd.integrity import AnswerLedger
 from ..crowd.quality import WorkerReliability
 from ..crowd.task import ComparisonTask
 from ..ctable.ctable import CTable
-from ..ctable.expression import Expression, Relation
+from ..ctable.expression import Relation
 from ..errors import CheckpointError
 from .journal import JournalRecord
 
@@ -100,7 +96,6 @@ class RecoveredState:
 
     budget_left: int
     history: List
-    answer_log: List[Tuple[Expression, Relation]]
     pending: List[ComparisonTask]
     fault_totals: Dict[str, int]
     degraded: bool
@@ -123,69 +118,25 @@ def recover_run_state(
     reliability: WorkerReliability,
     fingerprint: Dict[str, object],
     initial_budget: int,
-    checkpoint=None,
     journal_records: Optional[Sequence[JournalRecord]] = None,
 ) -> RecoveredState:
-    """Replay durable state into a freshly built c-table and ledger.
+    """Replay a journal into a freshly built c-table and ledger.
 
     Mutates ``ctable``/``ledger``/``reliability`` in place (exactly the
     way the live loop would have) and returns the loop state.  Raises
-    :class:`CheckpointError` when the checkpoint or journal belongs to a
-    different query than ``fingerprint``.
+    :class:`CheckpointError` when the journal belongs to a different
+    query than ``fingerprint``.
     """
     from ..persistence import _round_from_dict, expression_from_json
 
     state = RecoveredState(
         budget_left=initial_budget,
         history=[],
-        answer_log=[],
         pending=[],
         fault_totals={},
         degraded=False,
         resumed=False,
     )
-    start_seq = 0
-    if checkpoint is not None:
-        if checkpoint.fingerprint != fingerprint:
-            raise CheckpointError(
-                "checkpoint belongs to a different query: %r != %r"
-                % (checkpoint.fingerprint, fingerprint)
-            )
-        for expression, relation in checkpoint.answer_log:
-            ctable.apply_answer(expression, relation)
-        if checkpoint.ledger_state is not None:
-            ledger.load_state_dict(checkpoint.ledger_state)
-        if checkpoint.reliability_state is not None:
-            restored = WorkerReliability.from_state_dict(checkpoint.reliability_state)
-            reliability.prior = restored.prior
-            reliability._observed = restored._observed
-        state.budget_left = checkpoint.budget_left
-        state.history = list(checkpoint.history)
-        state.answer_log = list(checkpoint.answer_log)
-        state.pending = [
-            ComparisonTask(expression, for_object=obj)
-            if task_id is None
-            else ComparisonTask(
-                expression, for_object=obj, task_id=task_id, reask_of=reask_of
-            )
-            for expression, obj, task_id, reask_of in _normalized_pending(checkpoint)
-        ]
-        state.fault_totals = dict(checkpoint.fault_totals)
-        state.degraded = checkpoint.degraded
-        state.rng_state = checkpoint.rng_state
-        state.platform_state = checkpoint.platform_state
-        state.task_ids_state = getattr(checkpoint, "task_ids_state", None)
-        state.resumed = True
-        journal_seq = getattr(checkpoint, "journal_seq", None)
-        if journal_seq is None:
-            # A pre-v3 checkpoint cannot say which journal records it
-            # already covers; replaying any would double-apply.  The
-            # ledger's task-id dedupe would survive it, but budget
-            # charges would not -- so fall back to checkpoint-only.
-            journal_records = None
-        else:
-            start_seq = int(journal_seq)
-
     interrupted: Optional[InterruptedRound] = None
     for record in journal_records or ():
         if record.kind == "open":
@@ -195,8 +146,6 @@ def recover_run_state(
                     "journal belongs to a different query: %r != %r"
                     % (recorded, fingerprint)
                 )
-            continue
-        if record.seq <= start_seq:
             continue
         state.resumed = True
         payload = record.payload
@@ -216,7 +165,7 @@ def recover_run_state(
             task_id = payload.get("task_id")
             if task_id is not None and ledger.has_task(task_id):
                 # Idempotent re-application: an answer already in the
-                # ledger (e.g. covered by the checkpoint) is a no-op.
+                # ledger (a repeated record) is a no-op.
                 state.deduped_answers += 1
                 if interrupted is not None:
                     interrupted.journaled[task_id] = payload
@@ -238,7 +187,6 @@ def recover_run_state(
             )
             if payload["status"] == "applied":
                 ctable.apply_answer(expression, relation)
-                state.answer_log.append((expression, relation))
                 reliability.observe_votes(votes, relation)
             state.budget_left -= int(payload.get("charge", 1))
             state.replayed_answers += 1
@@ -247,17 +195,17 @@ def recover_run_state(
         elif record.kind == "reask":
             task_id = payload.get("task_id")
             if task_id is not None and ledger.has_task(int(task_id)):
-                # Overlap with the checkpoint: the re-ask's answer is
-                # already in the ledger, so this attempt was counted.
+                # A repeated record: the re-ask's answer is already in
+                # the ledger, so this attempt was counted.
                 continue
             expression = expression_from_json(payload["expression"])
             ledger.note_reask(expression)
             if interrupted is not None:
                 interrupted.reasks[int(payload["of_task"])] = payload
         elif record.kind == "round_commit":
-            # Idempotent like answers: a commit whose round the
-            # checkpoint's history already covers must not append a
-            # duplicate entry (its snapshots still supersede below).
+            # Idempotent like answers: a repeated commit whose round the
+            # history already covers must not append a duplicate entry
+            # (its snapshots still supersede below).
             round_index = int(payload.get("round", len(state.history) + 1))
             if round_index > len(state.history):
                 state.history.append(_round_from_dict(payload["record"]))
@@ -274,17 +222,3 @@ def recover_run_state(
     state.interrupted = interrupted
     return state
 
-
-def _normalized_pending(checkpoint):
-    """Yield pending entries as 4-tuples across checkpoint versions.
-
-    v1/v2 stored ``(expression, for_object)`` pairs (task identity was
-    lost on resume); v3 adds ``task_id`` and ``reask_of`` so a resumed
-    run reposts bit-identical tasks.
-    """
-    for entry in checkpoint.pending:
-        if len(entry) == 2:
-            expression, obj = entry
-            yield expression, obj, None, None
-        else:
-            yield entry

@@ -3,7 +3,7 @@
 The layer ROADMAP item 1's HTTP service mounts directly: a
 :class:`SessionSupervisor` hosts many named BayesCrowd sessions in one
 process, each fully isolated (own :class:`~repro.session.SessionContext`,
-own journal + checkpoint files) and each driven through an explicit
+own write-ahead journal) and each driven through an explicit
 lifecycle::
 
     PENDING -> RUNNING -> DONE
@@ -14,7 +14,7 @@ lifecycle::
 Crashes inside a session (any exception that is not a cooperative
 cancellation) are absorbed by a bounded restart-with-backoff policy:
 the supervisor rebuilds the engine and resumes from the session's
-checkpoint + journal, up to ``max_restarts`` times with exponentially
+journal, up to ``max_restarts`` times with exponentially
 growing, capped delays.  Because recovery is bit-identical, a restarted
 session converges to the same result an undisturbed one would.
 
@@ -183,7 +183,6 @@ class SupervisedSession:
         self.config = config
         self.platform = platform
         self.journal_path = directory / ("%s.journal.jsonl" % session_id)
-        self.checkpoint_path = directory / ("%s.checkpoint.json" % session_id)
         self.context = SessionContext(seed=config.seed, session_id=session_id)
         self.answer_queue = BoundedAnswerQueue(
             maxsize=max_pending_answers, policy=overflow_policy
@@ -265,6 +264,11 @@ class SessionSupervisor:
                 )
             session.transitions.append((session.state, to, reason))
             session.state = to
+            if not _TRANSITIONS[to]:
+                # A terminal session never runs again: drop the engine's
+                # inputs so a long-lived host does not keep one dataset
+                # copy per finished session.
+                session.dataset = session.platform = None
 
     # ------------------------------------------------------------------
     # execution
@@ -285,7 +289,7 @@ class SessionSupervisor:
         attempt_resume = resume
         while True:
             # A fresh context per attempt: allocator and RNG streams are
-            # restored from the journal/checkpoint during recovery, and a
+            # restored from the journal during recovery, and a
             # possibly-tripped cancellation token must not leak into the
             # retry.  Deadlines re-arm from the config each attempt.
             session.context = SessionContext(
@@ -302,7 +306,6 @@ class SessionSupervisor:
                     session=session.context,
                 )
                 result = engine.run(
-                    checkpoint_path=session.checkpoint_path,
                     resume=attempt_resume,
                     journal_path=session.journal_path,
                 )
@@ -328,7 +331,7 @@ class SessionSupervisor:
                 )
                 if delay > 0:
                     time.sleep(delay)
-                attempt_resume = True  # recover from journal + checkpoint
+                attempt_resume = True  # recover from the journal
                 continue
             session.result = result
             session.error = None

@@ -83,5 +83,5 @@ class TestAccuracyTrajectory:
         dataset = generate_nba(n_objects=80, missing_rate=0.1, seed=6)
         truth = skyline(dataset.complete)
         config = BayesCrowdConfig(alpha=0.08, budget=10, latency=2, seed=6)
-        trajectory = accuracy_trajectory(dataset, config, truth, checkpoints=[0, 10])
+        trajectory = accuracy_trajectory(dataset, config, truth, budgets=[0, 10])
         assert len(trajectory) == 2

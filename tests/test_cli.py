@@ -66,9 +66,9 @@ class TestMain:
         )
         assert code == 0
 
-    def test_resume_requires_checkpoint(self, capsys):
+    def test_resume_requires_journal(self, capsys):
         assert main(["--resume"]) == 2
-        assert "--checkpoint" in capsys.readouterr().err
+        assert "--resume needs --journal PATH" in capsys.readouterr().err
 
     def test_invalid_fault_rate_is_clean_error(self, capsys):
         assert main(["--drop-rate", "1.5"]) == 2
@@ -79,7 +79,9 @@ class TestMain:
         assert "alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--n-jobs", "2"), ("--ctable-prune", "off")]
+        "flag, value",
+        [("--n-jobs", "2"), ("--ctable-prune", "off"),
+         ("--checkpoint", "run.ckpt.json")],
     )
     def test_removed_flags_are_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -87,15 +89,21 @@ class TestMain:
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_corrupt_checkpoint_is_clean_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{broken")
-        code = main(
-            ["--n", "80", "--budget", "8", "--latency", "2",
-             "--checkpoint", str(bad), "--resume"]
-        )
-        assert code == 2
-        assert "cannot resume" in capsys.readouterr().err
+    def test_corrupt_journal_is_clean_error(self, tmp_path, capsys):
+        journal = tmp_path / "run.journal.jsonl"
+        base = ["--n", "80", "--budget", "8", "--latency", "2",
+                "--journal", str(journal)]
+        assert main(base) == 0
+        capsys.readouterr()
+        # Flip one bit in the second record: bit rot before the tail is
+        # corruption, not a torn write.
+        data = bytearray(journal.read_bytes())
+        second_line = data.index(b"\n") + 1
+        assert data.index(b"\n", second_line) + 1 < len(data)
+        data[second_line + 20] ^= 1
+        journal.write_bytes(bytes(data))
+        assert main(base + ["--resume"]) == 2
+        assert "cannot resume:" in capsys.readouterr().err
 
     def test_fault_injection_reports_degraded(self, capsys):
         code = main(
@@ -109,14 +117,14 @@ class TestMain:
         assert "DEGRADED run" in out
         assert "answered" in out
 
-    def test_checkpoint_write_and_resume(self, tmp_path, capsys):
-        checkpoint = str(tmp_path / "run.ckpt.json")
+    def test_journal_write_and_resume(self, tmp_path, capsys):
+        journal = str(tmp_path / "run.journal.jsonl")
         base = ["--n", "80", "--budget", "8", "--latency", "2",
-                "--checkpoint", checkpoint]
+                "--journal", journal]
         assert main(base) == 0
         capsys.readouterr()
         assert main(base + ["--resume"]) == 0
-        assert "resumed from checkpoint" in capsys.readouterr().out
+        assert "resumed from journal %s\n" % journal in capsys.readouterr().out
 
     def test_synthetic_run(self, capsys):
         assert (

@@ -1,8 +1,8 @@
 """Crash-injection matrix: SIGKILL on journal-append boundaries.
 
 The write-ahead contract says a crash at *any* instant loses nothing
-that was journaled: recovery (journal alone, or checkpoint + journal
-suffix) replays to the state the crashed process held, and the resumed
+that was journaled: replaying the journal -- a run's only durable
+state -- restores the state the crashed process held, and the resumed
 run finishes with a QueryResult bit-identical to an uninterrupted one.
 
 These tests spawn a child process whose journal delivers ``SIGKILL`` to
@@ -14,7 +14,6 @@ and late rounds, and the final commit.
 """
 
 import dataclasses
-import json
 import os
 import signal
 import subprocess
@@ -26,7 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import BayesCrowd, BayesCrowdConfig, generate_nba
 from repro.obs.__main__ import verify_trace
-from repro.session import journal_problems, read_journal
+from repro.session import AnswerJournal, journal_problems, read_journal
+
+from .recovery import observables as _norm
 
 #: Child: run the quarantine/re-ask exercising query until the journal
 #: SIGKILLs the process on the requested append boundary.
@@ -35,12 +36,11 @@ import sys
 from repro.core import BayesCrowd, BayesCrowdConfig
 from repro.datasets import generate_nba
 
-jp, cp, crash_after = sys.argv[1], sys.argv[2], int(sys.argv[3])
+jp, crash_after = sys.argv[1], int(sys.argv[2])
 dataset = generate_nba(n_objects=20, missing_rate=0.4, seed=3)
 config = BayesCrowdConfig(budget=12, latency=4, worker_accuracy=0.7,
                           alpha=0.1, seed=5, strict_integrity=True)
-BayesCrowd(dataset, config).run(journal_path=jp, checkpoint_path=cp or None,
-                                journal_crash_after=crash_after)
+BayesCrowd(dataset, config).run(journal_path=jp, journal_crash_after=crash_after)
 print("NO_CRASH")
 '''
 
@@ -56,40 +56,13 @@ def _config():
     )
 
 
-def _norm(result):
-    """Every crash-invariant observable of a QueryResult.
-
-    Wall-clock (``seconds``), the ``resumed`` flag and engine/journal
-    telemetry legitimately differ between a straight-through run and a
-    recovered one; everything else must match exactly.
-    """
-    return dict(
-        answers=result.answers,
-        certain=result.certain_answers,
-        rounds=result.rounds,
-        tasks_posted=result.tasks_posted,
-        tasks_answered=result.tasks_answered,
-        history=[
-            (h.round_index, h.tasks_posted, h.tasks_answered, h.newly_decided,
-             h.open_conditions, h.retries, h.faults)
-            for h in result.history
-        ],
-        probs=result.answer_probabilities,
-        degraded=result.degraded,
-        faults=result.fault_counts,
-        integrity=result.integrity,
-        reliability=result.worker_reliability,
-    )
-
-
-def _crash_child(journal_path, checkpoint_path, crash_after):
+def _crash_child(journal_path, crash_after):
     """Run the child to its injected SIGKILL; returns its returncode."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD,
-         str(journal_path), str(checkpoint_path or ""), str(crash_after)],
+        [sys.executable, "-c", _CHILD, str(journal_path), str(crash_after)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     return proc
@@ -118,7 +91,7 @@ class TestCrashMatrix:
         base_norm, _, records = baseline
         crash_after = min(boundary, len(records))
         journal = tmp_path / "run.journal.jsonl"
-        proc = _crash_child(journal, None, crash_after)
+        proc = _crash_child(journal, crash_after)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         assert "NO_CRASH" not in proc.stdout
 
@@ -130,29 +103,12 @@ class TestCrashMatrix:
         assert resumed.resumed or crash_after == 1
         assert _norm(resumed) == base_norm
 
-    @pytest.mark.parametrize("boundary", [2, 13, 10**9])
-    def test_checkpoint_plus_journal_recovery_is_bit_identical(
-        self, tmp_path, baseline, boundary
-    ):
-        base_norm, _, records = baseline
-        crash_after = min(boundary, len(records))
-        journal = tmp_path / "run.journal.jsonl"
-        checkpoint = tmp_path / "run.ckpt.json"
-        proc = _crash_child(journal, checkpoint, crash_after)
-        assert proc.returncode == -signal.SIGKILL, proc.stderr
-
-        resumed = BayesCrowd(_dataset(), _config()).run(
-            journal_path=journal, checkpoint_path=checkpoint, resume=True
-        )
-        assert resumed.resumed
-        assert _norm(resumed) == base_norm
-
     def test_recovered_journal_still_verifies(self, tmp_path, baseline):
         """After recovery the on-disk journal passes the obs validator."""
         base_norm, _, records = baseline
         journal = tmp_path / "run.journal.jsonl"
         crash_after = min(8, len(records))
-        proc = _crash_child(journal, None, crash_after)
+        proc = _crash_child(journal, crash_after)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         resumed = BayesCrowd(_dataset(), _config()).run(
             journal_path=journal, resume=True
@@ -169,7 +125,7 @@ class TestCrashMatrix:
             r.seq for r in records if r.seq > first_commit and r.kind == "answer"
         )
         journal = tmp_path / "run.journal.jsonl"
-        proc = _crash_child(journal, None, crash_after)
+        proc = _crash_child(journal, crash_after)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         trace = tmp_path / "trace.jsonl"
         config = dataclasses.replace(_config(), trace_path=trace)
@@ -181,16 +137,15 @@ class TestCrashMatrix:
         assert rounds == ["round[%d]" % i for i in range(2, resumed.rounds + 1)]
 
 
-class TestMidRoundCheckpointDedupe:
-    """Satellite regression: journal replay is idempotent per task id --
-    a record the ledger already holds is deduped, applied once and
-    charged once, even when checkpoint and journal coverage overlap."""
+class TestJournalReplayDedupe:
+    """Journal replay is idempotent per record: an answer whose task id
+    the ledger already holds is applied once and charged once, and a
+    repeated round commit adds no second history entry."""
 
     @pytest.fixture()
     def crashed_mid_round(self, tmp_path, baseline):
         """Crash on the first *answer* append after the first committed
-        round: the checkpoint then covers round 1, the journal suffix
-        holds round 2's begin + one answer."""
+        round: the journal then ends with round 2's begin + one answer."""
         _, _, records = baseline
         first_commit = next(
             r.seq for r in records if r.kind == "round_commit"
@@ -200,46 +155,50 @@ class TestMidRoundCheckpointDedupe:
             if r.seq > first_commit and r.kind == "answer"
         )
         journal = tmp_path / "run.journal.jsonl"
-        checkpoint = tmp_path / "run.ckpt.json"
-        proc = _crash_child(journal, checkpoint, crash_after)
+        proc = _crash_child(journal, crash_after)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
-        assert json.loads(checkpoint.read_text())["journal_seq"] == first_commit
-        return journal, checkpoint
+        assert read_journal(journal)[-1].seq == crash_after
+        return journal
 
-    def test_mid_round_checkpoint_resume_replays_the_suffix(
+    def test_mid_round_resume_replays_the_journaled_answers(
         self, baseline, crashed_mid_round
     ):
         base_norm, base_result, _ = baseline
-        journal, checkpoint = crashed_mid_round
         resumed = BayesCrowd(_dataset(), _config()).run(
-            journal_path=journal, checkpoint_path=checkpoint, resume=True
+            journal_path=crashed_mid_round, resume=True
         )
         counters = resumed.metrics["counters"]
-        # The suffix answer was folded in from the journal (charged by
-        # replay, not re-posted) and the cut round was finished in place.
+        # The cut round's answer was folded in from the journal (charged
+        # by replay, not re-posted) and the round was finished in place.
         assert counters["journal_replayed_answers"] >= 1
         assert counters["recovered_rounds"] == 1
         assert resumed.tasks_posted == base_result.tasks_posted
         assert _norm(resumed) == base_norm
 
     def test_overlapping_replay_is_deduped_by_task_id(
-        self, baseline, crashed_mid_round
+        self, tmp_path, baseline, crashed_mid_round
     ):
-        """Rewind the checkpoint's journal_seq to the open header: replay
-        then re-delivers round 1's answers, which the checkpoint's ledger
-        already holds.  Dedupe must skip them (no double apply, no double
-        budget charge) and still land on the uninterrupted result."""
+        """Rewrite the journal so it repeats round 1's commit and the cut
+        round's journaled answer, as a retried append would.  Replay must
+        skip both (no double apply, no double budget charge, no second
+        history entry) and still land on the uninterrupted result."""
         base_norm, base_result, _ = baseline
-        journal, checkpoint = crashed_mid_round
-        data = json.loads(checkpoint.read_text())
-        data["journal_seq"] = 1
-        checkpoint.write_text(json.dumps(data))
+        records = read_journal(crashed_mid_round)
+        first_commit = next(r for r in records if r.kind == "round_commit")
+        repeated = records[-1]
+        assert repeated.kind == "answer"
+        journal = tmp_path / "repeated.journal.jsonl"
+        with AnswerJournal(journal, fsync=False) as out:
+            for record in records:
+                out.append(record.kind, record.payload)
+                if record is first_commit or record is repeated:
+                    out.append(record.kind, record.payload)
 
         resumed = BayesCrowd(_dataset(), _config()).run(
-            journal_path=journal, checkpoint_path=checkpoint, resume=True
+            journal_path=journal, resume=True
         )
         counters = resumed.metrics["counters"]
-        assert counters["journal_deduped_answers"] >= 1
+        assert counters["journal_deduped_answers"] == 1
         assert resumed.tasks_posted == base_result.tasks_posted
         assert _norm(resumed) == base_norm
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import BayesCrowd, BayesCrowdConfig
 from repro.crowd import AnswerLedger, FaultModel, WorkerReliability, vote_shares
-from repro.crowd.integrity import LedgerEntry
 from repro.ctable import (
     Relation,
     var_greater_const,
@@ -117,43 +116,6 @@ class TestLedgerAccounting:
         with pytest.raises(ValueError):
             ledger.record(var_greater_var(0, 1, 0), G, status="discarded")
 
-    def test_state_dict_round_trip(self):
-        ledger = fresh_ledger()
-        ledger.observe(
-            var_greater_var(0, 1, 0),
-            G,
-            round_index=1,
-            task_id=7,
-            votes=[(3, G), (4, L)],
-        )
-        ledger.observe(var_greater_var(0, 1, 0), L, strict=True, task_id=8)
-        ledger.note_reask(var_greater_var(0, 1, 0))
-        state = ledger.state_dict()
-
-        restored = fresh_ledger()
-        restored.load_state_dict(state)
-        assert restored.answers_aggregated == 2
-        assert restored.answers_applied == 1
-        assert restored.answers_quarantined == 1
-        assert restored.answers_reasked == 1
-        assert restored.reask_attempts(var_greater_var(0, 1, 0)) == 1
-        first = restored.entries()[0]
-        assert first.votes == ((3, G), (4, L))
-        assert first.task_id == 7
-        assert restored.summary() == ledger.summary()
-
-    def test_entry_round_trips_through_dict(self):
-        entry = LedgerEntry(
-            seq=0,
-            expression=var_greater_const(2, 0, 1),
-            relation=E,
-            status="quarantined",
-            reason="empty-domain",
-            votes=((1, E),),
-            reask_of=5,
-        )
-        assert LedgerEntry.from_dict(entry.to_dict()) == entry
-
     def test_needs_constraints_or_domains(self):
         with pytest.raises(ValueError):
             AnswerLedger()
@@ -194,14 +156,6 @@ class TestWorkerReliability:
     def test_rejects_bad_prior(self):
         with pytest.raises(ValueError):
             WorkerReliability(prior=(0.0, 1.0))
-
-    def test_state_round_trip(self):
-        tracker = WorkerReliability(prior=(2.0, 2.0))
-        tracker.observe(5, True)
-        tracker.observe(5, False)
-        restored = WorkerReliability.from_state_dict(tracker.state_dict())
-        assert restored.prior == tracker.prior
-        assert restored.accuracy(5) == tracker.accuracy(5)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Covers the fault-tolerance contract of :meth:`BayesCrowd.run`: retrying
 transient platform errors, requeue-vs-refund handling of unanswered
 tasks, graceful degradation on fatal errors, budget accounting under
-partial answers, and round-level checkpoint/resume -- including the
-chaos scenario from the acceptance criteria (drops + spam + scheduled
-transient failures + a mid-run kill).
+partial answers, and journal resume -- including the chaos scenario
+from the acceptance criteria (drops + spam + scheduled transient
+failures + a mid-run kill).
 """
 
 import pytest
@@ -17,6 +17,9 @@ from repro.errors import (
     PlatformFatalError,
     PlatformTransientError,
 )
+from repro.session import read_journal
+
+from .recovery import observables
 
 
 def chaos_config(**overrides):
@@ -214,40 +217,38 @@ class TestChaosAcceptance:
         reference = BayesCrowd(nba_small, chaos_config()).run()
 
         # Same query, killed after two successful rounds.
-        checkpoint = tmp_path / "chaos.ckpt.json"
+        journal = tmp_path / "chaos.journal.jsonl"
         killed = BayesCrowd(nba_small, chaos_config())
         killed.platform = KillSwitch(killed.platform, after=2)
         with pytest.raises(KeyboardInterrupt):
-            killed.run(checkpoint_path=checkpoint)
-        assert checkpoint.exists()
+            killed.run(journal_path=journal)
+        commits = [r for r in read_journal(journal) if r.kind == "round_commit"]
+        # The kill lands after requeued tasks were carried into a commit.
+        assert any(commit.payload["pending"] for commit in commits)
 
-        # A fresh process resumes from the checkpoint...
+        # A fresh process resumes from the journal alone...
         resumed = BayesCrowd(nba_small, chaos_config()).run(
-            checkpoint_path=checkpoint, resume=True
+            journal_path=journal, resume=True
         )
         assert resumed.resumed
         # ...and converges to the same final state as the reference run.
-        assert resumed.answers == reference.answers
-        assert resumed.certain_answers == reference.certain_answers
-        assert resumed.tasks_answered == reference.tasks_answered
-        assert resumed.rounds == reference.rounds
-        assert resumed.fault_counts == reference.fault_counts
+        assert observables(resumed) == observables(reference)
         assert_budget_accounting(resumed, chaos_config())
 
-    def test_resume_without_checkpoint_file_starts_fresh(self, nba_small, tmp_path):
+    def test_resume_without_journal_file_starts_fresh(self, nba_small, tmp_path):
         config = chaos_config()
         result = BayesCrowd(nba_small, config).run(
-            checkpoint_path=tmp_path / "missing.json", resume=True
+            journal_path=tmp_path / "missing.journal.jsonl", resume=True
         )
         assert not result.resumed
         assert result.rounds > 0
 
-    def test_checkpoint_of_other_query_is_rejected(self, nba_small, tmp_path):
-        checkpoint = tmp_path / "other.json"
-        BayesCrowd(nba_small, chaos_config(seed=11)).run(checkpoint_path=checkpoint)
+    def test_journal_of_other_query_is_rejected(self, nba_small, tmp_path):
+        journal = tmp_path / "other.journal.jsonl"
+        BayesCrowd(nba_small, chaos_config(seed=11)).run(journal_path=journal)
         other = BayesCrowd(nba_small, chaos_config(seed=12))
         with pytest.raises(CheckpointError):
-            other.run(checkpoint_path=checkpoint, resume=True)
+            other.run(journal_path=journal, resume=True)
 
 
 class TestFrameworkWiring:

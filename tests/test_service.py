@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.core import BayesCrowd, BayesCrowdConfig
 from repro.errors import ConfigError
 from repro.persistence import atomic_write, expression_to_json
 from repro.service import (
@@ -32,6 +33,9 @@ from repro.service import (
 )
 from repro.service.http import read_request
 from repro.service.store import valid_identifier
+from repro.session import AnswerJournal, read_journal
+
+from .recovery import observables
 
 
 # ----------------------------------------------------------------------
@@ -667,6 +671,50 @@ class TestDrainAndRecovery:
             assert body["result"]["answers"] is not None
         finally:
             restarted.stop()
+
+    def test_restart_ignores_a_stale_checkpoint_file(self, tmp_path):
+        """A store written by an older release may hold a round checkpoint
+        beside a session's journal.  Restart recovers from the journal
+        alone: the stale file is never read, even when it is garbage."""
+        handle = ServerHandle(_settings(tmp_path))
+        data_dir = handle.settings.data_dir
+        try:
+            _make_dataset(handle, "d1", n=40, seed=3)
+        finally:
+            handle.stop()
+        store = ServiceStore(data_dir)
+        config = {"budget": 12, "latency": 4, "seed": 5, "alpha": 0.1,
+                  "worker_accuracy": 0.7, "strict_integrity": True}
+        full = tmp_path / "full.journal.jsonl"
+        baseline = BayesCrowd(
+            store.load_dataset("d1"), BayesCrowdConfig(**config)
+        ).run(journal_path=full)
+        # The durable state of a server killed mid-way through round 2.
+        records = read_journal(full)
+        first_commit = next(r.seq for r in records if r.kind == "round_commit")
+        cut = next(
+            r.seq for r in records if r.seq > first_commit and r.kind == "answer"
+        )
+        with AnswerJournal(store.session_file("s1", "journal.jsonl"), fsync=False) as journal:
+            for record in records[:cut]:
+                journal.append(record.kind, record.payload)
+        store.create_session(
+            "s1",
+            {"dataset_id": "d1", "platform": "simulated", "config": config,
+             "state": "RUNNING"},
+        )
+        store.session_file("s1", "checkpoint.json").write_bytes(b"\x00{not json")
+
+        restarted = ServerHandle(_settings(tmp_path))
+        try:
+            view = restarted.wait_state("s1", ("DONE", "DEGRADED", "FAILED"))
+            assert view["state"] == "DONE", view
+            result = restarted.server.app.supervisor.get("s1").result
+        finally:
+            restarted.stop()
+        assert result.resumed
+        assert result.metrics["counters"]["recovered_rounds"] == 1
+        assert observables(result) == observables(baseline)
 
     def test_draining_server_rejects_with_503(self, tmp_path):
         handle = ServerHandle(_settings(tmp_path))

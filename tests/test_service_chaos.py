@@ -4,7 +4,7 @@ The service-level crash contract extends the engine's write-ahead
 guarantee to the network layer: a server killed with SIGKILL at an
 arbitrary instant -- two sessions mid-round, store writes in flight --
 restarts over the same data directory, re-opens every interrupted
-session from journal + checkpoint, and finishes each with a QueryResult
+session from its journal, and finishes each with a QueryResult
 **bit-identical** to an uninterrupted in-process run of the same
 dataset/config/seed.
 
@@ -237,8 +237,7 @@ class TestCliSignals:
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
     def test_signal_exits_3_and_resumes(self, tmp_path, signum):
         journal = str(tmp_path / "run.journal.jsonl")
-        checkpoint = str(tmp_path / "run.ckpt.json")
-        args = self.CLI + ["--journal", journal, "--checkpoint", checkpoint]
+        args = self.CLI + ["--journal", journal]
 
         code, out, err = self._run(args, send_signal=signum, journal=journal)
         assert code == 3, (code, out, err)

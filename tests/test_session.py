@@ -438,8 +438,16 @@ class TestSessionSupervisor:
         session = supervisor.get("q1")
         assert session.transitions[0] == ("PENDING", "RUNNING", "started")
         assert session.transitions[-1][1] == "DONE"
-        assert session.journal_path.exists()
-        assert session.checkpoint_path.exists()
+        # The journal is the session's only durable run state.
+        assert [p.name for p in tmp_path.iterdir()] == [session.journal_path.name]
+
+    def test_finished_session_releases_its_dataset(self, tmp_path):
+        supervisor = SessionSupervisor(tmp_path)
+        supervisor.create("q1", _dataset(), _config())
+        result = supervisor.run("q1")
+        session = supervisor.get("q1")
+        assert session.dataset is None and session.platform is None
+        assert session.result is result
 
     def test_duplicate_and_unknown_sessions_rejected(self, tmp_path):
         supervisor = SessionSupervisor(tmp_path)

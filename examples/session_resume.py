@@ -9,8 +9,8 @@ Walks the full durability loop of the session runtime:
 3. resume: replaying the journal alone reproduces the state the crashed
    process held, and the finished result is bit-identical to an
    uninterrupted run;
-4. host the same query under a :class:`SessionSupervisor`, which does
-   the restart-and-recover dance automatically.
+4. run the same query as a :class:`SupervisedSession`, whose run loop
+   does the restart-and-recover dance automatically.
 
 Exits 1 when a recovered run does not match the uninterrupted one.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import BayesCrowd, BayesCrowdConfig, generate_nba
 from repro.crowd import SimulatedCrowdPlatform
-from repro.session import SessionSupervisor, journal_problems, read_journal
+from repro.session import SupervisedSession, journal_problems, read_journal
 
 
 def make_dataset():
@@ -125,12 +125,10 @@ def demo(workdir: Path) -> int:
         "yes" if resumed_matches else "NO"))
 
     # --- 4. the same loop, supervised ----------------------------------
-    supervisor = SessionSupervisor(workdir / "supervised", max_restarts=2,
-                                   restart_backoff_base=0.0)
     crashy = AbortAfterAnswers(make_platform(dataset), abort_after=5)
-    supervisor.create("demo", dataset, make_config(), platform=crashy)
-    result = supervisor.run("demo")
-    session = supervisor.get("demo")
+    session = SupervisedSession("demo", dataset, make_config(), workdir,
+                                platform=crashy)
+    result = session.run()
     print("\nsupervised session: state=%s after %d restart(s)" % (
         session.state, session.restarts))
     for from_state, to_state, reason in session.transitions:

@@ -1,10 +1,11 @@
 """Resilient HTTP/JSON query service over the BayesCrowd engine.
 
 ``repro serve`` (or ``python -m repro.service``) turns the in-process
-session substrate -- :class:`~repro.session.SessionSupervisor`, the
+session substrate -- :class:`~repro.session.SupervisedSession`, the
 write-ahead answer journal and its recovery -- into a long-running
 network service with admission control, graceful drain on SIGTERM and
-crash-proof restart from its persistent on-disk store.
+crash-proof restart from its persistent on-disk store.  Only live
+sessions are held in memory; the store answers for finished ones.
 """
 
 from .app import PLATFORM_MODES, ServiceApp

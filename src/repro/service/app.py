@@ -1,27 +1,31 @@
 """Service application: sessions, admission control, drain, recovery.
 
 This is the layer between the HTTP routers and the in-process session
-substrate (:class:`~repro.session.SessionSupervisor` + the write-ahead
+substrate (:class:`~repro.session.SupervisedSession` + the write-ahead
 :class:`~repro.session.AnswerJournal`).  Responsibilities:
 
 * **datasets** -- create (generated or inline), persist to the store;
 * **sessions** -- admission-controlled open (bounded slots -> 429 with
-  Retry-After), one supervising thread per running session, durable
-  state records in the store after every lifecycle transition;
-* **answers** -- asynchronous crowd answers land in each session's
+  Retry-After), one thread per running session, durable state records
+  in the store after every lifecycle transition.  Only live sessions
+  (PENDING, RUNNING, PAUSED) are held in memory; a session leaves that
+  table once its terminal record is on disk (``result.json`` first,
+  then the meta), and from then on the store alone answers for it;
+* **answers** -- asynchronous crowd answers land in each live session's
   bounded queue (overflow -> 429/shed per policy) and are durably
   appended to a per-session answers log *before* the client is acked;
 * **drain** -- SIGTERM stops admission, cooperatively cancels running
   sessions (their journals make them resumable) and waits
   bounded time for them to park;
 * **recovery** -- startup rescans the store, re-opens every
-  non-terminal session through the supervisor's journal recovery
-  (bit-identical by the crash-matrix contract) and re-enqueues
-  durable answer submissions the engine had not consumed.
+  non-terminal session through journal recovery (bit-identical by the
+  crash-matrix contract) and re-enqueues durable answer submissions the
+  engine had not consumed.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import threading
 import time
@@ -35,14 +39,13 @@ from ..crowd.unreliable import FaultModel
 from ..ctable.expression import Relation
 from ..errors import BackpressureError, ConfigError
 from ..obs.metrics import MetricsRegistry
-from ..persistence import (
-    expression_from_json,
-    expression_to_json,
-    result_to_dict,
-    save_result,
-)
+from ..persistence import expression_from_json, expression_to_json, save_result
 from ..session.journal import read_journal
-from ..session.supervisor import QueuedAnswerPlatform, SessionSupervisor
+from ..session.supervisor import (
+    SESSION_STATES,
+    QueuedAnswerPlatform,
+    SupervisedSession,
+)
 from .http import HTTPError
 from .settings import ServiceSettings
 from .store import TERMINAL_STATES, ServiceStore, valid_identifier
@@ -100,20 +103,19 @@ def _config_payload_for_meta(payload: Optional[dict]) -> dict:
 
 
 class ServiceApp:
-    """One server process's state: store + supervisor + metrics."""
+    """One server process's state: store + live sessions + metrics."""
 
     def __init__(self, settings: ServiceSettings) -> None:
         self.settings = settings
         self.store = ServiceStore(settings.root)
-        self.supervisor = SessionSupervisor(
-            self.store.sessions_dir,
-            max_pending_answers=settings.max_pending_answers,
-            overflow_policy=settings.overflow_policy,
-        )
         self.metrics = MetricsRegistry()
         self.metrics.info("service", "repro.service")
         self.started_at = time.time()
-        self._threads: Dict[str, threading.Thread] = {}
+        #: live sessions (PENDING, RUNNING, PAUSED) by id
+        self.live: Dict[str, SupervisedSession] = {}
+        #: tallies of the sessions that left ``live``: the terminal state
+        #: each left in, and its answer queue's shed/rejected counts
+        self._retired: "collections.Counter[str]" = collections.Counter()
         self._lock = threading.RLock()
         self._draining = False
         #: live connection count, maintained by the server loop
@@ -135,11 +137,10 @@ class ServiceApp:
             )
 
     def active_sessions(self) -> int:
-        return sum(
-            1
-            for s in self.supervisor.sessions()
-            if s.state in ("PENDING", "RUNNING")
-        )
+        with self._lock:
+            return sum(
+                1 for s in self.live.values() if s.state in ("PENDING", "RUNNING")
+            )
 
     # ------------------------------------------------------------------
     # datasets
@@ -293,127 +294,148 @@ class ServiceApp:
     def _register_and_start(
         self, session_id: str, dataset, config, mode: str, resume: bool
     ) -> None:
-        with self._lock:
-            session = self.supervisor.create(session_id, dataset, config)
-            if mode == "queued":
-                session.platform = QueuedAnswerPlatform(session.answer_queue)
-            elif mode == "hybrid":
-                session.platform = QueuedAnswerPlatform(
-                    session.answer_queue,
-                    fallback=build_default_platform(dataset, config),
-                )
-            if resume:
-                self._requeue_unconsumed_answers(session_id, session)
-            thread = threading.Thread(
-                target=self._session_thread,
-                args=(session_id, resume),
-                name="session-%s" % session_id,
-                daemon=True,
+        session = SupervisedSession(
+            session_id,
+            dataset,
+            config,
+            self.store.sessions_dir,
+            max_pending_answers=self.settings.max_pending_answers,
+            overflow_policy=self.settings.overflow_policy,
+        )
+        if mode == "queued":
+            session.platform = QueuedAnswerPlatform(session.answer_queue)
+        elif mode == "hybrid":
+            session.platform = QueuedAnswerPlatform(
+                session.answer_queue,
+                fallback=build_default_platform(dataset, config),
             )
-            self._threads[session_id] = thread
-            thread.start()
+        if resume:
+            self._requeue_unconsumed_answers(session_id, session)
+        with self._lock:
+            self._start(session, resume)
+            self.live[session_id] = session
 
-    def _session_thread(self, session_id: str, resume: bool) -> None:
+    def _start(self, session: SupervisedSession, resume: bool) -> dict:
+        meta = self.store.update_session(session.session_id, state="RUNNING")
+        session.thread = threading.Thread(
+            target=self._session_thread,
+            args=(session, resume),
+            name="session-%s" % session.session_id,
+            daemon=True,
+        )
+        session.thread.start()
+        return meta
+
+    def _session_thread(self, session: SupervisedSession, resume: bool) -> None:
+        session_id = session.session_id
         try:
-            self.store.update_session(session_id, state="RUNNING")
-            result = self.supervisor.run(session_id, resume=resume)
-        except HTTPError:
-            raise
+            result = session.run(resume=resume)
         except Exception as err:  # noqa: BLE001 - recorded, not propagated
-            self.store.update_session(session_id, state="FAILED", error=str(err))
-            self.metrics.counter(
-                "service_sessions_failed", "sessions that exhausted supervision"
-            ).inc()
+            self._retire(session, "FAILED", error=str(err))
             return
-        if result is None:
+        if session.state == "PAUSED":
             # Cooperative pause (drain, client pause or deadline): the
             # journal on disk makes the session resumable.
-            session = self.supervisor.get(session_id)
             self.store.update_session(
-                session_id,
-                state="PAUSED",
-                pause_reason=str(session.error) if session.error else "paused",
+                session_id, state="PAUSED", pause_reason=str(session.error)
             )
-            self.metrics.counter(
-                "service_sessions_paused", "sessions parked resumable"
-            ).inc()
             return
-        save_result(result, self.store.session_file(session_id, "result.json"))
-        self.store.update_session(
-            session_id,
-            state="DEGRADED" if result.degraded else "DONE",
-            rounds=result.rounds,
-            tasks_posted=result.tasks_posted,
+        updates = {}
+        if result is not None:
+            save_result(result, self.store.session_file(session_id, "result.json"))
+            updates = dict(rounds=result.rounds, tasks_posted=result.tasks_posted)
+            self.metrics.counter(
+                "service_sessions_completed", "sessions run to completion"
+            ).inc()
+        self._retire(session, session.state, **updates)
+
+    def _retire(self, session: SupervisedSession, state: str, **updates) -> dict:
+        """Write a session's terminal meta, then drop it from ``live``."""
+        stats = session.answer_queue.stats()
+        meta = self.store.update_session(
+            session.session_id,
+            state=state,
+            restarts=session.restarts,
+            **stats,
+            **updates,
         )
-        self.metrics.counter(
-            "service_sessions_completed", "sessions run to completion"
-        ).inc()
+        with self._lock:
+            if self.live.pop(session.session_id, None) is session:
+                self._retired[state] += 1
+                self._retired["queue_shed"] += stats["queue_shed"]
+                self._retired["queue_rejected"] += stats["queue_rejected"]
+        return meta
+
+    def _live_session(self, session_id: str) -> SupervisedSession:
+        """The live session ``session_id``: 404 if unknown, 409 if finished."""
+        session = self.live.get(session_id)
+        if session is None:
+            state = self.store.session_meta(session_id).get("state")
+            raise HTTPError(
+                409, "session %r is %s and no longer runs" % (session_id, state)
+            )
+        return session
 
     def resume_session(self, session_id: str) -> dict:
         """Re-run a PAUSED session (same process) from its durable state."""
         self._require_admitting()
-        session = self._get_session(session_id)
-        if session.state != "PAUSED":
-            raise HTTPError(
-                409, "session %r is %s, not PAUSED" % (session_id, session.state)
-            )
-        if self.active_sessions() >= self.settings.max_sessions:
-            raise HTTPError(
-                429,
-                "all %d session slots are busy" % self.settings.max_sessions,
-                retry_after=self.settings.retry_after_s,
-            )
         with self._lock:
-            old = self._threads.get(session_id)
-            if old is not None and old.is_alive():
+            session = self._live_session(session_id)
+            if session.state != "PAUSED" or session.cancel_requested:
+                raise HTTPError(
+                    409, "session %r is %s, not PAUSED" % (session_id, session.state)
+                )
+            if session.thread is not None and session.thread.is_alive():
                 raise HTTPError(409, "session %r is still settling" % session_id)
-            thread = threading.Thread(
-                target=self._session_thread,
-                args=(session_id, True),
-                name="session-%s" % session_id,
-                daemon=True,
-            )
-            self._threads[session_id] = thread
-            thread.start()
-        return {"session_id": session_id, "state": "RUNNING"}
-
-    def pause_session(self, session_id: str, reason: str = "paused by client") -> dict:
-        session = self._get_session(session_id)
-        if session.state not in ("RUNNING", "PENDING"):
-            raise HTTPError(
-                409,
-                "session %r is %s; only RUNNING sessions pause"
-                % (session_id, session.state),
-            )
-        self.supervisor.pause(session_id, reason)
-        return {"session_id": session_id, "state": session.state, "pausing": True}
-
-    def cancel_session(self, session_id: str) -> dict:
-        """Pause, then mark terminal CANCELLED (files stay for audit)."""
-        session = self._get_session(session_id)
-        if session.state in ("RUNNING", "PENDING"):
-            self.supervisor.pause(session_id, "cancelled by client")
-            thread = self._threads.get(session_id)
-            if thread is not None:
-                thread.join(timeout=self.settings.drain_timeout_s)
-        meta = self.store.update_session(session_id, state="CANCELLED")
+            if self.active_sessions() >= self.settings.max_sessions:
+                raise HTTPError(
+                    429,
+                    "all %d session slots are busy" % self.settings.max_sessions,
+                    retry_after=self.settings.retry_after_s,
+                )
+            session.stop_reason = None
+            meta = self._start(session, resume=True)
         return {"session_id": session_id, "state": meta["state"]}
 
-    def _get_session(self, session_id: str):
-        try:
-            return self.supervisor.get(session_id)
-        except KeyError:
-            raise HTTPError(404, "unknown session %r" % session_id) from None
+    def pause_session(self, session_id: str, reason: str = "paused by client") -> dict:
+        with self._lock:
+            session = self._live_session(session_id)
+            if session.state not in ("RUNNING", "PENDING"):
+                raise HTTPError(
+                    409,
+                    "session %r is %s; only RUNNING sessions pause"
+                    % (session_id, session.state),
+                )
+            session.stop(reason)
+        state = self.store.session_meta(session_id)["state"]
+        return {"session_id": session_id, "state": state, "pausing": True}
+
+    def cancel_session(self, session_id: str) -> dict:
+        """Mark a session terminal CANCELLED (files stay for audit).
+
+        A running session is asked to stop and given the drain budget to
+        park; if it does not, its run ends CANCELLED when it does.
+        """
+        with self._lock:
+            session = self.live.get(session_id)
+            if session is not None:
+                session.stop("cancelled by client", cancel=True)
+        if session is not None:
+            session.thread.join(timeout=self.settings.drain_timeout_s)
+        with self._lock:
+            if session_id not in self.live:
+                meta = self.store.update_session(session_id, state="CANCELLED")
+            elif session.state == "PAUSED" and not session.thread.is_alive():
+                session.cancel_parked()
+                meta = self._retire(session, "CANCELLED")
+            else:  # still running: its run ends CANCELLED when it parks
+                meta = self.store.session_meta(session_id)
+        return {"session_id": session_id, "state": meta["state"]}
 
     def session_view(self, session_id: str) -> dict:
-        meta = self.store.session_meta(session_id)
-        try:
-            session = self.supervisor.get(session_id)
-        except KeyError:
-            session = None
-        view = dict(meta)
+        session = self.live.get(session_id)
+        view = self.store.session_meta(session_id)
         if session is not None:
-            view["state"] = session.state
             view["restarts"] = session.restarts
             view.update(session.answer_queue.stats())
         return view
@@ -422,20 +444,9 @@ class ServiceApp:
         return [self.session_view(sid) for sid in self.store.session_ids()]
 
     def session_result(self, session_id: str) -> dict:
-        meta = self.store.session_meta(session_id)
-        state = meta.get("state")
-        try:
-            session = self.supervisor.get(session_id)
-            if session.result is not None:
-                return {
-                    "session_id": session_id,
-                    "state": session.state,
-                    "result": result_to_dict(session.result),
-                }
-        except KeyError:
-            pass
+        state = self.store.session_meta(session_id).get("state")
         text = self.store.read_session_artifact(session_id, "result.json")
-        if text is None:
+        if state not in TERMINAL_STATES or text is None:
             raise HTTPError(
                 409,
                 "session %r is %s; no result yet" % (session_id, state),
@@ -454,9 +465,8 @@ class ServiceApp:
     # ------------------------------------------------------------------
     def submit_answers(self, session_id: str, payload: dict) -> dict:
         self._require_admitting()
-        session = self._get_session(session_id)
-        meta = self.store.session_meta(session_id)
-        if meta.get("platform", "simulated") == "simulated":
+        session = self._live_session(session_id)
+        if not isinstance(session.platform, QueuedAnswerPlatform):
             raise HTTPError(
                 409,
                 "session %r runs the simulated platform and does not "
@@ -572,10 +582,8 @@ class ServiceApp:
                 self.store.update_session(
                     session_id, state="FAILED", error="unrecoverable: %s" % err
                 )
-                self.metrics.counter(
-                    "service_sessions_failed",
-                    "sessions that exhausted supervision",
-                ).inc()
+                with self._lock:
+                    self._retired["FAILED"] += 1
                 continue
             recovered.append(session_id)
             self.metrics.counter(
@@ -590,10 +598,12 @@ class ServiceApp:
             if self._draining:
                 return
             self._draining = True
+            running = [
+                s for s in self.live.values() if s.state in ("PENDING", "RUNNING")
+            ]
         self.metrics.counter("service_drains", "drains initiated").inc()
-        for session in self.supervisor.sessions():
-            if session.state in ("PENDING", "RUNNING"):
-                self.supervisor.pause(session.session_id, "drain: %s" % reason)
+        for session in running:
+            session.stop("drain: %s" % reason)
 
     def drain(self, timeout_s: Optional[float] = None, reason: str = "SIGTERM") -> bool:
         """Full graceful drain; True when every session parked in time."""
@@ -601,20 +611,11 @@ class ServiceApp:
         deadline = time.monotonic() + (
             self.settings.drain_timeout_s if timeout_s is None else timeout_s
         )
-        parked = True
-        for session_id, thread in list(self._threads.items()):
-            while thread.is_alive() and time.monotonic() < deadline:
-                # Re-assert the cancellation: the supervisor arms a fresh
-                # context per restart attempt, so a pause that raced a
-                # restart (or a thread that had not reached run() yet)
-                # needs to be repeated until the session actually parks.
-                session = self.supervisor.get(session_id)
-                if session.state in ("PENDING", "RUNNING"):
-                    self.supervisor.pause(session_id, "drain: %s" % reason)
-                thread.join(timeout=0.1)
-            if thread.is_alive():
-                parked = False
-        return parked
+        with self._lock:
+            threads = [s.thread for s in self.live.values() if s.thread is not None]
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        return not any(thread.is_alive() for thread in threads)
 
     # ------------------------------------------------------------------
     # health & metrics
@@ -639,31 +640,26 @@ class ServiceApp:
         }
 
     def refresh_gauges(self) -> None:
-        states = {state: 0 for state in
-                  ("PENDING", "RUNNING", "PAUSED", "DEGRADED", "FAILED", "DONE")}
-        queue_depth = 0
-        queue_shed = 0
-        queue_rejected = 0
-        for session in self.supervisor.sessions():
-            states[session.state] = states.get(session.state, 0) + 1
-            stats = session.answer_queue.stats()
-            queue_depth += stats["queue_depth"]
-            queue_shed += stats["queue_shed"]
-            queue_rejected += stats["queue_rejected"]
-        for state, count in states.items():
+        with self._lock:
+            totals = collections.Counter(self._retired)
+            live = list(self.live.values())
+        for session in live:
+            totals[session.state] += 1
+            totals.update(session.answer_queue.stats())
+        for state in SESSION_STATES:
             self.metrics.gauge(
                 "service_sessions_%s" % state.lower(),
                 "sessions currently %s" % state,
-            ).set(count)
+            ).set(totals[state])
         self.metrics.gauge(
             "service_answer_queue_depth", "queued answers across sessions"
-        ).set(queue_depth)
+        ).set(totals["queue_depth"])
         self.metrics.gauge(
             "service_answers_shed", "answers shed by overflow policy"
-        ).set(queue_shed)
+        ).set(totals["queue_shed"])
         self.metrics.gauge(
             "service_answers_queue_rejected", "queue-level rejections"
-        ).set(queue_rejected)
+        ).set(totals["queue_rejected"])
         self.metrics.gauge("service_draining", "1 while draining").set(
             1.0 if self._draining else 0.0
         )

@@ -111,9 +111,10 @@ async def _pause_session(app, request: Request) -> Response:
 
 
 async def _resume_session(app, request: Request) -> Response:
-    return json_response(
-        app.resume_session(request.params["session_id"]), status=202
+    out = await asyncio.get_event_loop().run_in_executor(
+        None, app.resume_session, request.params["session_id"]
     )
+    return json_response(out, status=202)
 
 
 async def _cancel_session(app, request: Request) -> Response:

@@ -19,10 +19,13 @@ either absent, old, or new -- never torn.  The journal and the answers
 log are append-only JSONL by design (their durability model is
 fsync-per-record, not whole-file replacement).
 
-The store is the restart source of truth: :meth:`recoverable_sessions`
-returns every session whose last persisted state is non-terminal, which
-is exactly the set the service re-opens through the supervisor's
-journal recovery at startup.  The journal is a session's only durable
+The store is the source of truth for every session state a route
+reports, and the only record of a finished session: the service holds
+live sessions in memory and drops each one once its terminal meta is
+written (after ``result.json``).  :meth:`recoverable_sessions` returns
+every session whose last persisted state is non-terminal, which is
+exactly the set the service re-opens through journal recovery at
+startup.  The journal is a session's only durable
 run state: the engine resumes from it alone, and a file not listed
 above (such as the per-round state file an older release wrote beside
 the journal) is never read.
@@ -40,12 +43,10 @@ from typing import Dict, List, Optional, Union
 from ..datasets.dataset import IncompleteDataset
 from ..errors import DataValidationError
 from ..persistence import atomic_write, load_dataset, save_dataset
+from ..session.supervisor import TERMINAL_STATES
 from .http import HTTPError
 
 __all__ = ["ServiceStore", "DurableAnswerLog", "valid_identifier"]
-
-#: session states the store considers finished (not re-opened on restart)
-TERMINAL_STATES = ("DONE", "DEGRADED", "FAILED", "CANCELLED")
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 

@@ -10,8 +10,9 @@ Layers, bottom up:
   (append-only JSONL, fsync + per-record checksums);
 * :mod:`~repro.session.recovery` -- journal replay to bit-identical
   run state;
-* :mod:`~repro.session.supervisor` -- per-session state machine,
-  bounded restart-with-backoff, backpressured answer intake.
+* :mod:`~repro.session.supervisor` -- one hosted session's state
+  machine and run loop (bounded restart-with-backoff, pause and cancel
+  requests that survive restarts), backpressured answer intake.
 """
 
 from .cancellation import CancellationToken
@@ -35,7 +36,6 @@ from .supervisor import (
     SESSION_STATES,
     BoundedAnswerQueue,
     QueuedAnswerPlatform,
-    SessionSupervisor,
     SupervisedSession,
 )
 
@@ -59,6 +59,5 @@ __all__ = [
     "SESSION_STATES",
     "BoundedAnswerQueue",
     "QueuedAnswerPlatform",
-    "SessionSupervisor",
     "SupervisedSession",
 ]

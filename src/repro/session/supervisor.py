@@ -1,25 +1,25 @@
 """Supervised session runtime: state machine, restarts, backpressure.
 
-The layer ROADMAP item 1's HTTP service mounts directly: a
-:class:`SessionSupervisor` hosts many named BayesCrowd sessions in one
-process, each fully isolated (own :class:`~repro.session.SessionContext`,
-own write-ahead journal) and each driven through an explicit
-lifecycle::
+A :class:`SupervisedSession` is one hosted BayesCrowd query with its own
+:class:`~repro.session.SessionContext` and write-ahead journal, driven
+through an explicit lifecycle::
 
     PENDING -> RUNNING -> DONE
                  |   \\-> DEGRADED          (completed, faults cost info)
                  |-> PAUSED  -> RUNNING     (cooperative cancel; resumable)
-                 \\-> FAILED                (restart budget exhausted)
+                 |-> FAILED                 (restart budget exhausted)
+                 \\-> CANCELLED             (also from PAUSED)
 
-Crashes inside a session (any exception that is not a cooperative
-cancellation) are absorbed by a bounded restart-with-backoff policy:
-the supervisor rebuilds the engine and resumes from the session's
-journal, up to ``max_restarts`` times with exponentially
-growing, capped delays.  Because recovery is bit-identical, a restarted
-session converges to the same result an undisturbed one would.
+:meth:`SupervisedSession.run` absorbs crashes (any exception that is not
+a cooperative cancellation) with a bounded restart-with-backoff policy:
+it rebuilds the engine and resumes from the session's journal, up to
+:data:`MAX_RESTARTS` times with exponentially growing, capped delays.
+Because recovery is bit-identical, a restarted session converges to the
+same result an undisturbed one would.  A pause or cancel request
+(:meth:`SupervisedSession.stop`) is kept on the session, so every
+restart attempt's fresh context starts cancelled and no request is lost.
 
-Backpressure: crowd answers may land asynchronously via
-:meth:`SessionSupervisor.submit_answer` into a per-session
+Backpressure: crowd answers may land asynchronously in a per-session
 :class:`BoundedAnswerQueue`.  The queue is bounded; overflow either
 rejects the submission (:class:`~repro.errors.BackpressureError`) or
 sheds the oldest queued answer, per ``overflow_policy``.  A
@@ -33,7 +33,7 @@ import collections
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crowd.task import ComparisonTask
 from ..ctable.expression import Expression, Relation
@@ -42,24 +42,36 @@ from .context import SessionContext
 
 __all__ = [
     "SESSION_STATES",
+    "TERMINAL_STATES",
     "BoundedAnswerQueue",
     "QueuedAnswerPlatform",
     "SupervisedSession",
-    "SessionSupervisor",
 ]
 
 #: Session lifecycle states.
-SESSION_STATES = ("PENDING", "RUNNING", "PAUSED", "DEGRADED", "FAILED", "DONE")
+SESSION_STATES = (
+    "PENDING", "RUNNING", "PAUSED", "DEGRADED", "FAILED", "DONE", "CANCELLED"
+)
 
 #: Legal state-machine transitions (from -> allowed targets).
 _TRANSITIONS = {
     "PENDING": ("RUNNING",),
-    "RUNNING": ("PAUSED", "DEGRADED", "FAILED", "DONE", "RUNNING"),
-    "PAUSED": ("RUNNING",),
+    "RUNNING": ("PAUSED", "DEGRADED", "FAILED", "DONE", "RUNNING", "CANCELLED"),
+    "PAUSED": ("RUNNING", "CANCELLED"),
     "DEGRADED": (),
     "FAILED": (),
     "DONE": (),
+    "CANCELLED": (),
 }
+
+#: States a session never leaves.
+TERMINAL_STATES = tuple(s for s in SESSION_STATES if not _TRANSITIONS[s])
+
+#: Restart budget of one run and its backoff: restart ``k`` sleeps
+#: ``min(cap, base * 2 ** (k - 1))`` seconds before resuming.
+MAX_RESTARTS = 2
+RESTART_BACKOFF_BASE_S = 0.05
+RESTART_BACKOFF_CAP_S = 2.0
 
 #: Queue overflow policies.
 OVERFLOW_POLICIES = ("reject", "shed-oldest")
@@ -166,7 +178,7 @@ class QueuedAnswerPlatform:
 
 
 class SupervisedSession:
-    """One hosted session: engine factory inputs + lifecycle bookkeeping."""
+    """One hosted session: engine inputs, lifecycle and run loop."""
 
     def __init__(
         self,
@@ -183,222 +195,112 @@ class SupervisedSession:
         self.config = config
         self.platform = platform
         self.journal_path = directory / ("%s.journal.jsonl" % session_id)
-        self.context = SessionContext(seed=config.seed, session_id=session_id)
         self.answer_queue = BoundedAnswerQueue(
             maxsize=max_pending_answers, policy=overflow_policy
         )
         self.state = "PENDING"
-        self.result = None
         self.error: Optional[BaseException] = None
         self.restarts = 0
         #: (from_state, to_state, reason) triples, in order
         self.transitions: List[Tuple[str, str, str]] = []
-
-
-class SessionSupervisor:
-    """Hosts, supervises and recovers many sessions in one process."""
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        max_restarts: int = 2,
-        restart_backoff_base: float = 0.05,
-        restart_backoff_cap: float = 2.0,
-        max_pending_answers: int = 256,
-        overflow_policy: str = "reject",
-    ) -> None:
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        if restart_backoff_base < 0:
-            raise ValueError("restart_backoff_base must be non-negative")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_restarts = max_restarts
-        self.restart_backoff_base = restart_backoff_base
-        self.restart_backoff_cap = restart_backoff_cap
-        self.max_pending_answers = max_pending_answers
-        self.overflow_policy = overflow_policy
-        self._sessions: Dict[str, SupervisedSession] = {}
+        #: the thread running :meth:`run`, set by whoever starts it
+        self.thread: Optional[threading.Thread] = None
+        #: pending pause/cancel request (reason) and whether it cancels
+        self.stop_reason: Optional[str] = None
+        self.cancel_requested = False
+        #: the current attempt's context (``None`` before the first)
+        self.context: Optional[SessionContext] = None
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # registry
-    # ------------------------------------------------------------------
-    def create(self, session_id: str, dataset, config, platform=None) -> SupervisedSession:
-        """Register a session (its files live under the supervisor dir)."""
+    def _transition(self, to: str, reason: str) -> None:
         with self._lock:
-            if session_id in self._sessions:
-                raise ValueError("session %r already exists" % session_id)
-            session = SupervisedSession(
-                session_id,
-                dataset,
-                config,
-                self.directory,
-                platform=platform,
-                max_pending_answers=self.max_pending_answers,
-                overflow_policy=self.overflow_policy,
-            )
-            self._sessions[session_id] = session
-            return session
-
-    def get(self, session_id: str) -> SupervisedSession:
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise KeyError("unknown session %r" % session_id) from None
-
-    def sessions(self) -> List[SupervisedSession]:
-        with self._lock:
-            return list(self._sessions.values())
-
-    # ------------------------------------------------------------------
-    # state machine
-    # ------------------------------------------------------------------
-    def _transition(self, session: SupervisedSession, to: str, reason: str) -> None:
-        with self._lock:
-            allowed = _TRANSITIONS.get(session.state, ())
-            if to not in allowed:
+            if to not in _TRANSITIONS[self.state]:
                 raise RuntimeError(
                     "illegal session transition %s -> %s (%s)"
-                    % (session.state, to, reason)
+                    % (self.state, to, reason)
                 )
-            session.transitions.append((session.state, to, reason))
-            session.state = to
-            if not _TRANSITIONS[to]:
-                # A terminal session never runs again: drop the engine's
-                # inputs so a long-lived host does not keep one dataset
-                # copy per finished session.
-                session.dataset = session.platform = None
+            self.transitions.append((self.state, to, reason))
+            self.state = to
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def run(self, session_id: str, resume: bool = False):
-        """Run one session to completion under supervision.
+    def stop(self, reason: str, cancel: bool = False) -> None:
+        """Ask the run to park at its next cancellation check.
 
-        Returns the :class:`QueryResult`, or ``None`` when the session
-        was cooperatively cancelled (state ``PAUSED`` -- call ``run``
-        again with ``resume=True`` to continue it).  Non-cancellation
-        exceptions trigger bounded restart-with-backoff; once the budget
-        is exhausted the session is ``FAILED`` and the error re-raised.
+        The request stays on the session until a resume clears it, so a
+        restart attempt that starts after it still parks.  With
+        ``cancel`` the run ends CANCELLED instead of PAUSED.
+        """
+        with self._lock:
+            self.stop_reason = reason
+            self.cancel_requested = self.cancel_requested or cancel
+            if self.context is not None:
+                self.context.cancellation.cancel(reason)
+
+    def cancel_parked(self) -> None:
+        """Turn a PAUSED session whose run has returned into CANCELLED."""
+        self._transition("CANCELLED", self.stop_reason or "cancelled")
+
+    def _new_context(self) -> SessionContext:
+        # A fresh context per attempt: allocator and RNG streams are
+        # restored from the journal during recovery.  A pending stop
+        # request carries over, so it cannot fall between two attempts.
+        with self._lock:
+            self.context = SessionContext(
+                seed=self.config.seed, session_id=self.session_id
+            )
+            if self.stop_reason is not None:
+                self.context.cancellation.cancel(self.stop_reason)
+            return self.context
+
+    def run(self, resume: bool = False):
+        """Run the session until it completes, parks or fails.
+
+        Returns the :class:`QueryResult`, or ``None`` when the run was
+        cooperatively cancelled: the session is then PAUSED (call ``run``
+        again with ``resume=True`` after clearing ``stop_reason``) or,
+        after a cancel request, CANCELLED.  Other exceptions trigger
+        bounded restart-with-backoff; once the budget is exhausted the
+        session is FAILED and the error re-raised.
         """
         from ..core.framework import BayesCrowd
 
-        session = self.get(session_id)
-        self._transition(session, "RUNNING", "started")
-        attempt_resume = resume
+        self._transition("RUNNING", "started")
         while True:
-            # A fresh context per attempt: allocator and RNG streams are
-            # restored from the journal during recovery, and a
-            # possibly-tripped cancellation token must not leak into the
-            # retry.  Deadlines re-arm from the config each attempt.
-            session.context = SessionContext(
-                seed=session.config.seed, session_id=session.session_id
-            )
-            deadline = getattr(session.config, "session_deadline_s", 0.0)
-            if deadline:
-                session.context.cancellation.set_deadline(deadline)
             try:
                 engine = BayesCrowd(
-                    session.dataset,
-                    session.config,
-                    platform=session.platform,
-                    session=session.context,
+                    self.dataset,
+                    self.config,
+                    platform=self.platform,
+                    session=self._new_context(),
                 )
-                result = engine.run(
-                    resume=attempt_resume,
-                    journal_path=session.journal_path,
-                )
+                result = engine.run(resume=resume, journal_path=self.journal_path)
             except SessionCancelledError as err:
-                session.error = err
-                self._transition(session, "PAUSED", str(err))
+                self.error = err
+                self._transition(
+                    "CANCELLED" if self.cancel_requested else "PAUSED", str(err)
+                )
                 return None
             except Exception as err:  # noqa: BLE001 - supervision boundary
-                session.error = err
-                session.restarts += 1
-                if session.restarts > self.max_restarts:
-                    self._transition(session, "FAILED", str(err))
+                self.error = err
+                self.restarts += 1
+                if self.restarts > MAX_RESTARTS:
+                    self._transition("FAILED", str(err))
                     raise
-                delay = min(
-                    self.restart_backoff_cap,
-                    self.restart_backoff_base * (2 ** (session.restarts - 1)),
-                )
                 self._transition(
-                    session,
                     "RUNNING",
-                    "restart %d/%d after %s"
-                    % (session.restarts, self.max_restarts, err),
+                    "restart %d/%d after %s" % (self.restarts, MAX_RESTARTS, err),
                 )
-                if delay > 0:
-                    time.sleep(delay)
-                attempt_resume = True  # recover from the journal
+                time.sleep(
+                    min(
+                        RESTART_BACKOFF_CAP_S,
+                        RESTART_BACKOFF_BASE_S * 2 ** (self.restarts - 1),
+                    )
+                )
+                resume = True  # recover from the journal
                 continue
-            session.result = result
-            session.error = None
-            self._transition(
-                session,
-                "DEGRADED" if result.degraded else "DONE",
-                "completed",
-            )
+            self.error = None
+            if self.cancel_requested:
+                outcome = "CANCELLED"
+            else:
+                outcome = "DEGRADED" if result.degraded else "DONE"
+            self._transition(outcome, "completed")
             return result
-
-    def run_all(self, parallel: bool = True) -> Dict[str, object]:
-        """Run every PENDING session; with ``parallel`` each gets a thread.
-
-        Running sessions concurrently is safe because the engine is
-        re-entrant: each session's RNG streams, caches and task ids are
-        context-local.  Returns ``{session_id: result-or-None}``.
-        """
-        pending = [s for s in self.sessions() if s.state == "PENDING"]
-        results: Dict[str, object] = {}
-        if not parallel:
-            for session in pending:
-                results[session.session_id] = self.run(session.session_id)
-            return results
-        errors: Dict[str, BaseException] = {}
-
-        def _target(sid: str) -> None:
-            try:
-                results[sid] = self.run(sid)
-            except BaseException as err:  # noqa: BLE001 - collected below
-                errors[sid] = err
-
-        threads = [
-            threading.Thread(target=_target, args=(s.session_id,), daemon=True)
-            for s in pending
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for sid, err in errors.items():
-            results.setdefault(sid, None)
-        return results
-
-    # ------------------------------------------------------------------
-    # control plane
-    # ------------------------------------------------------------------
-    def pause(self, session_id: str, reason: str = "paused by supervisor") -> None:
-        """Cooperatively cancel a running session (it becomes PAUSED)."""
-        self.get(session_id).context.cancellation.cancel(reason)
-
-    def submit_answer(
-        self, session_id: str, expression: Expression, relation: Relation
-    ) -> None:
-        """Queue an asynchronously arriving crowd answer (backpressured)."""
-        self.get(session_id).answer_queue.put(expression, relation)
-
-    def state(self, session_id: str) -> str:
-        return self.get(session_id).state
-
-    def stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-session supervision counters (for the obs layer)."""
-        out: Dict[str, Dict[str, object]] = {}
-        for session in self.sessions():
-            entry: Dict[str, object] = {
-                "state": session.state,
-                "restarts": session.restarts,
-            }
-            entry.update(session.answer_queue.stats())
-            out[session.session_id] = entry
-        return out

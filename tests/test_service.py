@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+import repro.service.app
 from repro.core import BayesCrowd, BayesCrowdConfig
 from repro.errors import ConfigError
 from repro.persistence import atomic_write, expression_to_json
@@ -33,7 +34,7 @@ from repro.service import (
 )
 from repro.service.http import read_request
 from repro.service.store import valid_identifier
-from repro.session import AnswerJournal, read_journal
+from repro.session import AnswerJournal, SupervisedSession, read_journal
 
 from .recovery import observables
 
@@ -122,6 +123,20 @@ def server(tmp_path):
     yield handle
     if handle._thread.is_alive():
         handle.stop()
+
+
+@pytest.fixture
+def saved_results(monkeypatch):
+    """Every QueryResult the service persists, in order."""
+    saved = []
+    save_result = repro.service.app.save_result
+
+    def _capture(result, path):
+        saved.append(result)
+        save_result(result, path)
+
+    monkeypatch.setattr(repro.service.app, "save_result", _capture)
+    return saved
 
 
 def _make_dataset(handle, dataset_id="d1", n=50, seed=3):
@@ -408,7 +423,7 @@ class TestServerBasics:
         # session metrics snapshot exists once the run finished
         status, snapshot, _, _ = server.request("GET", "/v1/sessions/s1/metrics")
         assert status == 200
-        # Prometheus exposition includes supervisor state counts
+        # Prometheus exposition includes session state counts
         status, _, headers, raw = server.request("GET", "/metrics")
         assert status == 200 and "text/plain" in headers["Content-Type"]
         text = raw.decode()
@@ -460,6 +475,142 @@ class TestServerBasics:
 
 
 # ----------------------------------------------------------------------
+# session lifecycle: live sessions in memory, finished ones in the store
+# ----------------------------------------------------------------------
+#: a query that runs for about half a second in-process on the n=3000
+#: dataset, so a request sent right after open lands while it is live
+_SLOW_QUERY = {"budget": 30, "latency": 10, "alpha": 0.05, "seed": 3}
+
+_ANSWER = {
+    "expression": {"left": {"var": [0, 0]}, "right": {"var": [1, 0]}},
+    "relation": ">",
+}
+
+
+def _open(handle, session_id, config, dataset_id="d1", **extra):
+    payload = {"dataset_id": dataset_id, "session_id": session_id, "config": config}
+    payload.update(extra)
+    status, meta, _, _ = handle.request("POST", "/v1/sessions", payload)
+    assert status == 202, meta
+    return meta
+
+
+class TestSessionLifecycle:
+    def test_finished_sessions_leave_the_live_table(self, server):
+        _make_dataset(server, "d1", n=40)
+        for session_id in ("s1", "s2"):
+            _open(server, session_id, {"budget": 5, "latency": 2, "seed": 3})
+        for session_id in ("s1", "s2"):
+            server.wait_state(session_id, ("DONE",))
+        assert server.server.app.live == {}
+        # the terminal meta carries what the live session reported
+        status, view, _, _ = server.request("GET", "/v1/sessions/s1")
+        assert status == 200
+        assert view["restarts"] == 0 and view["queue_depth"] == 0
+        text = server.request("GET", "/metrics")[3].decode()
+        assert "service_sessions_done 2" in text
+        assert "service_sessions_running 0" in text
+
+    def test_duplicate_id_is_409_and_unknown_id_is_404_on_every_route(self, server):
+        _make_dataset(server, "d1", n=40)
+        _open(server, "s1", {"budget": 5, "latency": 2})
+        status, _, _, _ = server.request(
+            "POST", "/v1/sessions", {"dataset_id": "d1", "session_id": "s1"}
+        )
+        assert status == 409
+        for method, suffix, payload in (
+            ("GET", "", None),
+            ("GET", "/events", None),
+            ("POST", "/answers", {"answers": [_ANSWER]}),
+            ("POST", "/pause", None),
+            ("POST", "/resume", None),
+            ("POST", "/cancel", None),
+            ("GET", "/result", None),
+            ("GET", "/metrics", None),
+        ):
+            status, _, _, _ = server.request(
+                method, "/v1/sessions/ghost" + suffix, payload
+            )
+            assert status == 404, (method, suffix)
+
+    def test_pause_or_cancel_right_after_open_is_kept(self, server, saved_results):
+        _make_dataset(server, "d1", n=3000, seed=3)
+        _open(server, "sp", _SLOW_QUERY)
+        status, body, _, _ = server.request("POST", "/v1/sessions/sp/pause")
+        assert status == 200 and body["pausing"] is True
+        _open(server, "sc", _SLOW_QUERY)
+        status, body, _, _ = server.request("POST", "/v1/sessions/sc/cancel")
+        assert status == 200 and body["state"] == "CANCELLED"
+        view = server.wait_state("sp", ("PAUSED", "DONE", "DEGRADED"))
+        assert view["state"] == "PAUSED"
+        assert saved_results == []
+
+        status, _, _, _ = server.request("POST", "/v1/sessions/sp/resume")
+        assert status == 202
+        server.wait_state("sp", ("DONE",))
+        (result,) = saved_results
+        dataset = server.server.app.store.load_dataset("d1")
+        baseline = BayesCrowd(dataset, BayesCrowdConfig(**_SLOW_QUERY)).run()
+        assert observables(result) == observables(baseline)
+
+    def test_cancel_is_terminal_everywhere(self, server):
+        _make_dataset(server, "d1", n=40)
+        # a PAUSED session (parked by its deadline) ...
+        _open(server, "sp", {"budget": 5, "latency": 2, "session_deadline_s": 1e-6})
+        server.wait_state("sp", ("PAUSED",))
+        status, _, _, raw = server.request("GET", "/metrics")
+        assert status == 200 and "service_sessions_paused 1" in raw.decode()
+        # ... and a finished one
+        _open(server, "sd", {"budget": 5, "latency": 2})
+        server.wait_state("sd", ("DONE",))
+        for session_id in ("sp", "sd"):
+            status, body, _, _ = server.request(
+                "POST", "/v1/sessions/%s/cancel" % session_id
+            )
+            assert status == 200 and body["state"] == "CANCELLED"
+            status, view, _, _ = server.request("GET", "/v1/sessions/%s" % session_id)
+            assert view["state"] == "CANCELLED"
+            status, _, _, _ = server.request(
+                "POST", "/v1/sessions/%s/resume" % session_id
+            )
+            assert status == 409
+        status, listing, _, _ = server.request("GET", "/v1/sessions")
+        assert {v["state"] for v in listing["sessions"]} == {"CANCELLED"}
+        status, body, _, _ = server.request("GET", "/v1/sessions/sp/result")
+        assert status == 409 and "CANCELLED" in body["error"]
+        status, body, _, _ = server.request("GET", "/v1/sessions/sd/result")
+        assert status == 200 and body["state"] == "CANCELLED"
+
+    def test_run_that_parks_after_cancel_returned_ends_cancelled(self, tmp_path):
+        """With no time to park, cancel returns while the run is live; the
+        run must then end CANCELLED, never PAUSED."""
+        handle = ServerHandle(_settings(tmp_path, drain_timeout_s=1e-3))
+        try:
+            _make_dataset(handle, "d1", n=3000, seed=3)
+            _open(handle, "s1", _SLOW_QUERY)
+            status, _, _, _ = handle.request("POST", "/v1/sessions/s1/cancel")
+            assert status == 200
+            view = handle.wait_state("s1", ("CANCELLED", "PAUSED", "DONE"))
+            assert view["state"] == "CANCELLED"
+            assert handle.server.app.live == {}
+        finally:
+            handle.stop()
+
+    def test_finished_session_takes_no_answers(self, server):
+        status, _, _, _ = server.request("POST", "/v1/datasets", _QUEUED_DATASET)
+        assert status == 201
+        _open(server, "sq", {"budget": 4, "latency": 1, "alpha": 1.0},
+              dataset_id="dq", platform="queued")
+        server.wait_state("sq", ("DONE", "DEGRADED", "FAILED"))
+        status, body, _, _ = server.request(
+            "POST", "/v1/sessions/sq/answers", {"answers": [_ANSWER]}
+        )
+        assert status == 409
+        store = server.server.app.store
+        assert not store.session_file("sq", "answers.jsonl").exists()
+
+
+# ----------------------------------------------------------------------
 # admission control & backpressure
 # ----------------------------------------------------------------------
 class TestAdmissionControl:
@@ -469,19 +620,21 @@ class TestAdmissionControl:
             _make_dataset(handle, "d1", n=40)
             # Occupy the single slot with a hand-held RUNNING session.
             app = handle.server.app
-            from repro.core import BayesCrowdConfig
-
-            blocker = app.supervisor.create(
-                "blocker", app.store.load_dataset("d1"), BayesCrowdConfig()
+            blocker = SupervisedSession(
+                "blocker",
+                app.store.load_dataset("d1"),
+                BayesCrowdConfig(),
+                app.store.sessions_dir,
             )
             blocker.state = "RUNNING"
+            app.live["blocker"] = blocker
             status, body, headers, _ = handle.request(
                 "POST", "/v1/sessions", {"dataset_id": "d1"}
             )
             assert status == 429
             assert int(headers["Retry-After"]) >= 1
             assert "slots" in body["error"]
-            blocker.state = "DONE"  # release
+            del app.live["blocker"]  # release
             status, _, _, _ = handle.request(
                 "POST", "/v1/sessions",
                 {"dataset_id": "d1", "session_id": "s-ok",
@@ -502,12 +655,13 @@ class TestAdmissionControl:
                 "POST",
                 "/v1/sessions",
                 {"dataset_id": "dq", "session_id": "sq", "platform": "queued",
-                 "config": {"budget": 4, "latency": 1, "alpha": 1.0}},
+                 "config": {"budget": 4, "latency": 1, "alpha": 1.0,
+                            "session_deadline_s": 1e-6}},
             )
             assert status == 202
-            handle.wait_state("sq", ("DONE", "DEGRADED", "FAILED"))
-            # The engine is finished: nothing consumes the queue now, so
-            # the bound is observable deterministically.
+            handle.wait_state("sq", ("PAUSED",))
+            # The engine is parked by its deadline: nothing consumes the
+            # queue now, so the bound is observable deterministically.
             answer = {
                 "expression": {"left": {"var": [0, 0]}, "right": {"var": [1, 0]}},
                 "relation": ">",
@@ -672,7 +826,7 @@ class TestDrainAndRecovery:
         finally:
             restarted.stop()
 
-    def test_restart_ignores_a_stale_checkpoint_file(self, tmp_path):
+    def test_restart_ignores_a_stale_checkpoint_file(self, tmp_path, saved_results):
         """A store written by an older release may hold a round checkpoint
         beside a session's journal.  Restart recovers from the journal
         alone: the stale file is never read, even when it is garbage."""
@@ -709,9 +863,9 @@ class TestDrainAndRecovery:
         try:
             view = restarted.wait_state("s1", ("DONE", "DEGRADED", "FAILED"))
             assert view["state"] == "DONE", view
-            result = restarted.server.app.supervisor.get("s1").result
         finally:
             restarted.stop()
+        (result,) = saved_results
         assert result.resumed
         assert result.metrics["counters"]["recovered_rounds"] == 1
         assert observables(result) == observables(baseline)

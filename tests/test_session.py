@@ -1,4 +1,4 @@
-"""Tests for the session runtime: journal, context, supervisor.
+"""Tests for the session runtime: journal, context, supervised run.
 
 Covers the durable write-ahead answer journal (round trip, torn tail,
 corruption detection), per-session RNG streams and task-id allocation,
@@ -30,12 +30,13 @@ from repro.session import (
     CancellationToken,
     QueuedAnswerPlatform,
     SessionContext,
-    SessionSupervisor,
+    SupervisedSession,
     TaskIdAllocator,
     journal_problems,
     read_journal,
 )
 from repro.session.context import current_session, session_rng
+from repro.session.supervisor import MAX_RESTARTS
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +395,7 @@ class TestQueuedAnswerPlatform:
 
 
 # ---------------------------------------------------------------------------
-# supervisor
+# supervised sessions
 # ---------------------------------------------------------------------------
 class _FlakyPlatform:
     """Raises on the first ``fail_times`` batch posts, then delegates."""
@@ -428,57 +429,83 @@ def _config(**overrides):
     return BayesCrowdConfig(**base)
 
 
-class TestSessionSupervisor:
+def _session(tmp_path, session_id="q1", dataset=None, config=None, platform=None):
+    return SupervisedSession(
+        session_id,
+        dataset if dataset is not None else _dataset(),
+        config if config is not None else _config(),
+        tmp_path,
+        platform=platform,
+    )
+
+
+class TestSupervisedSessionRun:
     def test_run_completes_and_records_transitions(self, tmp_path):
-        supervisor = SessionSupervisor(tmp_path)
-        supervisor.create("q1", _dataset(), _config())
-        result = supervisor.run("q1")
+        session = _session(tmp_path)
+        result = session.run()
         assert result is not None
-        assert supervisor.state("q1") == "DONE"
-        session = supervisor.get("q1")
+        assert session.state == "DONE"
         assert session.transitions[0] == ("PENDING", "RUNNING", "started")
         assert session.transitions[-1][1] == "DONE"
         # The journal is the session's only durable run state.
         assert [p.name for p in tmp_path.iterdir()] == [session.journal_path.name]
 
-    def test_finished_session_releases_its_dataset(self, tmp_path):
-        supervisor = SessionSupervisor(tmp_path)
-        supervisor.create("q1", _dataset(), _config())
-        result = supervisor.run("q1")
-        session = supervisor.get("q1")
-        assert session.dataset is None and session.platform is None
-        assert session.result is result
-
-    def test_duplicate_and_unknown_sessions_rejected(self, tmp_path):
-        supervisor = SessionSupervisor(tmp_path)
-        supervisor.create("q1", _dataset(), _config())
-        with pytest.raises(ValueError):
-            supervisor.create("q1", _dataset(), _config())
-        with pytest.raises(KeyError):
-            supervisor.get("missing")
-
     def test_illegal_transition_rejected(self, tmp_path):
-        supervisor = SessionSupervisor(tmp_path)
-        supervisor.create("q1", _dataset(), _config())
-        supervisor.run("q1")
+        session = _session(tmp_path)
+        session.run()
         with pytest.raises(RuntimeError):
-            supervisor.run("q1")  # DONE -> RUNNING is not a legal edge
+            session.run()  # DONE -> RUNNING is not a legal edge
 
     def test_deadline_pauses_then_resume_completes(self, tmp_path):
-        supervisor = SessionSupervisor(tmp_path)
         config = _config(session_deadline_s=1e-6)
-        session = supervisor.create("q1", _dataset(), config)
-        assert supervisor.run("q1") is None  # deadline trips immediately
-        assert supervisor.state("q1") == "PAUSED"
+        session = _session(tmp_path, config=config)
+        assert session.run() is None  # deadline trips immediately
+        assert session.state == "PAUSED"
         assert isinstance(session.error, SessionCancelledError)
 
         session.config = dataclasses.replace(config, session_deadline_s=0.0)
-        result = supervisor.run("q1", resume=True)
+        result = session.run(resume=True)
         assert result is not None
-        assert supervisor.state("q1") == "DONE"
+        assert session.state == "DONE"
         solo = BayesCrowd(_dataset(), _config()).run()
         assert result.answers == solo.answers
         assert result.rounds == solo.rounds
+
+    def test_stop_before_run_parks_and_survives_restarts(self, tmp_path):
+        """A stop request made before the run starts, or before a restart
+        attempt builds its fresh context, still parks the session."""
+        dataset = _dataset()
+        platform = _FlakyPlatform(
+            SimulatedCrowdPlatform(
+                dataset, worker_accuracy=0.9, rng=np.random.default_rng(2)
+            ),
+            fail_times=0,
+        )
+        session = _session(tmp_path, dataset=dataset, platform=platform)
+        session.stop("paused before start")
+        assert session.run() is None
+        assert session.state == "PAUSED"
+
+        session.stop_reason = None
+        platform.failures_left = 1
+        original = platform.post_batch
+
+        def crash_then_pause(tasks):
+            session.stop("paused during a restart")
+            return original(tasks)
+
+        platform.post_batch = crash_then_pause
+        assert session.run(resume=True) is None
+        assert session.restarts == 1
+        assert session.state == "PAUSED"
+
+    def test_cancel_ends_cancelled_and_is_terminal(self, tmp_path):
+        session = _session(tmp_path)
+        session.stop("cancelled", cancel=True)
+        assert session.run() is None
+        assert session.state == "CANCELLED"
+        with pytest.raises(RuntimeError):
+            session.run(resume=True)
 
     def test_crash_triggers_bounded_restart(self, tmp_path):
         dataset = _dataset()
@@ -488,17 +515,12 @@ class TestSessionSupervisor:
             ),
             fail_times=1,
         )
-        supervisor = SessionSupervisor(
-            tmp_path, max_restarts=2, restart_backoff_base=0.0
-        )
-        supervisor.create("q1", dataset, _config(), platform=platform)
-        result = supervisor.run("q1")
+        session = _session(tmp_path, dataset=dataset, platform=platform)
+        result = session.run()
         assert result is not None
-        session = supervisor.get("q1")
         assert session.restarts == 1
-        assert supervisor.state("q1") == "DONE"
+        assert session.state == "DONE"
         assert any("restart 1/2" in reason for _, _, reason in session.transitions)
-        assert supervisor.stats()["q1"]["restarts"] == 1
 
     def test_restart_budget_exhaustion_fails_session(self, tmp_path):
         dataset = _dataset()
@@ -506,14 +528,11 @@ class TestSessionSupervisor:
             SimulatedCrowdPlatform(dataset, rng=np.random.default_rng(2)),
             fail_times=100,
         )
-        supervisor = SessionSupervisor(
-            tmp_path, max_restarts=1, restart_backoff_base=0.0
-        )
-        supervisor.create("q1", dataset, _config(), platform=platform)
+        session = _session(tmp_path, dataset=dataset, platform=platform)
         with pytest.raises(RuntimeError, match="injected platform outage"):
-            supervisor.run("q1")
-        assert supervisor.state("q1") == "FAILED"
-        assert supervisor.get("q1").restarts == 2
+            session.run()
+        assert session.state == "FAILED"
+        assert session.restarts == MAX_RESTARTS + 1
 
 
 class TestConcurrentSessions:
@@ -522,10 +541,17 @@ class TestConcurrentSessions:
     def test_two_same_seed_sessions_match_the_solo_run(self, tmp_path):
         dataset = _dataset()
         solo = BayesCrowd(dataset, _config()).run()
-        supervisor = SessionSupervisor(tmp_path)
-        supervisor.create("a", dataset, _config())
-        supervisor.create("b", dataset, _config())
-        results = supervisor.run_all(parallel=True)
+        sessions = [_session(tmp_path, sid, dataset=dataset) for sid in ("a", "b")]
+        results = {}
+
+        def _target(session):
+            results[session.session_id] = session.run()
+
+        threads = [threading.Thread(target=_target, args=(s,)) for s in sessions]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         assert set(results) == {"a", "b"}
         for result in results.values():
             assert result is not None
@@ -534,4 +560,4 @@ class TestConcurrentSessions:
             assert result.rounds == solo.rounds
             assert result.tasks_posted == solo.tasks_posted
             assert result.answer_probabilities == solo.answer_probabilities
-        assert supervisor.state("a") == supervisor.state("b")
+        assert [s.state for s in sessions] == ["DONE", "DONE"]
